@@ -17,6 +17,7 @@ offending Theta is reported on stderr).  Failures never emit NaN rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -95,7 +96,13 @@ def _wkb_lnz(config: RunConfig):
 
 
 def lnz_function(config: RunConfig):
-    """ln Z as a function of Theta for the configured mode."""
+    """ln Z as a function of Theta for the configured mode.  It remembers
+    its last value: `run` asks for ln Z at a row's Theta and
+    `specific_heat` asks for it again before its stencil points."""
+    return functools.lru_cache(maxsize=1)(_lnz_of_mode(config))
+
+
+def _lnz_of_mode(config: RunConfig):
     if config.mode == "harmonic":
         return lambda theta: ln_z_harmonic(config.D, theta)
     if config.mode == "quartic-semiclassical":

@@ -26,6 +26,15 @@ longitudinal antiderivative is folded algebraically into the prefactor
 (sn dn/cn^2) (-cn dn/sn) = -dn^2/cn, so the midpoint t = Theta/2 where
 f_a vanishes needs no series expansion.
 
+The action, both closed-form determinants, the q0 Jacobian and the
+canonical pairs at the endpoints t = 0, Theta all need the elliptic
+functions at the half period u = -u_T, +u_T only.  Each QuarticPath
+therefore evaluates sn, cn, dn and epsilon once, at u_T, when it is
+built, and hands them out by parity at -u_T (sn and epsilon are odd, cn
+and dn even; the kernel honours these identities bit for bit).  Every
+other argument still goes to the kernel, so the values read from a path
+are exactly the ones the kernel returns.
+
 A generic shooting solver is included purely as a numerical oracle for
 the closed forms.
 """
@@ -115,7 +124,15 @@ class QuarticPath:
 
     Carries the elliptic modulus k (and m1 = 1 - k^2 formed exactly from
     q_t), the frequency scale s = sqrt(1 + q_t^2), the half-period
-    argument u_T = s Theta / 2 and the endpoint q0 = q_t nc(u_T, k)."""
+    argument u_T = s Theta / 2 and the endpoint q0 = q_t nc(u_T, k).
+
+    Also carries sn, cn, dn and epsilon at u_T (sn_T, cn_T, dn_T, eps_T),
+    computed once by the kernel when the path is built; at q_t = 0 they
+    are the k = 1 values (tanh, sech, sech, tanh) of u_T.  `sn_cn_dn_at`
+    and `epsilon_at` return them at u = u_T, return them by parity at
+    u = -u_T (sn and epsilon odd, cn and dn even), and call the kernel
+    at any other u; either way the result equals the kernel's bit for
+    bit."""
 
     q_t: float
     Theta: float
@@ -124,9 +141,29 @@ class QuarticPath:
     q0: float
     m1: float = field(repr=False)
     u_T: float = field(repr=False)
+    sn_T: float = field(repr=False)
+    cn_T: float = field(repr=False)
+    dn_T: float = field(repr=False)
+    eps_T: float = field(repr=False)
 
     def u_of(self, theta: float) -> float:
         return self.s * (theta - 0.5 * self.Theta)
+
+    def sn_cn_dn_at(self, u: float) -> tuple[float, float, float]:
+        """jacobi_sn_cn_dn(u, k, m1), read from the path at u = +-u_T."""
+        if u == self.u_T:
+            return self.sn_T, self.cn_T, self.dn_T
+        if u == -self.u_T:
+            return -self.sn_T, self.cn_T, self.dn_T
+        return jacobi_sn_cn_dn(u, self.k, self.m1)
+
+    def epsilon_at(self, u: float) -> float:
+        """jacobi_epsilon(u, k, m1), read from the path at u = +-u_T."""
+        if u == self.u_T:
+            return self.eps_T
+        if u == -self.u_T:
+            return -self.eps_T
+        return jacobi_epsilon(u, self.k, self.m1)
 
     def position(self, theta: float) -> float:
         theta = _check_time(theta, self.Theta)
@@ -157,14 +194,22 @@ def quartic_path_from_qt(q_t: float, Theta: float) -> QuarticPath:
     s = math.sqrt(1.0 + q_t * q_t)
     u_T = 0.5 * s * Theta
     if q_t == 0.0:
-        return QuarticPath(0.0, Theta, 1.0, 1.0, 0.0, 0.0, u_T)
+        # k = 1: the kernel's cosh overflows for u_T = Theta/2 beyond ~710,
+        # where (sn, cn, dn, eps) = (tanh, sech, sech, tanh) round to these
+        try:
+            sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
+            eps = jacobi_epsilon(u_T, k, m1)
+        except OverflowError:
+            sn, cn, dn, eps = 1.0, 0.0, 0.0, 1.0
+        return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
     big_k = complete_K(k, m1=m1)
     if u_T >= big_k:
         raise PoleError(
             f"q_t={q_t}, Theta={Theta}: argument u={u_T:.6g} reaches the "
             f"nc pole at K={big_k:.6g}; the endpoint q0 is unbounded")
-    _, cn, _ = jacobi_sn_cn_dn(u_T, k, m1)
-    return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T)
+    sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
+    eps = jacobi_epsilon(u_T, k, m1)
+    return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
 
 
 def _pole_gap(q_t: float, Theta: float) -> float:
@@ -202,7 +247,10 @@ def q_theta_max(Theta: float) -> float:
 def invert_endpoint(q0: float, Theta: float) -> float:
     """Turning value q_t in [0, q_Theta) whose path ends at q0; inverts
     q0 = q_t nc(u_T, k) by bisection (the map is strictly increasing and
-    onto [0, inf))."""
+    onto [0, inf)).  Raises ConvergenceError when the bisection interval
+    collapses before the endpoint gap drops to 1e-12 (1 + q0), which
+    happens for large q0, where q0 varies faster in q_t than one ulp
+    resolves."""
     if q0 < 0.0 or not math.isfinite(q0):
         raise DomainError(f"q0={q0!r} must be finite and >= 0")
     if q0 == 0.0:
@@ -216,10 +264,11 @@ def invert_endpoint(q0: float, Theta: float) -> float:
         except PoleError:
             return math.inf
 
+    bound = 1e-12 * (1.0 + q0)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
         gap = endpoint(mid) - q0
-        if abs(gap) <= 1e-12 * (1.0 + q0):
+        if abs(gap) <= bound:
             return mid
         if gap > 0.0:
             hi = mid
@@ -227,7 +276,9 @@ def invert_endpoint(q0: float, Theta: float) -> float:
             lo = mid
         if hi - lo <= 1e-15 * max(hi, 1e-300):
             break
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"invert_endpoint(q0={q0!r}, Theta={Theta!r}): bisection stopped at "
+        f"q_t={mid!r} with endpoint gap {gap:.3e} above {bound:.3e}")
 
 
 def quartic_action(path: QuarticPath) -> float:
@@ -238,8 +289,7 @@ def quartic_action(path: QuarticPath) -> float:
         return 0.0
     u = path.u_T
     s = path.s
-    sn, cn, dn = jacobi_sn_cn_dn(u, path.k, path.m1)
-    eps = jacobi_epsilon(u, path.k, path.m1)
+    sn, cn, eps = path.sn_T, path.cn_T, path.eps_T
     nc2 = 1.0 / (cn * cn)
     qt2 = qt * qt
     boundary = sn * (1.0 + 0.5 * qt2 * nc2) * math.sqrt(1.0 + 0.5 * qt2 * (1.0 + nc2))
@@ -276,12 +326,6 @@ def harmonic_canonical_pair() -> CanonicalPair:
     return CanonicalPair(math.cosh, math.sinh, math.sinh, math.cosh)
 
 
-def _pair_coefficients(path: QuarticPath):
-    k2 = path.k * path.k
-    m1 = path.m1
-    return k2, m1
-
-
 def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
     """Canonical pair of the longitudinal operator -d^2/dt^2 + U''(q_c).
 
@@ -300,8 +344,8 @@ def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
         # int cn^4/(sn dn)^-2 du  minus its singular -cn dn/sn piece
         return (-m1 * u + (2.0 * m1 - 1.0) * eps) / k2 - m1 * sn * cn / dn
 
-    sn0, cn0, dn0 = jacobi_sn_cn_dn(u0, k, m1)
-    eps0 = jacobi_epsilon(u0, k, m1)
+    sn0, cn0, dn0 = path.sn_cn_dn_at(u0)
+    eps0 = path.epsilon_at(u0)
     f_const = antider_reg(u0, sn0, cn0, dn0, eps0) - cn0 * dn0 / sn0
 
     def slope(u, sn, cn, dn):
@@ -313,25 +357,25 @@ def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
 
     def fa(theta: float) -> float:
         u = path.u_of(theta)
-        sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
+        sn, cn, dn = path.sn_cn_dn_at(u)
         return qt * s * slope(u, sn, cn, dn)
 
     def fa_dot(theta: float) -> float:
         u = path.u_of(theta)
-        _, cn, _ = jacobi_sn_cn_dn(u, k, m1)
+        _, cn, _ = path.sn_cn_dn_at(u)
         return qt * s * s * slope_prime(u, cn)
 
     def fb(theta: float) -> float:
         u = path.u_of(theta)
-        sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
-        eps = jacobi_epsilon(u, k, m1)
+        sn, cn, dn = path.sn_cn_dn_at(u)
+        eps = path.epsilon_at(u)
         g = antider_reg(u, sn, cn, dn, eps)
         return (slope(u, sn, cn, dn) * (g - f_const) - dn * dn / cn) / (qt * s * s)
 
     def fb_dot(theta: float) -> float:
         u = path.u_of(theta)
-        sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
-        eps = jacobi_epsilon(u, k, m1)
+        sn, cn, dn = path.sn_cn_dn_at(u)
+        eps = path.epsilon_at(u)
         g = antider_reg(u, sn, cn, dn, eps)
         # G' - dn^2 + 2 k^2 cn^2 collapses to an explicit O(m1) factor;
         # the raw three-term form cancels catastrophically deep in the
@@ -357,28 +401,28 @@ def canonical_transverse(path: QuarticPath) -> CanonicalPair:
     def psi(u, eps):
         return eps - m1 * u
 
-    psi0 = psi(u0, jacobi_epsilon(u0, k, m1))
+    psi0 = psi(u0, path.epsilon_at(u0))
 
     def fa(theta: float) -> float:
         u = path.u_of(theta)
-        _, cn, _ = jacobi_sn_cn_dn(u, k, m1)
+        _, cn, _ = path.sn_cn_dn_at(u)
         return qt / cn
 
     def fa_dot(theta: float) -> float:
         u = path.u_of(theta)
-        sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
+        sn, cn, dn = path.sn_cn_dn_at(u)
         return qt * s * sn * dn / (cn * cn)
 
     def fb(theta: float) -> float:
         u = path.u_of(theta)
-        _, cn, _ = jacobi_sn_cn_dn(u, k, m1)
-        eps = jacobi_epsilon(u, k, m1)
+        _, cn, _ = path.sn_cn_dn_at(u)
+        eps = path.epsilon_at(u)
         return (psi(u, eps) - psi0) / (cn * k2 * qt * s)
 
     def fb_dot(theta: float) -> float:
         u = path.u_of(theta)
-        sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
-        eps = jacobi_epsilon(u, k, m1)
+        sn, cn, dn = path.sn_cn_dn_at(u)
+        eps = path.epsilon_at(u)
         slope = sn * dn / (cn * cn)
         return (slope * (psi(u, eps) - psi0) + k2 * cn) / (k2 * qt)
 

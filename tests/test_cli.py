@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import sct.cli
 from sct.cli import ConfigError, RunConfig, compare, main, run
 
 
@@ -75,6 +76,22 @@ class TestRun:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
+    def test_nine_lnz_evaluations_per_row(self, monkeypatch):
+        # the row's own ln Z is the stencil's centre value, computed once
+        thetas = []
+        lnz_harmonic = sct.cli.ln_z_harmonic
+
+        def counted(D, theta):
+            thetas.append(theta)
+            return lnz_harmonic(D, theta)
+
+        monkeypatch.setattr(sct.cli, "ln_z_harmonic", counted)
+        cfg = RunConfig(mode="harmonic", D=1, T_min=0.5, T_max=2.0, T_steps=3)
+        run(cfg, io.StringIO())
+        assert len(thetas) == 9 * 3
+        for T in cfg.temperature_grid():
+            assert thetas.count(1.0 / float(T)) == 1
+
 
 class TestCompare:
     def test_single_mode_matches_run_minus_lnz(self):
@@ -123,6 +140,14 @@ class TestMain:
             ["run", "--mode=quartic-wkb", "--dim=2"], capsys)
         assert code == 2
         assert "wkb requires D=1" in err
+        assert out == ""
+
+    def test_overflow_exit_code(self, capsys):
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", "--dim=8",
+             "--tmin=0.005", "--tmax=0.006", "--steps=2"], capsys)
+        assert code == 3
+        assert "Theta=200" in err
         assert out == ""
 
     def test_missing_mode(self, capsys):

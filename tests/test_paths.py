@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sct.elliptic import jacobi_sn_cn_dn
-from sct.errors import DegenerateError, DomainError, PoleError
+from sct.elliptic import jacobi_epsilon, jacobi_sn_cn_dn
+from sct.errors import ConvergenceError, DegenerateError, DomainError, PoleError
 from sct.paths import (
     CanonicalPair,
     ReducedParams,
@@ -95,9 +95,11 @@ class TestHarmonic:
 
 class TestQuarticPath:
     def test_zero_turning_value_is_zero_path(self):
-        path = quartic_path_from_qt(0.0, 2.0)
-        assert path.q0 == 0.0
-        assert path.position(1.3) == 0.0
+        # Theta = 2000 takes the k = 1 kernel past the range of cosh
+        for Theta in (2.0, 2000.0):
+            path = quartic_path_from_qt(0.0, Theta)
+            assert path.q0 == 0.0
+            assert path.position(1.3) == 0.0
 
     def test_modulus_and_scale(self):
         path = quartic_path_from_qt(1.0, 1.0)
@@ -154,6 +156,38 @@ class TestQuarticPath:
             path.position(1.4)
 
 
+class TestHalfPeriodValues:
+    @staticmethod
+    def _cases():
+        for Theta in (0.1, 1.0, 2.0, 10.0):
+            for qt in (0.0, 1e-7, 1.0, 0.999 * q_theta_max(Theta)):
+                try:
+                    yield quartic_path_from_qt(qt, Theta)
+                except PoleError:
+                    continue
+
+    def test_lookup_equals_kernel_at_both_ends(self):
+        paths = list(self._cases())
+        # k = 1, the exact-m1 branch (m1 < 1e-12) and the AGM ladder
+        m1s = [path.m1 for path in paths]
+        assert min(m1s) == 0.0 and any(0.0 < m1 < 1e-12 for m1 in m1s)
+        assert any(m1 > 1e-12 for m1 in m1s)
+        for path in paths:
+            k, m1 = path.k, path.m1
+            for u in (path.u_T, -path.u_T):
+                assert path.sn_cn_dn_at(u) == jacobi_sn_cn_dn(u, k, m1)
+                assert path.epsilon_at(u) == jacobi_epsilon(u, k, m1)
+            # the ends of the time window land on -u_T and +u_T exactly
+            assert path.u_of(0.0) == -path.u_T
+            assert path.u_of(path.Theta) == path.u_T
+
+    def test_lookup_calls_kernel_elsewhere(self):
+        path = quartic_path_from_qt(1.0, 1.0)
+        u = 0.3 * path.u_T
+        assert path.sn_cn_dn_at(u) == jacobi_sn_cn_dn(u, path.k, path.m1)
+        assert path.epsilon_at(u) == jacobi_epsilon(u, path.k, path.m1)
+
+
 class TestQThetaMax:
     def test_defining_residual(self):
         for Theta in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -200,6 +234,15 @@ class TestInvertEndpoint:
         assert qt < cap
         assert qt > 0.95 * cap
         assert invert_endpoint(1000.0, 1.0) > qt
+
+    def test_unreached_endpoint_raises(self):
+        # past q0 ~ 1e4 at Theta = 1, one ulp of q_t moves q0 by more than
+        # the 1e-12 (1 + q0) bound
+        for q0 in (100.0, 1000.0):
+            qt = invert_endpoint(q0, 1.0)
+            assert abs(quartic_path_from_qt(qt, 1.0).q0 - q0) <= 1e-12 * (1.0 + q0)
+        with pytest.raises(ConvergenceError, match="endpoint gap"):
+            invert_endpoint(1e12, 1.0)
 
     def test_monotone_in_qt(self):
         q0s = [quartic_path_from_qt(qt, 1.0).q0 for qt in np.linspace(0.1, 2.0, 12)]

@@ -7,7 +7,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from sct.errors import ConvergenceError, DomainError, TruncationError
+import sct.elliptic
+import sct.fluctuations
+import sct.paths
+import sct.thermo
+from sct.errors import (
+    ConvergenceError,
+    DomainError,
+    QuadratureError,
+    RouteMismatchError,
+    TruncationError,
+)
 from sct.paths import ReducedParams, q_theta_max, quartic_path_from_qt
 from sct.thermo import (
     _phase_integral,
@@ -113,6 +123,57 @@ class TestZ2Quartic:
     def test_deterministic(self):
         params = ReducedParams(0.3, 2, 0.7)
         assert z2_quartic(params) == z2_quartic(params)
+
+    # ln Z2 at the ROADMAP reference points and in the weak-coupling limit,
+    # as the scalar kernel gave them before paths carried their half-period
+    # elliptic values; the stored values must not move a single bit
+    PINNED_LNZ = {
+        (0.5, 1, 10.0): -5.105942172352196,
+        (0.5, 3, 1.0): -0.9589925090763425,
+        (0.2, 1, 0.1): 1.9413326413915553,
+        (1e-3, 1, 1.0): -0.0421776650851955,
+        (1e-3, 2, 1.0): -0.08492158013128596,
+        (1e-3, 3, 1.0): -0.12823004188862064,
+        (1e-3, 8, 1.0): -0.35318173342150383,
+    }
+
+    @pytest.mark.parametrize("point", sorted(PINNED_LNZ))
+    def test_pinned_values(self, point):
+        lnz = math.log(z2_quartic(ReducedParams(*point)))
+        assert lnz == pytest.approx(self.PINNED_LNZ[point], rel=1e-13, abs=0.0)
+
+    def test_route_check_runs_inside_the_quadrature(self, monkeypatch):
+        closed = sct.fluctuations._det_transverse_closed
+        # the scan reads thermo's binding, the checked route fluctuations'
+        monkeypatch.setattr(sct.fluctuations, "_det_transverse_closed",
+                            lambda path: closed(path) * (1.0 + 1e-6))
+        with pytest.raises(RouteMismatchError, match="det_transverse"):
+            z2_quartic(ReducedParams(0.5, 2, 1.0))
+
+    def test_kernel_calls_per_path(self, monkeypatch):
+        counts = {"sn_cn_dn": 0, "path": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        kernel = counted("sn_cn_dn", sct.elliptic.jacobi_sn_cn_dn)
+        for module in (sct.elliptic, sct.paths, sct.fluctuations, sct.thermo):
+            if hasattr(module, "jacobi_sn_cn_dn"):
+                monkeypatch.setattr(module, "jacobi_sn_cn_dn", kernel)
+        monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
+                            counted("path", quartic_path_from_qt))
+        z2_quartic(ReducedParams(0.5, 1, 10.0))
+        # one sn_cn_dn for the path itself and one inside jacobi_epsilon;
+        # the closed forms and both canonical-pair routes reuse them
+        assert counts["path"] > 100
+        assert counts["sn_cn_dn"] <= 3 * counts["path"]
+
+    def test_overflow_is_a_quadrature_error(self):
+        with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
+            z2_quartic(ReducedParams(0.5, 8, 200.0))
 
 
 class TestZClassical:
