@@ -7,8 +7,9 @@
 ``run`` emits ``T,lnZ,C,C_err`` rows; ``compare`` emits one specific-heat
 column per mode on a shared grid (``T,C_<mode1>,C_<mode2>,...``).  Output
 is deterministic for a fixed configuration: 15 significant digits, ``.``
-decimal separator, no locale dependence.  A plain ``key=value`` config
-file can supply defaults; command-line flags win.
+decimal separator, no locale dependence.  ``--config`` names a plain
+``key=value`` file, read once per call, whose keys are the flag names;
+flags win over it, and it wins over the ``RunConfig`` defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
 offending Theta is reported on stderr).  Failures never emit NaN rows.
@@ -37,9 +38,6 @@ from .thermo import (
 
 MODES = ("harmonic", "quartic-semiclassical", "quartic-classical", "quartic-wkb")
 
-_DEFAULTS = dict(g=0.5, dim=1, tmin=0.1, tmax=5.0, steps=10, tol=1e-9, out=None)
-
-
 class ConfigError(SctError):
     """Invalid run configuration (reported with exit status 2)."""
 
@@ -58,22 +56,23 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
-        if not self.T_min > 0.0:
-            raise ConfigError(f"tmin={self.T_min} must be positive")
-        if not self.T_max > self.T_min:
-            raise ConfigError(f"tmax={self.T_max} must exceed tmin={self.T_min}")
+        if not 0.0 < self.T_min < math.inf:
+            raise ConfigError(f"tmin={self.T_min} must be positive and finite")
+        if not self.T_min < self.T_max < math.inf:
+            raise ConfigError(f"tmax={self.T_max} must be finite and exceed "
+                              f"tmin={self.T_min}")
         if self.T_steps < 2:
             raise ConfigError(f"steps={self.T_steps} must be at least 2")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol={self.tol} must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol={self.tol} must be positive and finite")
         if self.D < 1:
             raise ConfigError(f"dim={self.D} must be a positive integer")
         if self.mode == "quartic-wkb" and self.D != 1:
             raise ConfigError("wkb requires D=1")
         if self.mode == "quartic-semiclassical" and self.g <= 0.0:
             raise ConfigError("quartic-semiclassical requires g > 0")
-        if self.g < 0.0:
-            raise ConfigError(f"g={self.g} must be nonnegative")
+        if not 0.0 <= self.g < math.inf:
+            raise ConfigError(f"g={self.g} must be nonnegative and finite")
 
     def temperature_grid(self) -> np.ndarray:
         return np.linspace(self.T_min, self.T_max, self.T_steps)
@@ -97,7 +96,7 @@ def _wkb_lnz(config: RunConfig):
 
 def lnz_function(config: RunConfig):
     """ln Z as a function of Theta for the configured mode.  It remembers
-    its last value: `run` asks for ln Z at a row's Theta and
+    its last value: the row loop asks for ln Z at a row's Theta and
     `specific_heat` asks for it again before its stencil points."""
     return functools.lru_cache(maxsize=1)(_lnz_of_mode(config))
 
@@ -126,21 +125,34 @@ def _annotate(exc: SctError, temperature: float) -> SctError:
                      f"Theta={1.0 / temperature:g}]")
 
 
-def run(config: RunConfig, stream) -> None:
-    """Write the T,lnZ,C,C_err curve for one configuration."""
-    config.validate()
+def _column(config: RunConfig, grid) -> list:
+    """(T, ln Z, C, C_err) rows of one mode on a temperature grid.  Calls
+    `lnz_function` once and `specific_heat` once per row through this
+    module's globals, so a wrapper installed there sees every column and
+    row."""
     lnz = lnz_function(config)
     rows = []
-    for temperature in config.temperature_grid():
-        theta = 1.0 / float(temperature)
+    for temperature in grid:
+        theta = 1.0 / temperature
         try:
             value = lnz(theta)
             c, c_err = specific_heat(lnz, theta)
         except SctError as exc:
-            raise _annotate(exc, float(temperature)) from exc
+            raise _annotate(exc, temperature) from exc
         if not all(math.isfinite(v) for v in (value, c, c_err)):
-            raise _annotate(SctError("non-finite result"), float(temperature))
-        rows.append((float(temperature), value, c, c_err))
+            raise _annotate(SctError("non-finite result"), temperature)
+        rows.append((temperature, value, c, c_err))
+    return rows
+
+
+def _grid(config: RunConfig) -> tuple:
+    config.validate()
+    return tuple(float(t) for t in config.temperature_grid())
+
+
+def run(config: RunConfig, stream) -> None:
+    """Write the T,lnZ,C,C_err curve for one configuration."""
+    rows = _column(config, _grid(config))
     stream.write("T,lnZ,C,C_err\n")
     for row in rows:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
@@ -150,35 +162,33 @@ def compare(configs, stream) -> None:
     """Write one C column per mode on a shared temperature grid."""
     if not configs:
         raise ConfigError("compare needs at least one mode")
-    grids = []
-    for config in configs:
-        config.validate()
-        grids.append(tuple(float(t) for t in config.temperature_grid()))
+    grids = [_grid(config) for config in configs]
     if any(g != grids[0] for g in grids[1:]):
         raise ConfigError("compare requires all configurations to share one "
                           "temperature grid")
-    columns = []
-    for config in configs:
-        lnz = lnz_function(config)
-        col = []
-        for temperature in grids[0]:
-            try:
-                c, _ = specific_heat(lnz, 1.0 / temperature)
-            except SctError as exc:
-                raise _annotate(exc, temperature) from exc
-            if not math.isfinite(c):
-                raise _annotate(SctError("non-finite result"), temperature)
-            col.append(c)
-        columns.append(col)
+    columns = [_column(config, grids[0]) for config in configs]
     stream.write("T," + ",".join(f"C_{c.mode}" for c in configs) + "\n")
     for i, temperature in enumerate(grids[0]):
         stream.write(_fmt(temperature) + ","
-                     + ",".join(_fmt(col[i]) for col in columns) + "\n")
+                     + ",".join(_fmt(col[i][2]) for col in columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Argument handling.
 # ---------------------------------------------------------------------------
+
+# (flag and config-file key, RunConfig field, type, help) of each option
+# that `run` and `compare` share; the defaults are RunConfig's
+_OPTIONS = (
+    ("g", "g", float, "quartic coupling"),
+    ("dim", "D", int, "spatial dimension D"),
+    ("tmin", "T_min", float, "lowest temperature"),
+    ("tmax", "T_max", float, "highest temperature"),
+    ("steps", "T_steps", int, "grid points"),
+    ("tol", "tol", float, "quadrature tolerance"),
+    ("out", "out", str, "output file (default stdout)"),
+)
+
 
 def _read_config_file(path: str) -> dict:
     values = {}
@@ -203,52 +213,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Specific heat and partition-function curves for a "
                     "particle in a harmonic or single-well quartic potential.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--g", type=float, default=None, help="quartic coupling")
-        p.add_argument("--dim", type=int, default=None, help="spatial dimension D")
-        p.add_argument("--tmin", type=float, default=None, help="lowest temperature")
-        p.add_argument("--tmax", type=float, default=None, help="highest temperature")
-        p.add_argument("--steps", type=int, default=None, help="grid points")
-        p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--config", default=None, help="key=value defaults file")
-
     run_p = sub.add_parser("run", help="one mode, T,lnZ,C,C_err rows")
-    run_p.add_argument("--mode", default=None, help=f"one of {', '.join(MODES)}")
-    add_common(run_p)
-
+    run_p.add_argument("--mode", help=f"one of {', '.join(MODES)}")
     cmp_p = sub.add_parser("compare", help="several modes, one C column each")
-    cmp_p.add_argument("--modes", default=None, help="comma-separated mode list")
-    add_common(cmp_p)
+    cmp_p.add_argument("--modes", help="comma-separated mode list")
+    for p in (run_p, cmp_p):
+        for flag, _, cast, text in _OPTIONS:
+            p.add_argument(f"--{flag}", type=cast, help=text)
+        p.add_argument("--config", help="key=value defaults file")
     return parser
 
 
-def _merged(args, file_values: dict, key: str, cast):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        raw = file_values[key]
-        try:
-            return cast(raw) if cast is not None else raw
-        except ValueError as exc:
-            raise ConfigError(f"config file value {key}={raw!r}: {exc}") from exc
-    return _DEFAULTS.get(key)
-
-
-def _config_from_args(args, mode: str) -> RunConfig:
+def _configs(args) -> list:
+    """One RunConfig per requested mode: each field from its flag, else
+    from the config file, else the RunConfig default."""
     file_values = _read_config_file(args.config) if args.config else {}
-    return RunConfig(
-        mode=mode,
-        g=_merged(args, file_values, "g", float),
-        D=_merged(args, file_values, "dim", int),
-        T_min=_merged(args, file_values, "tmin", float),
-        T_max=_merged(args, file_values, "tmax", float),
-        T_steps=_merged(args, file_values, "steps", int),
-        tol=_merged(args, file_values, "tol", float),
-        out=_merged(args, file_values, "out", None),
-    )
+    fields = {}
+    for flag, name, cast, _ in _OPTIONS:
+        value = getattr(args, flag)
+        if value is None and flag in file_values:
+            raw = file_values[flag]
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config file value {flag}={raw!r}: {exc}") from exc
+        if value is not None:
+            fields[name] = value
+    key = "mode" if args.command == "run" else "modes"
+    raw = getattr(args, key)
+    if raw is None:
+        raw = file_values.get(key, "")
+    parts = raw.split(",") if key == "modes" else [raw]
+    modes = [m.strip() for m in parts if m.strip()]
+    if not modes:
+        raise ConfigError(f"{args.command} needs --{key}")
+    return [RunConfig(mode=mode, **fields) for mode in modes]
 
 
 def main(argv=None) -> int:
@@ -259,31 +258,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        file_values = _read_config_file(args.config) if args.config else {}
-        if args.command == "run":
-            mode = args.mode if args.mode is not None else file_values.get("mode")
-            if mode is None:
-                raise ConfigError("run needs --mode")
-            configs = [_config_from_args(args, mode)]
-        else:
-            raw = args.modes if args.modes is not None else file_values.get("modes")
-            if not raw:
-                raise ConfigError("compare needs --modes")
-            configs = [_config_from_args(args, m.strip())
-                       for m in raw.split(",") if m.strip()]
+        configs = _configs(args)
+        # validated before --out is opened, so a bad config never truncates it
         for config in configs:
             config.validate()
-    except ConfigError as exc:
-        print(f"sct: {exc}", file=sys.stderr)
-        return 2
-
-    out_path = configs[0].out
-    try:
-        if out_path:
-            with open(out_path, "w") as fh:
-                _dispatch(args.command, configs, fh)
+        write = (functools.partial(run, configs[0]) if args.command == "run"
+                 else functools.partial(compare, configs))
+        if configs[0].out:
+            with open(configs[0].out, "w") as fh:
+                write(fh)
         else:
-            _dispatch(args.command, configs, sys.stdout)
+            write(sys.stdout)
     except ConfigError as exc:
         print(f"sct: {exc}", file=sys.stderr)
         return 2
@@ -291,13 +276,6 @@ def main(argv=None) -> int:
         print(f"sct: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _dispatch(command: str, configs, stream) -> None:
-    if command == "run":
-        run(configs[0], stream)
-    else:
-        compare(configs, stream)
 
 
 if __name__ == "__main__":

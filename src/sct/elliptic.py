@@ -52,7 +52,8 @@ def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float,
     """All three Jacobi elliptic functions at real argument u, modulus k.
 
     Returns (sn, cn, dn).  Relative accuracy ~1e-13 away from the zeros
-    of cn; sn^2 + cn^2 = 1 holds exactly by construction.
+    of cn; sn^2 + cn^2 = 1 holds exactly by construction.  For
+    0 < 1 - k^2 < 1e-12 and |u| >= 710 it raises DomainError.
     """
     _check_modulus(k)
     if not math.isfinite(u):
@@ -98,6 +99,13 @@ def _sn_cn_dn_near_one(u: float, m1: float) -> tuple[float, float, float]:
     # A&S 16.15, first order in m1 = 1 - k^2.  (sinh u cosh u - u) sech^2 u
     # is written as tanh u - u sech^2 u to stay bounded for large |u|.
     t = math.tanh(u)
+    if abs(u) >= 710.0:
+        # cosh and sinh overflow past ~710.5; sech u = 2 e^-|u| there
+        if m1 > 0.0:
+            raise DomainError(f"u={u!r} with m1={m1!r}: the first-order "
+                              "k -> 1 branch overflows for |u| >= 710")
+        s = 2.0 * math.exp(-abs(u))
+        return t, s, s
     s = 1.0 / math.cosh(u)
     if m1 == 0.0:
         return t, s, s

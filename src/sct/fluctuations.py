@@ -107,6 +107,10 @@ def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
 
 
 def _det_longitudinal_closed(path: QuarticPath) -> float:
+    # the q_t = 0 path rests at the origin, where both channels are
+    # harmonic; the k = 1 elliptic forms below do not reach that limit
+    if path.q_t == 0.0:
+        return _TWO_PI * math.sinh(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1
@@ -117,6 +121,8 @@ def _det_longitudinal_closed(path: QuarticPath) -> float:
 
 
 def _det_transverse_closed(path: QuarticPath) -> float:
+    if path.q_t == 0.0:
+        return _TWO_PI * math.sinh(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1
@@ -127,8 +133,8 @@ def _det_transverse_closed(path: QuarticPath) -> float:
 def _dual_route_det(path: QuarticPath, closed: float,
                     pair_builder, label: str) -> float:
     if path.q_t == 0.0:
-        # harmonic short circuit; the closed forms reduce to 2 pi sinh
-        return _TWO_PI * math.sinh(path.Theta)
+        # the canonical pairs degenerate here; the closed form is exact
+        return closed
     via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
     if abs(via_pair - closed) > 1e-8 * abs(closed):
         raise RouteMismatchError(
@@ -140,9 +146,8 @@ def _dual_route_det(path: QuarticPath, closed: float,
 def det_longitudinal(path: QuarticPath) -> float:
     """Longitudinal fluctuation determinant of a quartic path, evaluated
     from the elliptic closed form and re-derived from the canonical pair
-    as 2 pi Omega(0, Theta); both must agree to 1e-8."""
-    if path.q_t == 0.0:
-        return _TWO_PI * math.sinh(path.Theta)
+    as 2 pi Omega(0, Theta); both must agree to 1e-8.  At q_t = 0 both
+    determinants are the harmonic 2 pi sinh(Theta)."""
     return _dual_route_det(path, _det_longitudinal_closed(path),
                            canonical_longitudinal, "det_longitudinal")
 
@@ -150,8 +155,6 @@ def det_longitudinal(path: QuarticPath) -> float:
 def det_transverse(path: QuarticPath) -> float:
     """Transverse fluctuation determinant of a quartic path (dual-route,
     as det_longitudinal)."""
-    if path.q_t == 0.0:
-        return _TWO_PI * math.sinh(path.Theta)
     return _dual_route_det(path, _det_transverse_closed(path),
                            canonical_transverse, "det_transverse")
 

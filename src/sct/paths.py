@@ -66,8 +66,8 @@ class ReducedParams:
     Theta: float
 
     def __post_init__(self):
-        if self.g < 0.0:
-            raise DomainError(f"coupling g={self.g!r} must be >= 0")
+        if not 0.0 <= self.g < math.inf:
+            raise DomainError(f"coupling g={self.g!r} must be finite and >= 0")
         if int(self.D) != self.D or self.D < 1:
             raise DomainError(f"dimension D={self.D!r} must be a positive integer")
         if not (self.Theta > 0.0 and math.isfinite(self.Theta)):
@@ -194,13 +194,8 @@ def quartic_path_from_qt(q_t: float, Theta: float) -> QuarticPath:
     s = math.sqrt(1.0 + q_t * q_t)
     u_T = 0.5 * s * Theta
     if q_t == 0.0:
-        # k = 1: the kernel's cosh overflows for u_T = Theta/2 beyond ~710,
-        # where (sn, cn, dn, eps) = (tanh, sech, sech, tanh) round to these
-        try:
-            sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
-            eps = jacobi_epsilon(u_T, k, m1)
-        except OverflowError:
-            sn, cn, dn, eps = 1.0, 0.0, 0.0, 1.0
+        sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
+        eps = jacobi_epsilon(u_T, k, m1)
         return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
     big_k = complete_K(k, m1=m1)
     if u_T >= big_k:

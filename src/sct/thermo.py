@@ -121,8 +121,7 @@ def jacobian_dq0_dqt(path: QuarticPath) -> float:
     factored form divides out U'(q_t) ~ q_t against sqrt(U(q0) - U(q_t)),
     so q_t = 0 returns the harmonic limit cosh(Theta/2) exactly."""
     qt = path.q_t
-    det_l = (_TWO_PI * math.sinh(path.Theta) if qt == 0.0
-             else _det_longitudinal_closed(path))
+    det_l = _det_longitudinal_closed(path)
     sn, cn = path.sn_T, path.cn_T
     nc2 = 1.0 / (cn * cn)
     # sqrt(2 [U(q0)-U(q_t)]) = q_t (sn/cn) sqrt(1 + q_t^2 (nc^2 + 1) / 2)
@@ -136,21 +135,21 @@ def _z2_quartic_integrand(params: ReducedParams, check_routes: bool):
     Theta = params.Theta
 
     def integrand(qt: float) -> float:
-        path = quartic_path_from_qt(qt, Theta)
-        if check_routes and qt > 0.0:
-            det_l = det_longitudinal(path)
-            det_t = det_transverse(path)
-        else:
-            det_l = (_TWO_PI * math.sinh(Theta) if qt == 0.0
-                     else _det_longitudinal_closed(path))
-            det_t = (det_l if qt == 0.0 else _det_transverse_closed(path))
-        act = quartic_action(path)
-        jac = jacobian_dq0_dqt(path)
         try:
+            path = quartic_path_from_qt(qt, Theta)
+            if check_routes:
+                det_l = det_longitudinal(path)
+                det_t = det_transverse(path)
+            else:
+                det_l = _det_longitudinal_closed(path)
+                det_t = _det_transverse_closed(path)
+            act = quartic_action(path)
+            jac = jacobian_dq0_dqt(path)
             return (jac * path.q0 ** (D - 1) * math.exp(-act / g)
                     / math.sqrt(det_l * det_t ** (D - 1)))
         except OverflowError as exc:
-            # large D and Theta push det_t^(D-1) past the float range
+            # large D and Theta push det_t^(D-1) past the float range, and
+            # at Theta ~ 700 the closed-form determinants overflow
             raise QuadratureError(
                 f"one-loop integrand overflows at q_t={qt!r} for D={D}, "
                 f"Theta={Theta!r} ({exc})") from exc
@@ -187,6 +186,12 @@ def _tail_bound(params: ReducedParams, q_cut: float) -> float:
     return math.exp(log_front) * poly
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or infinite tol would pass every `err > tol * val` check
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol={tol!r} must be finite and positive")
+
+
 def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     """One-loop partition function of the quartic well: the q_t integral
     of jacobian * q0^(D-1) * exp(-I/g) * (Delta_l Delta_t^(D-1))^(-1/2)
@@ -199,6 +204,7 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     +6e-4)."""
     if params.g <= 0.0:
         raise DomainError(f"g={params.g!r} must be positive (use z_harmonic at g=0)")
+    _check_tol(tol)
     g, D, Theta = params.g, params.D, params.Theta
     q_cap = q_theta_max(Theta)
     f_scan = _z2_quartic_integrand(params, check_routes=False)
@@ -208,8 +214,13 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     # both the weak-coupling scale sqrt(g/sinh Theta) and the full window
     sigma = (math.sqrt(g / math.sinh(Theta)) if Theta < 700.0
              else math.sqrt(2.0 * g) * math.exp(-0.5 * Theta))
+    start = min(1e-3 * sigma, 1e-4 * q_cap)
+    if start == 0.0:
+        raise QuadratureError(
+            f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
+            f"scale {sigma!r}, q_Theta {q_cap!r})")
     scan = np.unique(np.concatenate([
-        np.geomspace(min(1e-3 * sigma, 1e-4 * q_cap), min(20.0 * sigma, 0.999 * q_cap), 40),
+        np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
         np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
     ]))
     with np.errstate(over="ignore", under="ignore"):
@@ -245,6 +256,7 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
     """Classical partition function (2 pi Theta)^(-D/2) int d^D x e^(-Theta V),
     radial form; V(r) = r^2/2 + g r^4/4 in reduced units."""
+    _check_tol(tol)
     g, D, Theta = params.g, params.D, params.Theta
 
     def integrand(r):
@@ -368,21 +380,24 @@ def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
 # Specific heat and temperature curves.
 # ---------------------------------------------------------------------------
 
-def specific_heat(lnz, Theta: float, rel_step: float = 1e-3,
-                  min_step: float = 1e-4, target_err: float | None = None):
-    """C = Theta^2 d^2(ln Z)/dTheta^2 by a five-point stencil at step
-    h = max(rel_step * Theta, min_step), Richardson-extrapolated once.
+def specific_heat(lnz, Theta: float, target_err: float | None = None):
+    """C = Theta^2 d^2(ln Z)/dTheta^2 by five-point stencils at steps h
+    and h/2, h = max(1e-3 Theta, 1e-4), Richardson-extrapolated once.
+    The two stencils share Theta and Theta +- h, so ln Z is evaluated at
+    seven distinct Theta, each once, Theta itself first.
     Returns (C, error_estimate); raises ConvergenceError if a requested
     target error cannot be met (noisy ln Z / collapsed step)."""
     if Theta <= 0.0:
         raise DomainError(f"Theta={Theta!r} must be positive")
-    h = max(rel_step * Theta, min_step)
-    h = min(h, 0.249 * Theta)
+    h = min(max(1e-3 * Theta, 1e-4), 0.249 * Theta)
     f0 = lnz(Theta)
+    # keyed by offset; 2 (h/2) is h exactly, so both stencils find it
+    below = {d: lnz(Theta - d) for d in (0.5 * h, h, 2 * h)}
+    above = {d: lnz(Theta + d) for d in (0.5 * h, h, 2 * h)}
 
     def stencil(hh: float) -> float:
-        return (-lnz(Theta - 2 * hh) + 16.0 * lnz(Theta - hh) - 30.0 * f0
-                + 16.0 * lnz(Theta + hh) - lnz(Theta + 2 * hh)) / (12.0 * hh * hh)
+        return (-below[2 * hh] + 16.0 * below[hh] - 30.0 * f0
+                + 16.0 * above[hh] - above[2 * hh]) / (12.0 * hh * hh)
 
     d_h = stencil(h)
     d_h2 = stencil(0.5 * h)

@@ -1,7 +1,10 @@
 """Tests for the sct command-line interface."""
 
+import builtins
 import io
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -42,6 +45,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown mode"):
             RunConfig(mode="banana").validate()
 
+    @pytest.mark.parametrize("field,flag", [
+        ("g", "g"), ("tol", "tol"), ("T_min", "tmin"), ("T_max", "tmax")])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values(self, field, flag, value):
+        with pytest.raises(ConfigError, match=f"{flag}={value} must be .*finite"):
+            RunConfig(mode="quartic-classical", **{field: value}).validate()
+
 
 class TestRun:
     def test_harmonic_curve_matches_analytic_c(self):
@@ -76,8 +86,9 @@ class TestRun:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
-    def test_nine_lnz_evaluations_per_row(self, monkeypatch):
-        # the row's own ln Z is the stencil's centre value, computed once
+    def test_seven_lnz_evaluations_per_row(self, monkeypatch):
+        # the row's own ln Z is the stencil's centre value, computed once,
+        # and the two stencils share their Theta +- h points
         thetas = []
         lnz_harmonic = sct.cli.ln_z_harmonic
 
@@ -88,7 +99,8 @@ class TestRun:
         monkeypatch.setattr(sct.cli, "ln_z_harmonic", counted)
         cfg = RunConfig(mode="harmonic", D=1, T_min=0.5, T_max=2.0, T_steps=3)
         run(cfg, io.StringIO())
-        assert len(thetas) == 9 * 3
+        assert len(thetas) == 7 * 3
+        assert len(set(thetas)) == 7 * 3
         for T in cfg.temperature_grid():
             assert thetas.count(1.0 / float(T)) == 1
 
@@ -198,10 +210,72 @@ class TestMain:
         assert header == ["T", "C_harmonic", "C_quartic-classical"]
         assert len(rows) == 2
 
+    def test_defaults_are_run_config_defaults(self, capsys):
+        code, out, _ = run_main(["run", "--mode=harmonic"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == RunConfig.T_steps == 10
+        assert rows[0][0] == RunConfig.T_min == 0.1
+        assert rows[-1][0] == RunConfig.T_max == 5.0
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode=harmonic"],
+        ["compare", "--modes=harmonic,quartic-classical,quartic-wkb"],
+    ])
+    def test_config_file_read_once(self, argv, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text("g=0.2\ndim=1\ntmin=1.0\ntmax=2.0\nsteps=2\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_main(argv + [f"--config={cfg_file}"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 2
+        assert opened.count(str(cfg_file)) == 1
+
+    def test_bad_config_file_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("mode=harmonic\nsteps=abc\n")
+        code, out, err = run_main(["run", f"--config={cfg_file}"], capsys)
+        assert code == 2
+        assert "steps='abc'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--g=inf", "--tol=nan", "--tol=inf",
+                                      "--tmin=nan", "--tmax=inf"])
+    def test_non_finite_flag_exit_code(self, flag, capsys):
+        code, out, err = run_main(["run", "--mode=quartic-classical", flag], capsys)
+        assert code == 2
+        assert f"{flag[2:]} must be" in err and "finite" in err
+        assert out == ""
+
+    def test_empty_mode_list(self, capsys):
+        code, out, err = run_main(["compare", "--modes=,"], capsys)
+        assert code == 2
+        assert "needs --modes" in err
+
+    def test_large_theta_exit_code(self, capsys):
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", "--tmin=0.0006",
+             "--tmax=0.00065", "--steps=2"], capsys)
+        assert code == 3
+        assert "underflows to 0 at Theta=" in err
+        assert out == ""
+
     def test_console_script_entry_point(self):
+        # runs from a checkout without installing: src goes on the path
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "sct.cli", "run", "--mode=harmonic",
              "--tmin=0.5", "--tmax=1.0", "--steps=2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("T,lnZ,C,C_err")

@@ -115,6 +115,20 @@ class TestJacobiFunctions:
             for a, b in zip(agm, hyp):
                 assert a == pytest.approx(b, rel=1e-11)
 
+    def test_k_one_at_large_argument(self):
+        # 1 / cosh u up to |u| = 710, then sech u = 2 e^-|u| (cosh overflows)
+        sech = 1.0 / math.cosh(709.5)
+        assert jacobi_sn_cn_dn(709.5, 1.0) == (1.0, sech, sech)
+        sech = 2.0 * math.exp(-711.0)
+        assert jacobi_sn_cn_dn(711.0, 1.0) == (1.0, sech, sech)
+        assert jacobi_sn_cn_dn(-800.0, 1.0) == (-1.0, 0.0, 0.0)
+        assert jacobi_epsilon(711.0, 1.0) == 1.0
+
+    def test_near_one_correction_overflow_is_a_domain_error(self):
+        m1 = 1e-13
+        with pytest.raises(DomainError, match=r"u=711.0 with m1=1e-13"):
+            jacobi_sn_cn_dn(711.0, math.sqrt(1.0 - m1), m1=m1)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(0.5, 1.5)

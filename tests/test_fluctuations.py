@@ -7,6 +7,8 @@ import pytest
 
 from sct.errors import DegenerateError, DomainError, SingularMatrixError
 from sct.fluctuations import (
+    _det_longitudinal_closed,
+    _det_transverse_closed,
     _guarded_inv,
     det_general,
     det_longitudinal,
@@ -71,11 +73,16 @@ class TestOmegaKernel:
 
 class TestChannelDeterminants:
     def test_harmonic_value(self):
-        # the q_t = 0 short circuit is the harmonic oscillator
-        for Theta in (0.5, 1.0, 3.0):
+        # the closed forms carry the q_t = 0 limit, the harmonic oscillator,
+        # and the dual route returns it; the canonical pairs degenerate there
+        for Theta in (0.5, 1.0, 2.0, 3.0, 10.0):
             path = quartic_path_from_qt(0.0, Theta)
-            assert det_longitudinal(path) == pytest.approx(TWO_PI * math.sinh(Theta), rel=1e-13)
-            assert det_transverse(path) == pytest.approx(TWO_PI * math.sinh(Theta), rel=1e-13)
+            for det in (_det_longitudinal_closed, _det_transverse_closed,
+                        det_longitudinal, det_transverse):
+                assert det(path) == TWO_PI * math.sinh(Theta)
+            for builder in (canonical_longitudinal, canonical_transverse):
+                with pytest.raises(DegenerateError):
+                    builder(path)
 
     def test_harmonic_limit(self):
         path = quartic_path_from_qt(1e-4, 1.0)

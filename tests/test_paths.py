@@ -43,6 +43,9 @@ class TestReducedParams:
         ReducedParams(0.5, 3, 1.0)
         with pytest.raises(DomainError):
             ReducedParams(-0.1, 1, 1.0)
+        for g in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                ReducedParams(g, 1, 1.0)
         with pytest.raises(DomainError):
             ReducedParams(0.5, 0, 1.0)
         with pytest.raises(DomainError):

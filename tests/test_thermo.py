@@ -16,6 +16,7 @@ from sct.errors import (
     DomainError,
     QuadratureError,
     RouteMismatchError,
+    SctError,
     TruncationError,
 )
 from sct.paths import ReducedParams, q_theta_max, quartic_path_from_qt
@@ -175,6 +176,27 @@ class TestZ2Quartic:
         with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
             z2_quartic(ReducedParams(0.5, 8, 200.0))
 
+    @pytest.mark.parametrize("Theta,match", [
+        (700.0, "integrand overflows"),  # the closed-form determinants
+        (1480.0, "underflows to 0"),  # the scan grid's first node
+        (1500.0, "underflows to 0"),
+        (1600.0, "underflows to 0"),
+    ])
+    def test_large_theta_quadrature_errors(self, Theta, match):
+        with pytest.raises(QuadratureError, match=f"{match}.*Theta={Theta!r}"):
+            z2_quartic(ReducedParams(0.5, 1, Theta))
+
+    @pytest.mark.parametrize("Theta", [300.0, 700.0, 800.0, 1480.0, 1600.0])
+    def test_large_theta_fails_as_an_sct_error(self, Theta):
+        # no value out there before a log-space rewrite, but no bare error
+        with pytest.raises(SctError):
+            z2_quartic(ReducedParams(0.5, 1, Theta))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tol="):
+            z2_quartic(ReducedParams(0.5, 1, 1.0), tol=tol)
+
 
 class TestZClassical:
     def test_harmonic_limit(self):
@@ -186,6 +208,11 @@ class TestZClassical:
             lnz = lambda th: ln_z_classical(ReducedParams(g, D, th), tol=1e-13)
             c, _ = specific_heat(lnz, 1e-5)
             assert c == pytest.approx(0.75 * D, rel=2e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tol="):
+            z_classical(ReducedParams(0.5, 1, 1.0), tol=tol)
 
     def test_monte_carlo_oracle(self):
         # Z_cl = Theta^-D E[exp(-Theta g r^4 / 4)] over x ~ N(0, 1/Theta)^D
@@ -271,6 +298,23 @@ class TestSpecificHeat:
     def test_reference_value(self):
         c, _ = specific_heat(lambda th: ln_z_harmonic(1, th), 1.0)
         assert c == pytest.approx(0.920674, abs=1e-6)
+
+    @pytest.mark.parametrize("D,Theta,expected", [
+        (1, 1.0, (0.920673593717774, 4.0033923419628935e-08)),
+        (3, 0.37, (2.966007999536145, 1.1888807127757839e-07)),
+    ])
+    def test_seven_distinct_evaluations(self, D, Theta, expected):
+        # stencils at h and h/2 share Theta and Theta +- h
+        thetas = []
+
+        def lnz(th):
+            thetas.append(th)
+            return ln_z_harmonic(D, th)
+
+        assert specific_heat(lnz, Theta) == expected
+        assert len(thetas) == 7
+        assert len(set(thetas)) == 7
+        assert thetas[0] == Theta
 
     def test_gapped_limit(self):
         c, _ = specific_heat(lambda th: ln_z_harmonic(1, th), 60.0)
