@@ -265,7 +265,12 @@ def main(argv=None) -> int:
         write = (functools.partial(run, configs[0]) if args.command == "run"
                  else functools.partial(compare, configs))
         if configs[0].out:
-            with open(configs[0].out, "w") as fh:
+            try:
+                fh = open(configs[0].out, "w")
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot open output file {configs[0].out}: {exc}") from exc
+            with fh:
                 write(fh)
         else:
             write(sys.stdout)

@@ -23,20 +23,32 @@ Two independent constructions are implemented and cross-checked:
   whose t' -> 0 limit is J(t, 0) = -B(t), and from it the matrix Green's
   function and the determinant (2 pi)^D det[-J(Theta, 0)].
 
+Both Green's functions are separable: G(t, t') is a factor in
+min(t, t') times a factor in max(t, t').  The tables on a time grid are
+built from per-node factors: Omega(0, t_i) and Omega(t_i, Theta) for a
+channel, and for the flow one dense-output evaluation at every node,
+the inverses of A, B and Adot A^-1 - Bdot B^-1 at each node t_j != 0,
+and J(t_i, 0), J(Theta, t_j), J(t_i, Theta), J(0, t_j) from them.  The
+pointwise green_central and green_general stay the exact evaluators
+between nodes and give the same value at every node.
+
 Wick's theorem for moments of the Gaussian fluctuation measure is
 provided as an exact pairing enumeration over tabulated Green's
 functions; the Delta^{-1/2} normalization stays with the caller.
 
 Matrix inversions go through pivoted elimination with an explicit
 condition-number gate at 1e12: crossing it raises SingularMatrixError
-(a conjugate point) instead of returning garbage.
+(a conjugate point) instead of returning garbage.  A table gates the
+same matrices as its entries evaluated one by one would: A, B and
+Adot A^-1 - Bdot B^-1 at each node t_j != 0, J(Theta, 0) and, once the
+table has entries below the diagonal, J(0, Theta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -64,11 +76,13 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _guarded_inv(mat: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a matrix, or of each matrix of a (..., D, D) stack;
+    refuses the lot if any condition number is not finite or above 1e12."""
     cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.all(cond <= _COND_LIMIT):
         raise SingularMatrixError(
-            f"{what}: condition number {cond:.3e} above {_COND_LIMIT:.0e} "
-            "(conjugate-point crossing?)")
+            f"{what}: condition number {np.max(cond):.3e} above "
+            f"{_COND_LIMIT:.0e} (conjugate-point crossing?)")
     return np.linalg.inv(mat)
 
 
@@ -167,16 +181,31 @@ def green_central(pair: CanonicalPair, Theta: float,
     if not (0.0 <= theta <= Theta and 0.0 <= theta_p <= Theta):
         raise DomainError(f"times ({theta}, {theta_p}) outside [0, {Theta}]")
     kernel = omega_kernel(pair)
+    denom = _green_denominator(kernel, Theta)
+    t_lo, t_hi = min(theta, theta_p), max(theta, theta_p)
+    return kernel.eval(0.0, t_lo) * kernel.eval(t_hi, Theta) / denom
+
+
+def _green_denominator(kernel: OmegaKernel, Theta: float) -> float:
     denom = kernel.eval(0.0, Theta)
     if abs(denom) < 1e-14:
         raise DegenerateError(f"Omega(0, Theta)={denom!r}: zero mode")
-    t_lo, t_hi = min(theta, theta_p), max(theta, theta_p)
-    return kernel.eval(0.0, t_lo) * kernel.eval(t_hi, Theta) / denom
+    return denom
 
 
 # ---------------------------------------------------------------------------
 # General-D route (variational flow and Jacobi commutator).
 # ---------------------------------------------------------------------------
+
+class FlowBlocks(NamedTuple):
+    """A, Adot, B and Bdot at one time, each D x D, or at n times, each
+    stacked to (n, D, D)."""
+
+    A: np.ndarray
+    Adot: np.ndarray
+    B: np.ndarray
+    Bdot: np.ndarray
+
 
 @dataclass(frozen=True)
 class FlowMatrices:
@@ -189,22 +218,26 @@ class FlowMatrices:
     Theta: float
     _sol: object = field(repr=False)
 
-    def _block(self, theta: float, index: int) -> np.ndarray:
-        n = self.D * self.D
-        y = self._sol.sol(theta)
-        return y[index * n:(index + 1) * n].reshape(self.D, self.D)
+    def at(self, theta) -> FlowBlocks:
+        """All four blocks at a time, or at a 1-D array of times, from one
+        dense-output evaluation."""
+        y = self._sol.sol(theta)  # (4 D^2,) or (4 D^2, n)
+        # contiguous D x D blocks multiply through the same BLAS kernel,
+        # so a stacked product equals the product of one pair bit for bit
+        y = np.ascontiguousarray(y.T).reshape(np.shape(theta) + (4, self.D, self.D))
+        return FlowBlocks(*np.swapaxes(y, 0, -3))
 
     def A(self, theta: float) -> np.ndarray:
-        return self._block(theta, 0)
+        return self.at(theta).A
 
     def Adot(self, theta: float) -> np.ndarray:
-        return self._block(theta, 1)
+        return self.at(theta).Adot
 
     def B(self, theta: float) -> np.ndarray:
-        return self._block(theta, 2)
+        return self.at(theta).B
 
     def Bdot(self, theta: float) -> np.ndarray:
-        return self._block(theta, 3)
+        return self.at(theta).Bdot
 
 
 def radial_trajectory(position: Callable[[float], float], D: int):
@@ -248,17 +281,33 @@ def flow_matrices(potential: RadialPotential, trajectory, Theta: float, *,
     return FlowMatrices(D=D, Theta=Theta, _sol=sol)
 
 
+def _inverses(a: np.ndarray, adot: np.ndarray, b: np.ndarray,
+              bdot: np.ndarray) -> tuple:
+    """Guarded A^-1, B^-1 and [Adot A^-1 - Bdot B^-1]^-1 at t' != 0, for
+    one time or a stack of times."""
+    a_inv = _guarded_inv(a, "A(theta')")
+    b_inv = _guarded_inv(b, "B(theta')")
+    x2 = adot @ a_inv - bdot @ b_inv
+    return a_inv, b_inv, _guarded_inv(x2, "Adot A^-1 - Bdot B^-1")
+
+
+def _commutator(a: np.ndarray, b: np.ndarray, inverses: tuple) -> np.ndarray:
+    """J(t, t') from A(t), B(t) and the inverses at t' (stacks broadcast)."""
+    a_inv, b_inv, x2_inv = inverses
+    return -(a @ a_inv - b @ b_inv) @ x2_inv
+
+
+def _jacobi(at_t: FlowBlocks, at_p: FlowBlocks, theta_p: float) -> np.ndarray:
+    if theta_p == 0.0:
+        return -at_t.B
+    return _commutator(at_t.A, at_t.B, _inverses(*at_p))
+
+
 def jacobi_commutator(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarray:
     """Matrix solution J(t, t') of the fluctuation equation with
     J(t', t') = 0 and dJ/dt = -1 at coincidence.  The t' = 0 limit is the
     analytic J(t, 0) = -B(t); elsewhere the A/B combination is used."""
-    if theta_p == 0.0:
-        return -flow.B(theta)
-    a_inv = _guarded_inv(flow.A(theta_p), "A(theta')")
-    b_inv = _guarded_inv(flow.B(theta_p), "B(theta')")
-    x1 = flow.A(theta) @ a_inv - flow.B(theta) @ b_inv
-    x2 = flow.Adot(theta_p) @ a_inv - flow.Bdot(theta_p) @ b_inv
-    return -x1 @ _guarded_inv(x2, "Adot A^-1 - Bdot B^-1")
+    return _jacobi(flow.at(theta), flow.at(theta_p), theta_p)
 
 
 def green_general(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarray:
@@ -271,13 +320,13 @@ def green_general(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarra
     Th = flow.Theta
     if not (0.0 <= theta <= Th and 0.0 <= theta_p <= Th):
         raise DomainError(f"times ({theta}, {theta_p}) outside [0, {Th}]")
+    at_t, at_p, at_T = flow.at(theta), flow.at(theta_p), flow.at(Th)
     if theta <= theta_p:
-        m_0T = -_guarded_inv(jacobi_commutator(flow, Th, 0.0), "J(Theta, 0)")
-        return jacobi_commutator(flow, theta, 0.0) @ m_0T \
-            @ jacobi_commutator(flow, Th, theta_p)
-    m_T0 = -_guarded_inv(jacobi_commutator(flow, 0.0, Th), "J(0, Theta)")
-    return -jacobi_commutator(flow, theta, Th) @ m_T0 \
-        @ jacobi_commutator(flow, 0.0, theta_p)
+        m_0T = -_guarded_inv(-at_T.B, "J(Theta, 0)")
+        return -at_t.B @ m_0T @ _jacobi(at_T, at_p, theta_p)
+    at_0 = flow.at(0.0)
+    m_T0 = -_guarded_inv(_jacobi(at_0, at_T, Th), "J(0, Theta)")
+    return -_jacobi(at_t, at_T, Th) @ m_T0 @ _jacobi(at_0, at_p, theta_p)
 
 
 def det_general(flow: FlowMatrices) -> float:
@@ -316,24 +365,53 @@ class GreenTable:
 
 
 def green_table_central(pair: CanonicalPair, Theta: float, n: int = 64) -> GreenTable:
+    """green_central on an n-node grid, from the 2n + 1 kernel values
+    Omega(0, t_i), Omega(t_i, Theta) and Omega(0, Theta)."""
     grid = np.linspace(0.0, Theta, n)
     evaluator = lambda t, tp: green_central(pair, Theta, t, tp)
-    values = np.empty((n, n))
-    for i, t in enumerate(grid):
-        for j in range(i, n):
-            values[i, j] = evaluator(float(t), float(grid[j]))
-            values[j, i] = values[i, j]
+    if n == 0:
+        return GreenTable(Theta, grid, np.empty((0, 0)), evaluator)
+    kernel = omega_kernel(pair)
+    denom = _green_denominator(kernel, Theta)
+    nodes = grid.tolist()
+    upper = np.outer([kernel.eval(0.0, t) for t in nodes],
+                     [kernel.eval(t, Theta) for t in nodes]) / denom
+    idx = np.arange(n)
+    values = np.where(idx[:, None] <= idx[None, :], upper, upper.T)
     return GreenTable(Theta, grid, values, evaluator)
 
 
 def green_table_general(flow: FlowMatrices, n: int = 64) -> GreenTable:
-    grid = np.linspace(0.0, flow.Theta, n)
+    """green_general on an n-node grid, from per-node factors: one
+    dense-output evaluation, the guarded inverses at every node t_j != 0,
+    and one batched product per triangle."""
+    Th, D = flow.Theta, flow.D
+    grid = np.linspace(0.0, Th, n)
     evaluator = lambda t, tp: green_general(flow, t, tp)
-    values = np.empty((n, n, flow.D, flow.D))
-    for i, t in enumerate(grid):
-        for j, tp in enumerate(grid):
-            values[i, j] = evaluator(float(t), float(tp))
-    return GreenTable(flow.Theta, grid, values, evaluator)
+    values = np.empty((n, n, D, D))
+    if n == 0:
+        return GreenTable(Th, grid, values, evaluator)
+    # the grid, then Theta (already the last node unless n = 1)
+    a, adot, b, bdot = flow.at(np.append(grid, Th))
+    a_T, b_T = a[n], b[n]
+    m_0T = -_guarded_inv(-b_T, "J(Theta, 0)")
+    # A^-1, B^-1, X2^-1 at t_1 .. t_(n-1); J(t, 0) = -B(t) needs none
+    inv = _inverses(a[1:n], adot[1:n], b[1:n], bdot[1:n])
+
+    # i <= j: J(t_i, 0) M(0, Th) J(Th, t_j)
+    left = -b[:n] @ m_0T
+    right = np.concatenate([-b_T[None], _commutator(a_T, b_T, inv)])
+    i, j = np.triu_indices(n)
+    values[i, j] = left[i] @ right[j]
+    if n > 1:
+        # i > j: -J(t_i, Th) M(Th, 0) J(0, t_j), with t_(n-1) = Th
+        inv_T = tuple(x[-1] for x in inv)
+        m_T0 = -_guarded_inv(_commutator(a[0], b[0], inv_T), "J(0, Theta)")
+        left = -_commutator(a[:n], b[:n], inv_T) @ m_T0
+        right = np.concatenate([-b[:1], _commutator(a[0], b[0], inv)])
+        i, j = np.tril_indices(n, -1)
+        values[i, j] = left[i] @ right[j]
+    return GreenTable(Th, grid, values, evaluator)
 
 
 def wick_moment(green: GreenTable, legs) -> float:

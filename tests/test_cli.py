@@ -186,6 +186,16 @@ class TestMain:
         header, rows = parse_csv(target.read_text())
         assert len(rows) == 2
 
+    def test_out_file_that_cannot_be_opened(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_main(
+            ["run", "--mode=harmonic", f"--out={target}"], capsys)
+        assert code == 2
+        assert err.startswith(f"sct: cannot open output file {target}")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+        assert not target.parent.exists()
+
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.cfg"
         cfg_file.write_text(

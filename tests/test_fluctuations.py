@@ -1,12 +1,16 @@
 """Tests for determinants, Green's functions, flow matrices and Wick moments."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import sct.fluctuations
 from sct.errors import DegenerateError, DomainError, SingularMatrixError
 from sct.fluctuations import (
+    FlowMatrices,
+    OmegaKernel,
     _det_longitudinal_closed,
     _det_transverse_closed,
     _guarded_inv,
@@ -25,6 +29,7 @@ from sct.fluctuations import (
 )
 from sct.paths import (
     CanonicalPair,
+    RadialPotential,
     canonical_longitudinal,
     canonical_transverse,
     harmonic_canonical_pair,
@@ -226,6 +231,27 @@ class TestFlowMatrices:
                 np.testing.assert_allclose(off, np.zeros((3, 3)), atol=1e-9)
                 # the two transverse channels are identical
                 assert mat[1, 1] == pytest.approx(mat[2, 2], rel=1e-10)
+
+
+def synthetic_flow(D, Theta, seed):
+    """FlowMatrices over polynomial blocks A = 1 + t M1 + t^2 M3 and
+    B = t + t^2 M2 with random M_k: not a true variational flow, so the
+    matrices a Green's table inverts are all independent."""
+    m1, m2, m3 = np.random.default_rng(seed).standard_normal((3, D, D))
+    eye = np.eye(D)
+
+    def sol(t):
+        t = np.asarray(t, dtype=float)
+        sq = t * t
+        y = np.stack([
+            eye + np.multiply.outer(t, m1) + np.multiply.outer(sq, m3),
+            m1 + np.multiply.outer(2.0 * t, m3),
+            np.multiply.outer(t, eye) + np.multiply.outer(sq, m2),
+            eye + np.multiply.outer(2.0 * t, m2),
+        ], axis=-3)
+        return np.moveaxis(y.reshape(t.shape + (4 * D * D,)), -1, 0)
+
+    return FlowMatrices(D=D, Theta=Theta, _sol=types.SimpleNamespace(sol=sol))
 
 
 def harmonic_trajectory_ref(r0, Theta, t):
@@ -452,3 +478,143 @@ class TestGreenTables:
         np.testing.assert_allclose(
             got, green_general(flow, float(table.grid[2]), float(table.grid[6])),
             atol=1e-12)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+    def test_general_table_equals_pointwise(self, D, n):
+        Theta = 1.3
+        path = quartic_path_from_qt(1.0, Theta)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, D), Theta)
+        table = green_table_general(flow, n=n)
+        assert table.values.shape == (n, n, D, D)
+        grid = table.grid.tolist()
+        for i, t in enumerate(grid):
+            for j, tp in enumerate(grid):
+                assert np.array_equal(table.values[i, j], green_general(flow, t, tp))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+    def test_central_table_equals_pointwise(self, n):
+        Theta = 1.3
+        path = quartic_path_from_qt(1.0, Theta)
+        for pair in (canonical_longitudinal(path), canonical_transverse(path),
+                     harmonic_canonical_pair()):
+            table = green_table_central(pair, Theta, n=n)
+            assert table.values.shape == (n, n)
+            grid = table.grid.tolist()
+            for i, t in enumerate(grid):
+                for j, tp in enumerate(grid):
+                    assert table.values[i, j] == green_central(pair, Theta, t, tp)
+
+    @staticmethod
+    def pointwise_raises(flow, n):
+        grid = np.linspace(0.0, flow.Theta, n).tolist()
+        try:
+            for t in grid:
+                for tp in grid:
+                    green_general(flow, t, tp)
+        except SingularMatrixError:
+            return True
+        return False
+
+    @staticmethod
+    def table_raises(flow, n):
+        try:
+            green_table_general(flow, n=n)
+        except SingularMatrixError:
+            return True
+        return False
+
+    def test_general_table_raises_at_a_conjugate_point_node(self):
+        # longitudinal channel x'' = -4 x: A(t) = cos 2t is singular at
+        # pi/4, the node t_2 of a 4-node grid on [0, 3 pi / 8]; B(Theta) and
+        # so J(Theta, 0) are regular, and coarser grids miss the node
+        pot = RadialPotential(lambda r: 0.5 * r * r, lambda r: r, lambda r: -4.0)
+        flow = flow_matrices(pot, radial_trajectory(lambda t: 1.0, 2),
+                             0.375 * math.pi, rtol=1e-13, atol=1e-13)
+        for n, expected in ((1, False), (2, False), (4, True)):
+            assert self.pointwise_raises(flow, n) is expected
+            assert self.table_raises(flow, n) is expected
+        with pytest.raises(SingularMatrixError, match=r"A\(theta'\)"):
+            green_table_general(flow, n=4)
+
+    @pytest.mark.parametrize("build", ["quartic", "synthetic"])
+    def test_general_table_gates_the_pointwise_set(self, build, monkeypatch):
+        # the gate set to each condition number that entries evaluated one
+        # by one compute, and just below it: the table refuses exactly
+        # where some entry would.  On a true flow J(0, Theta) = -J(Theta,
+        # 0)^T; the synthetic blocks (seed 3) give J(0, Theta) a condition
+        # number of 655, above every other matrix of the n = 2 table.
+        if build == "quartic":
+            path = quartic_path_from_qt(2.0, 1.0)
+            flow = flow_matrices(quartic_well(),
+                                 radial_trajectory(path.position, 3), 1.0)
+        else:
+            flow = synthetic_flow(3, 1.0, seed=3)
+        seen = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda m: seen.append(float(cond(m))) or cond(m))
+        for n in (1, 2, 5):
+            assert not self.pointwise_raises(flow, n)
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        outcomes = set()
+        for c in sorted(set(seen)):
+            for limit in (c, np.nextafter(c, 0.0)):
+                monkeypatch.setattr(sct.fluctuations, "_COND_LIMIT", limit)
+                for n in (1, 2, 5):
+                    expected = self.pointwise_raises(flow, n)
+                    assert self.table_raises(flow, n) is expected, (limit, n)
+                    outcomes.add((n, expected))
+        assert outcomes == {(n, x) for n in (1, 2, 5) for x in (True, False)}
+
+    def test_central_table_raises_at_a_zero_mode(self):
+        # (cos, sin) has Omega(0, pi) = sin(pi) ~ 1e-16: a zero mode
+        pair = CanonicalPair(math.cos, math.sin,
+                             lambda t: -math.sin(t), math.cos)
+        for n in (1, 2, 5):
+            with pytest.raises(DegenerateError):
+                green_central(pair, math.pi, 0.0, 0.0)
+            with pytest.raises(DegenerateError):
+                green_table_central(pair, math.pi, n=n)
+        assert green_table_central(pair, math.pi, n=0).values.shape == (0, 0)
+
+    def test_general_table_makes_one_dense_evaluation(self, monkeypatch):
+        Theta = 1.0
+        path = quartic_path_from_qt(1.0, Theta)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), Theta)
+        calls = []
+        sol = flow._sol.sol
+
+        def counted(t):
+            calls.append(np.size(t))
+            return sol(t)
+
+        monkeypatch.setattr(flow._sol, "sol", counted)
+        for n in (1, 2, 9, 64):
+            calls.clear()
+            green_table_general(flow, n=n)
+            assert len(calls) == 1
+        # off the grid: one evaluation per distinct time (Theta, t, t' and,
+        # below the diagonal, 0)
+        calls.clear()
+        green_general(flow, 0.2, 0.7)
+        assert len(calls) == 3
+        calls.clear()
+        green_general(flow, 0.7, 0.2)
+        assert len(calls) == 4
+
+    def test_central_table_makes_2n_plus_1_kernel_evaluations(self, monkeypatch):
+        path = quartic_path_from_qt(1.0, 1.0)
+        pair = canonical_longitudinal(path)
+        calls = []
+        kernel_eval = OmegaKernel.eval
+
+        def counted(self, theta, theta_p):
+            calls.append((theta, theta_p))
+            return kernel_eval(self, theta, theta_p)
+
+        monkeypatch.setattr(OmegaKernel, "eval", counted)
+        for n in (1, 2, 9, 64):
+            calls.clear()
+            green_table_central(pair, 1.0, n=n)
+            assert len(calls) <= 2 * n + 1
