@@ -10,7 +10,8 @@ Two independent constructions are implemented and cross-checked:
   Omega(0, Theta), where Omega is the antisymmetric kernel built from the
   pair.  For the quartic well the determinants also have explicit
   elliptic closed forms; both evaluations are carried out on every call
-  and must agree to 1e-8.
+  and must agree to 1e-8.  Both take a family of paths (array fields) as
+  well as one path, elementwise.
 
 * the general-D route: integrate the D x D variational flow A(t), B(t)
   of the equation of motion (columns solve the linearized equation, with
@@ -98,21 +99,20 @@ class OmegaKernel:
 
     pair: CanonicalPair
 
-    def eval(self, theta: float, theta_p: float) -> float:
+    def eval(self, theta: float, theta_p: float):
+        """Omega(theta, theta_p); elementwise for a pair of a path family."""
         fa, fb, fad, fbd = self.pair.eval(theta)
         fa_p, fb_p, fad_p, fbd_p = self.pair.eval(theta_p)
         # the fluctuation operators carry no first-derivative term, so the
         # Wronskian is the same at every time; evaluate it where the pair
         # is smallest, dodging cancellation between exponentially large
         # products at the far end of long intervals
-        if abs(fa * fbd) + abs(fad * fb) <= abs(fa_p * fbd_p) + abs(fad_p * fb_p):
-            wronskian = fa * fbd - fad * fb
-        else:
-            wronskian = fa_p * fbd_p - fad_p * fb_p
-        if abs(wronskian) < 1e-12:
+        here = abs(fa * fbd) + abs(fad * fb) <= abs(fa_p * fbd_p) + abs(fad_p * fb_p)
+        wronskian = np.where(here, fa * fbd - fad * fb, fa_p * fbd_p - fad_p * fb_p)[()]
+        if np.any(abs(wronskian) < 1e-12):
             raise DegenerateError(
-                f"Wronskian {wronskian:.3e} below 1e-12 for pair at "
-                f"({theta}, {theta_p})")
+                f"Wronskian {np.min(abs(wronskian)):.3e} below 1e-12 for pair "
+                f"at ({theta}, {theta_p})")
         return (fa * fb_p - fa_p * fb) / wronskian
 
 
@@ -123,7 +123,7 @@ def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
 def _det_longitudinal_closed(path: QuarticPath) -> float:
     # the q_t = 0 path rests at the origin, where both channels are
     # harmonic; the k = 1 elliptic forms below do not reach that limit
-    if path.q_t == 0.0:
+    if path.at_rest:
         return _TWO_PI * math.sinh(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
@@ -135,7 +135,7 @@ def _det_longitudinal_closed(path: QuarticPath) -> float:
 
 
 def _det_transverse_closed(path: QuarticPath) -> float:
-    if path.q_t == 0.0:
+    if path.at_rest:
         return _TWO_PI * math.sinh(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
@@ -144,29 +144,34 @@ def _det_transverse_closed(path: QuarticPath) -> float:
     return (2.0 * _TWO_PI / (k2 * path.s)) * (eps - m1 * u) / (cn * cn)
 
 
-def _dual_route_det(path: QuarticPath, closed: float,
-                    pair_builder, label: str) -> float:
-    if path.q_t == 0.0:
+def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
+    if path.at_rest:
         # the canonical pairs degenerate here; the closed form is exact
         return closed
-    via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
-    if abs(via_pair - closed) > 1e-8 * abs(closed):
+    with np.errstate(all="ignore"):
+        via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
+    # a route that fails to a non-finite value counts as a mismatch
+    off = ~(abs(via_pair - closed) <= 1e-8 * abs(closed))
+    if np.any(off):
+        i = np.flatnonzero(off)[0]
         raise RouteMismatchError(
-            f"{label}: closed form {closed!r} vs canonical-pair route "
-            f"{via_pair!r} disagree beyond 1e-8")
+            f"{label}: closed form {float(np.ravel(closed)[i])!r} vs "
+            f"canonical-pair route {float(np.ravel(via_pair)[i])!r} disagree "
+            f"beyond 1e-8 at q_t={float(np.ravel(path.q_t)[i])!r}")
     return closed
 
 
-def det_longitudinal(path: QuarticPath) -> float:
+def det_longitudinal(path: QuarticPath):
     """Longitudinal fluctuation determinant of a quartic path, evaluated
     from the elliptic closed form and re-derived from the canonical pair
-    as 2 pi Omega(0, Theta); both must agree to 1e-8.  At q_t = 0 both
-    determinants are the harmonic 2 pi sinh(Theta)."""
+    as 2 pi Omega(0, Theta); both must agree to 1e-8 (elementwise for a
+    path family).  At q_t = 0 both determinants are the harmonic
+    2 pi sinh(Theta)."""
     return _dual_route_det(path, _det_longitudinal_closed(path),
                            canonical_longitudinal, "det_longitudinal")
 
 
-def det_transverse(path: QuarticPath) -> float:
+def det_transverse(path: QuarticPath):
     """Transverse fluctuation determinant of a quartic path (dual-route,
     as det_longitudinal)."""
     return _dual_route_det(path, _det_transverse_closed(path),

@@ -35,6 +35,12 @@ and dn even; the kernel honours these identities bit for bit).  Every
 other argument still goes to the kernel, so the values read from a path
 are exactly the ones the kernel returns.
 
+A QuarticPath is one path (float fields, built with the scalar kernel)
+or a family of paths at one Theta, one per element of an array of q_t
+(array fields, built with the array kernel in one call).  The action,
+the closed-form determinants, the Jacobian and the canonical pairs are
+written once, elementwise, and take either.
+
 A generic shooting solver is included purely as a numerical oracle for
 the closed forms.
 """
@@ -49,7 +55,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .elliptic import complete_K, jacobi_epsilon, jacobi_sn_cn_dn
+from .elliptic import (
+    _sn_cn_dn_eps_k,
+    complete_K,
+    jacobi_epsilon,
+    jacobi_sn_cn_dn,
+    sn_cn_dn_eps_array,
+)
 from .errors import ConvergenceError, DegenerateError, DomainError, PoleError
 
 _BISECT_MAX = 200
@@ -112,9 +124,11 @@ def harmonic_action(r0: float, Theta: float) -> float:
 # Quartic well, reduced form U(q) = q^2/2 + q^4/4.
 # ---------------------------------------------------------------------------
 
-def _modulus_sq_complement(q_t: float) -> float:
-    # 1 - k^2 = q_t^2 / (2 (1 + q_t^2)), exact in q_t
-    return q_t * q_t / (2.0 * (1.0 + q_t * q_t))
+def _modulus_and_scale(q_t, sqrt=math.sqrt):
+    # m1 = 1 - k^2 = q_t^2 / (2 (1 + q_t^2)), exact in q_t, then the
+    # modulus k and the frequency scale s = sqrt(1 + q_t^2)
+    q2 = q_t * q_t
+    return q2 / (2.0 * (1.0 + q2)), sqrt((2.0 + q2) / (2.0 + 2.0 * q2)), sqrt(1.0 + q2)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,11 @@ class QuarticPath:
     and `epsilon_at` return them at u = u_T, return them by parity at
     u = -u_T (sn and epsilon odd, cn and dn even), and call the kernel
     at any other u; either way the result equals the kernel's bit for
-    bit."""
+    bit.
+
+    The fields other than Theta are floats, or for a family of paths
+    arrays of one shape, elementwise (sn_cn_dn_eps_array is then the
+    kernel and u an array of that shape)."""
 
     q_t: float
     Theta: float
@@ -146,52 +164,70 @@ class QuarticPath:
     dn_T: float = field(repr=False)
     eps_T: float = field(repr=False)
 
-    def u_of(self, theta: float) -> float:
+    @property
+    def at_rest(self) -> bool:
+        """Whether this is the q_t = 0 path, which rests at the origin
+        (a family of paths has q_t > 0 throughout)."""
+        return np.ndim(self.q_t) == 0 and self.q_t == 0.0
+
+    def u_of(self, theta: float):
         return self.s * (theta - 0.5 * self.Theta)
 
-    def sn_cn_dn_at(self, u: float) -> tuple[float, float, float]:
+    def _half_period_sign(self, u) -> int:
+        # +1 at u = u_T, -1 at u = -u_T, 0 elsewhere
+        if np.ndim(self.u_T) == 0:
+            return 1 if u == self.u_T else -1 if u == -self.u_T else 0
+        if np.array_equal(u, self.u_T):
+            return 1
+        return -1 if np.array_equal(u, -self.u_T) else 0
+
+    def sn_cn_dn_at(self, u):
         """jacobi_sn_cn_dn(u, k, m1), read from the path at u = +-u_T."""
-        if u == self.u_T:
-            return self.sn_T, self.cn_T, self.dn_T
-        if u == -self.u_T:
-            return -self.sn_T, self.cn_T, self.dn_T
+        sign = self._half_period_sign(u)
+        if sign:
+            return sign * self.sn_T, self.cn_T, self.dn_T
+        if np.ndim(self.q_t):
+            return sn_cn_dn_eps_array(u, self.k, self.m1)[:3]
         return jacobi_sn_cn_dn(u, self.k, self.m1)
 
-    def epsilon_at(self, u: float) -> float:
+    def epsilon_at(self, u):
         """jacobi_epsilon(u, k, m1), read from the path at u = +-u_T."""
-        if u == self.u_T:
-            return self.eps_T
-        if u == -self.u_T:
-            return -self.eps_T
+        sign = self._half_period_sign(u)
+        if sign:
+            return sign * self.eps_T
+        if np.ndim(self.q_t):
+            return sn_cn_dn_eps_array(u, self.k, self.m1)[3]
         return jacobi_epsilon(u, self.k, self.m1)
 
-    def position(self, theta: float) -> float:
+    def position(self, theta: float):
         theta = _check_time(theta, self.Theta)
-        if self.q_t == 0.0:
+        if self.at_rest:
             return 0.0
-        _, cn, _ = jacobi_sn_cn_dn(self.u_of(theta), self.k, self.m1)
+        _, cn, _ = self.sn_cn_dn_at(self.u_of(theta))
         return self.q_t / cn
 
-    def velocity(self, theta: float) -> float:
+    def velocity(self, theta: float):
         theta = _check_time(theta, self.Theta)
-        if self.q_t == 0.0:
+        if self.at_rest:
             return 0.0
-        sn, cn, dn = jacobi_sn_cn_dn(self.u_of(theta), self.k, self.m1)
+        sn, cn, dn = self.sn_cn_dn_at(self.u_of(theta))
         return self.q_t * self.s * sn * dn / (cn * cn)
 
 
-def quartic_path_from_qt(q_t: float, Theta: float) -> QuarticPath:
-    """Build the quartic path with turning value q_t and period Theta.
+def quartic_path_from_qt(q_t, Theta: float) -> QuarticPath:
+    """Build the quartic path with turning value q_t and period Theta, or,
+    for an array of q_t > 0, the family of those paths in one kernel call.
 
     Raises PoleError when sqrt(1+q_t^2) Theta/2 >= K(k), i.e. when the
-    endpoint q0 would sit at or beyond the pole of nc."""
-    if q_t < 0.0 or not math.isfinite(q_t):
-        raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
+    endpoint q0 would sit at or beyond the pole of nc (for a family,
+    naming the first such q_t)."""
     if Theta <= 0.0 or not math.isfinite(Theta):
         raise DomainError(f"Theta={Theta!r} must be positive and finite")
-    m1 = _modulus_sq_complement(q_t)
-    k = math.sqrt((2.0 + q_t * q_t) / (2.0 + 2.0 * q_t * q_t))
-    s = math.sqrt(1.0 + q_t * q_t)
+    if np.ndim(q_t):
+        return _quartic_paths(np.asarray(q_t, dtype=float), Theta)
+    if q_t < 0.0 or not math.isfinite(q_t):
+        raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
+    m1, k, s = _modulus_and_scale(q_t)
     u_T = 0.5 * s * Theta
     if q_t == 0.0:
         sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
@@ -199,44 +235,80 @@ def quartic_path_from_qt(q_t: float, Theta: float) -> QuarticPath:
         return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
     big_k = complete_K(k, m1=m1)
     if u_T >= big_k:
-        raise PoleError(
-            f"q_t={q_t}, Theta={Theta}: argument u={u_T:.6g} reaches the "
-            f"nc pole at K={big_k:.6g}; the endpoint q0 is unbounded")
+        raise _pole_error(q_t, Theta, u_T, big_k)
     sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
     eps = jacobi_epsilon(u_T, k, m1)
     return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
 
 
+def _quartic_paths(q_t: np.ndarray, Theta: float) -> QuarticPath:
+    if not np.all((q_t > 0.0) & (q_t < math.inf)):
+        raise DomainError("an array of turning values must be finite and > 0 "
+                          "(build the q_t = 0 path on its own)")
+    m1, k, s = _modulus_and_scale(q_t, np.sqrt)
+    u_T = 0.5 * s * Theta
+    sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u_T, k, m1)
+    past = u_T >= big_k
+    if past.any():
+        i = np.flatnonzero(past)[0]
+        raise _pole_error(q_t.flat[i], Theta, u_T.flat[i], big_k.flat[i])
+    return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
+
+
+def _pole_error(q_t: float, Theta: float, u_T: float, big_k: float) -> PoleError:
+    return PoleError(
+        f"q_t={q_t}, Theta={Theta}: argument u={u_T:.6g} reaches the "
+        f"nc pole at K={big_k:.6g}; the endpoint q0 is unbounded")
+
+
 def _pole_gap(q_t: float, Theta: float) -> float:
     # sqrt(1+q_t^2) Theta/2 - K(k(q_t)); the pole-free domain is gap < 0
-    m1 = _modulus_sq_complement(q_t)
-    k = math.sqrt((2.0 + q_t * q_t) / (2.0 + 2.0 * q_t * q_t))
-    return 0.5 * math.sqrt(1.0 + q_t * q_t) * Theta - complete_K(k, m1=m1)
+    m1, k, s = _modulus_and_scale(q_t)
+    return 0.5 * s * Theta - complete_K(k, m1=m1)
 
 
 def q_theta_max(Theta: float) -> float:
     """Largest admissible turning value q_Theta at fixed Theta, the root of
     sqrt(1+q_t^2) Theta/2 = K(k(q_t)).  Below it paths are pole-free; as
-    q_t -> q_Theta the endpoint q0 diverges."""
+    q_t -> q_Theta the endpoint q0 diverges.
+
+    The root falls like 4 sqrt(2) e^(-Theta/2), so the octave
+    [2^(e-1), 2^e] that holds it is found in ln q_t, starting from that
+    asymptote; the octave is then bisected to 1e-13 relative.  The
+    midpoint of the last bracket is returned if it is pole-free, else the
+    bracket's lower end, so the gap is <= 0 at the value returned.
+    Raises ConvergenceError where 1 - k^2 underflows at the root (from
+    Theta ~ 745) or the bisection does not close."""
     if Theta <= 0.0 or not math.isfinite(Theta):
         raise DomainError(f"Theta={Theta!r} must be positive and finite")
-    lo = 0.0  # gap(0+) = Theta/2 - inf < 0
-    hi = 1.0
-    for _ in range(200):
-        if _pole_gap(hi, Theta) > 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - gap grows like q_t Theta/2
-        raise ConvergenceError(f"no pole crossing bracketed below q_t={hi}")
+
+    def gap(q_t: float) -> float:
+        if _modulus_and_scale(q_t)[0] == 0.0:
+            raise ConvergenceError(
+                f"q_Theta at Theta={Theta!r}, about 4 sqrt(2) e^(-Theta/2), "
+                "lies where 1 - k^2 = q_t^2 / (2 (1 + q_t^2)) underflows")
+        return _pole_gap(q_t, Theta)
+
+    # gap < 0 exactly below the root; q = 2^e is its octave's top
+    e = math.ceil(math.log2(4.0 * math.sqrt(2.0)) - 0.5 * Theta / math.log(2.0))
+    while gap(math.ldexp(1.0, e)) <= 0.0:
+        e += 1
+    while gap(math.ldexp(1.0, e - 1)) > 0.0:
+        e -= 1
+    lo, hi = math.ldexp(1.0, e - 1), math.ldexp(1.0, e)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
-        if _pole_gap(mid, Theta) > 0.0:
+        if gap(mid) > 0.0:
             hi = mid
         else:
             lo = mid
         if hi - lo <= _BISECT_RTOL * hi:
             break
-    return 0.5 * (lo + hi)
+    else:  # pragma: no cover - an octave closes in ~44 halvings
+        raise ConvergenceError(
+            f"q_theta_max(Theta={Theta!r}): bisection stopped at [{lo!r}, {hi!r}]")
+    mid = 0.5 * (lo + hi)
+    return mid if gap(mid) <= 0.0 else lo
 
 
 def invert_endpoint(q0: float, Theta: float) -> float:
@@ -278,16 +350,16 @@ def invert_endpoint(q0: float, Theta: float) -> float:
 
 def quartic_action(path: QuarticPath) -> float:
     """Dimensionless Euclidean action I[q_c] of a quartic path (the
-    physical action is (m^2 w^3 / lambda) I)."""
+    physical action is (m^2 w^3 / lambda) I); elementwise for a family."""
     qt = path.q_t
-    if qt == 0.0:
+    if path.at_rest:
         return 0.0
     u = path.u_T
     s = path.s
     sn, cn, eps = path.sn_T, path.cn_T, path.eps_T
     nc2 = 1.0 / (cn * cn)
     qt2 = qt * qt
-    boundary = sn * (1.0 + 0.5 * qt2 * nc2) * math.sqrt(1.0 + 0.5 * qt2 * (1.0 + nc2))
+    boundary = sn * (1.0 + 0.5 * qt2 * nc2) * np.sqrt(1.0 + 0.5 * qt2 * (1.0 + nc2))
     return (path.Theta * (0.5 * qt2 + 0.25 * qt2 * qt2)
             + (4.0 / 3.0) * (-s * (eps + 0.5 * qt2 * u) + boundary))
 
@@ -328,7 +400,7 @@ def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
     antiderivative in f_b has a compensating cn dn/sn divergence; the
     product is evaluated in the folded form -dn^2/cn, which is exact."""
     qt, s, Th = path.q_t, path.s, path.Theta
-    if qt == 0.0:
+    if path.at_rest:
         raise DegenerateError("q_t = 0: dq_c/dt vanishes identically; "
                               "use the harmonic pair instead")
     k, m1 = path.k, path.m1
@@ -386,7 +458,7 @@ def canonical_transverse(path: QuarticPath) -> CanonicalPair:
     """Canonical pair of the transverse operator -d^2/dt^2 + U'(q_c)/q_c;
     f_a is the trajectory itself."""
     qt, s = path.q_t, path.s
-    if qt == 0.0:
+    if path.at_rest:
         raise DegenerateError("q_t = 0: transverse pair degenerates; "
                               "use the harmonic pair instead")
     k, m1 = path.k, path.m1
@@ -436,12 +508,6 @@ class RadialPotential:
     v: Callable[[float], float]
     dv: Callable[[float], float]
     d2v: Callable[[float], float]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        r = float(np.linalg.norm(x))
-        if r < 1e-14:
-            return np.zeros_like(x)
-        return (self.dv(r) / r) * x
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         # dd_ij V = (V'/r) delta_ij + (V'' - V'/r) x_i x_j / r^2

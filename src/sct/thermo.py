@@ -19,6 +19,12 @@ grows without bound there), so the quadrature is cut where the integrand
 has dropped ~40 e-folds below its peak and the remainder is controlled
 by an analytic tail bound that is reported, never silently added.
 
+The integrand is evaluated over an array of q_t nodes at a time, from
+one family of paths (one array-kernel call): once on a 120-node scan
+that finds the peak and the cut, then once per round of a batched
+adaptive Gauss-Kronrod 21 rule, every node of which gets the dual-route
+determinant check.
+
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step; the error estimate rides
 along with the value.
@@ -116,45 +122,132 @@ def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     return _angular_prefactor(D) * val * det_l ** (-0.5 * D)
 
 
-def jacobian_dq0_dqt(path: QuarticPath) -> float:
-    """dq0/dq_t at fixed Theta from the determinant identity.  The
-    factored form divides out U'(q_t) ~ q_t against sqrt(U(q0) - U(q_t)),
-    so q_t = 0 returns the harmonic limit cosh(Theta/2) exactly."""
+def jacobian_dq0_dqt(path: QuarticPath):
+    """dq0/dq_t at fixed Theta from the determinant identity (elementwise
+    for a path family).  The factored form divides out U'(q_t) ~ q_t
+    against sqrt(U(q0) - U(q_t)), so q_t = 0 returns the harmonic limit
+    cosh(Theta/2) exactly."""
     qt = path.q_t
     det_l = _det_longitudinal_closed(path)
     sn, cn = path.sn_T, path.cn_T
     nc2 = 1.0 / (cn * cn)
     # sqrt(2 [U(q0)-U(q_t)]) = q_t (sn/cn) sqrt(1 + q_t^2 (nc^2 + 1) / 2)
     # and U'(q_t) = q_t (1 + q_t^2); one q_t cancels.
-    slope_factor = (sn / cn) * math.sqrt(1.0 + 0.5 * qt * qt * (nc2 + 1.0))
+    slope_factor = (sn / cn) * np.sqrt(1.0 + 0.5 * qt * qt * (nc2 + 1.0))
     return (1.0 + qt * qt) * det_l / (2.0 * _TWO_PI * slope_factor)
 
 
 def _z2_quartic_integrand(params: ReducedParams, check_routes: bool):
+    """The one-loop q_t integrand over an array of turning values q_t > 0,
+    from one path family; with check_routes, every node's determinants
+    are then re-derived from the canonical pairs (once they are known to
+    be finite: an overflow is reported as such, not as a mismatch)."""
     g, D = params.g, params.D
     Theta = params.Theta
 
-    def integrand(qt: float) -> float:
-        try:
-            path = quartic_path_from_qt(qt, Theta)
-            if check_routes:
-                det_l = det_longitudinal(path)
-                det_t = det_transverse(path)
-            else:
-                det_l = _det_longitudinal_closed(path)
-                det_t = _det_transverse_closed(path)
-            act = quartic_action(path)
-            jac = jacobian_dq0_dqt(path)
-            return (jac * path.q0 ** (D - 1) * math.exp(-act / g)
-                    / math.sqrt(det_l * det_t ** (D - 1)))
-        except OverflowError as exc:
-            # large D and Theta push det_t^(D-1) past the float range, and
-            # at Theta ~ 700 the closed-form determinants overflow
+    def integrand(qt) -> np.ndarray:
+        path = quartic_path_from_qt(np.atleast_1d(qt), Theta)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                         divide="ignore"):
+            det_l = _det_longitudinal_closed(path)
+            det_t_pow = _det_transverse_closed(path) ** (D - 1)
+            weight = det_l * det_t_pow
+            # a product past the float range is taken apart, not read as 0
+            root = np.where(np.isfinite(weight), np.sqrt(weight),
+                            np.sqrt(det_l) * np.sqrt(det_t_pow))
+            value = (jacobian_dq0_dqt(path) * path.q0 ** (D - 1)
+                     * np.exp(-quartic_action(path) / g) / root)
+        # large D and Theta push det_t^(D-1) past the float range, and at
+        # Theta ~ 700 the closed-form determinants overflow
+        bad = ~(np.isfinite(det_l) & np.isfinite(det_t_pow) & np.isfinite(value))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
             raise QuadratureError(
-                f"one-loop integrand overflows at q_t={qt!r} for D={D}, "
-                f"Theta={Theta!r} ({exc})") from exc
+                f"one-loop integrand overflows at q_t={float(path.q_t[i])!r} for "
+                f"D={D}, Theta={Theta!r} (Delta_l {float(det_l[i])!r}, "
+                f"Delta_t^(D-1) {float(det_t_pow[i])!r}, integrand "
+                f"{float(value[i])!r})")
+        if check_routes:
+            det_longitudinal(path)
+            det_transverse(path)
+        return value
 
     return integrand
+
+
+# Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK's qk21; Piessens et
+# al. 1983): nodes x_0 > ... > x_10 = 0 of the Kronrod rule, their
+# weights, and the weights of the embedded 10-point Gauss rule, whose
+# nodes are x_1, x_3, ..., x_9.
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980529082, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK_WG = np.zeros(11)
+_GK_WG[1:10:2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338]
+# all 21 nodes and weights, in increasing node order
+_GK_NODES = np.concatenate([-_GK_X, _GK_X[-2::-1]])
+_GK_KRONROD = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
+_GK_GAUSS = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
+_EPS = np.finfo(float).eps
+# as many panels as scipy's quad was allowed subintervals
+_GK_PANEL_LIMIT = 200
+
+
+def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod estimates and QUADPACK error estimates on panels
+    [lo_i, hi_i], from one call of f on all their nodes."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = f((center[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(lo.size, -1)
+    kronrod = fx @ _GK_KRONROD
+    err = half * np.abs(kronrod - fx @ _GK_GAUSS)
+    res_abs = half * (np.abs(fx) @ _GK_KRONROD)
+    res_asc = half * (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_KRONROD)
+    # QUADPACK scales the raw Kronrod - Gauss difference by the integrand's
+    # variation over the panel and floors it at the rounding level
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = res_asc * np.minimum(1.0, (200.0 * err / res_asc) ** 1.5)
+    err = np.where((res_asc != 0.0) & (err != 0.0), scaled, err)
+    return half * kronrod, np.maximum(err, 50.0 * _EPS * res_abs)
+
+
+def _gauss_kronrod(f, edges, rtol: float):
+    """(integral, error estimate) of f over [edges[0], edges[-1]], split at
+    the inner edges, by globally adaptive Gauss-Kronrod 21.  Each round
+    evaluates f once, on the nodes of every open panel, and bisects only
+    the panels whose error estimate exceeds their share of rtol |integral|
+    (in proportion to width); it stops when the total error is within
+    rtol |integral|, or would need more than _GK_PANEL_LIMIT panels."""
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    span = hi[-1] - lo[0]
+    n_panels = lo.size
+    closed_val = closed_err = 0.0
+    while True:
+        val, err = _gk21_panels(f, lo, hi)
+        total = closed_val + val.sum()
+        total_err = closed_err + err.sum()
+        split = err > rtol * abs(total) * (hi - lo) / span
+        n_panels += int(split.sum())
+        if (total_err <= rtol * abs(total) or not split.any()
+                or n_panels > _GK_PANEL_LIMIT):
+            return float(total), float(total_err)
+        closed_val += val[~split].sum()
+        closed_err += err[~split].sum()
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
 
 
 def _quartic_u(q: float) -> float:
@@ -206,29 +299,24 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
         raise DomainError(f"g={params.g!r} must be positive (use z_harmonic at g=0)")
     _check_tol(tol)
     g, D, Theta = params.g, params.D, params.Theta
-    q_cap = q_theta_max(Theta)
-    f_scan = _z2_quartic_integrand(params, check_routes=False)
-    f_checked = _z2_quartic_integrand(params, check_routes=True)
 
     # locate the peak and the ~40 e-fold cutoff on a scan grid that covers
     # both the weak-coupling scale sqrt(g/sinh Theta) and the full window
     sigma = (math.sqrt(g / math.sinh(Theta)) if Theta < 700.0
              else math.sqrt(2.0 * g) * math.exp(-0.5 * Theta))
-    start = min(1e-3 * sigma, 1e-4 * q_cap)
-    if start == 0.0:
+    if 1e-3 * sigma == 0.0:
         raise QuadratureError(
             f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
-            f"scale {sigma!r}, q_Theta {q_cap!r})")
+            f"scale {sigma!r})")
+    q_cap = q_theta_max(Theta)
+    start = min(1e-3 * sigma, 1e-4 * q_cap)
     scan = np.unique(np.concatenate([
         np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
         np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
     ]))
-    with np.errstate(over="ignore", under="ignore"):
-        logs = []
-        for q in scan:
-            val = f_scan(float(q))
-            logs.append(math.log(val) if val > 0.0 else -math.inf)
-    logs = np.asarray(logs)
+    values = _z2_quartic_integrand(params, check_routes=False)(scan)
+    logs = np.full(scan.shape, -math.inf)
+    logs[values > 0.0] = np.log(values[values > 0.0])
     i_peak = int(np.argmax(logs))
     log_peak = logs[i_peak]
     if not math.isfinite(log_peak):
@@ -239,9 +327,9 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     q_cut = float(scan[above[0]]) if above.size else 0.9995 * q_cap
 
     inner = [q for q in (q_peak, 0.5 * q_cut, 2.0 * sigma) if 0.0 < q < q_cut]
-    val, err = quad(f_checked, 0.0, q_cut, points=sorted(set(inner)) or None,
-                    limit=200, epsabs=0.0, epsrel=0.5 * tol)
-    if val <= 0.0 or err > tol * val:
+    val, err = _gauss_kronrod(_z2_quartic_integrand(params, check_routes=True),
+                              [0.0] + sorted(set(inner)) + [q_cut], 0.5 * tol)
+    if not val > 0.0 or err > tol * val:
         raise QuadratureError(
             f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e}, "
             f"requested relative {tol:.1e}")

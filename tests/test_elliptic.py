@@ -15,14 +15,17 @@ from scipy.optimize import brentq
 from scipy.special import ellipj
 
 from sct.elliptic import (
+    _agm_ladder,
     complete_E,
     complete_K,
     incomplete_E,
     jacobi_am,
     jacobi_epsilon,
     jacobi_sn_cn_dn,
+    sn_cn_dn_eps_array,
 )
 from sct.errors import DomainError
+from sct.paths import _modulus_and_scale, q_theta_max
 
 U_GRID = np.linspace(-5.0, 5.0, 81)
 
@@ -129,6 +132,28 @@ class TestJacobiFunctions:
         with pytest.raises(DomainError, match=r"u=711.0 with m1=1e-13"):
             jacobi_sn_cn_dn(711.0, math.sqrt(1.0 - m1), m1=m1)
 
+    def test_near_one_branch_stops_at_the_half_period(self):
+        # past K the first-order terms grow like m1 e^(2|u|): at u = 40 the
+        # expansion gave cn = -2942
+        m1 = 1e-13
+        k = math.sqrt(1.0 - m1)
+        with pytest.raises(DomainError, match=r"u=40.0 with m1=1e-13"):
+            jacobi_sn_cn_dn(40.0, k, m1=m1)
+        with pytest.raises(DomainError, match=r"u=40.0 with m1=1e-13"):
+            sn_cn_dn_eps_array(np.array([1.0, 40.0]), k, m1)
+        big_k = complete_K(k, m1=m1)
+        for u in np.linspace(-0.9999 * big_k, 0.9999 * big_k, 101):
+            sn, cn, _ = jacobi_sn_cn_dn(float(u), k, m1=m1)
+            assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-12)
+
+    def test_ladder_stops_at_rounding_level(self):
+        # a and b can settle one ulp apart; a stop test below that level is
+        # never met and the ladder runs all its steps
+        for m1 in np.geomspace(1e-12, 0.5, 200):
+            a_seq, c_seq = _agm_ladder(float(m1))
+            assert len(a_seq) - 1 <= 10
+            assert abs(c_seq[-1]) <= 2.3e-16 * a_seq[-1]
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(0.5, 1.5)
@@ -136,6 +161,50 @@ class TestJacobiFunctions:
             jacobi_sn_cn_dn(0.5, -0.1)
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(math.inf, 0.5)
+
+
+class TestArrayKernel:
+    @staticmethod
+    def _path_family_grid():
+        # (u, k, m1) at +-u_T and inside, over turning values from q_t = 0
+        # (k = 1) through the exact-m1 branch (m1 < 1e-12) to the ladder
+        rows = []
+        for Theta in (0.1, 1.0, 10.0, 100.0):
+            cap = q_theta_max(Theta)
+            for q in [0.0, *np.geomspace(1e-6 * cap, 0.999 * cap, 30)]:
+                m1, k, s = _modulus_and_scale(float(q))
+                u_T = 0.5 * s * Theta
+                rows += [(u, k, m1) for u in (u_T, -u_T, 0.3 * u_T, 0.0)]
+        return np.array(rows).T
+
+    def test_matches_scalar_kernel_on_the_path_family(self):
+        u, k, m1 = self._path_family_grid()
+        assert (m1 == 0.0).any() and ((0.0 < m1) & (m1 < 1e-12)).any()
+        assert (m1 > 1e-12).any()
+        got = sn_cn_dn_eps_array(u, k, m1)
+        want = np.array([jacobi_sn_cn_dn(*row) + (jacobi_epsilon(*row),)
+                         for row in zip(u.tolist(), k.tolist(), m1.tolist())]).T
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w))
+
+    def test_shape_and_broadcasting(self):
+        u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        out = sn_cn_dn_eps_array(u, 0.9, 0.19)
+        assert all(x.shape == (2, 3) for x in out)
+        assert out[0][1, 2] == pytest.approx(jacobi_sn_cn_dn(1.0, 0.9, 0.19)[0], rel=1e-15)
+
+    def test_domain_is_the_first_half_period(self):
+        k, m1 = 0.9, 0.19
+        big_k = complete_K(k, m1=m1)
+        sn_cn_dn_eps_array(np.array([-0.999 * big_k, 0.999 * big_k]), k, m1)
+        with pytest.raises(DomainError, match="half period"):
+            sn_cn_dn_eps_array(np.array([0.5, 1.001 * big_k]), k, m1)
+        # k = 1: every u, sech u = 2 e^-|u| past 710
+        sn, cn, _, eps = sn_cn_dn_eps_array(np.array([711.0]), 1.0, 0.0)
+        assert (sn[0], cn[0], eps[0]) == (1.0, 2.0 * math.exp(-711.0), 1.0)
+        for bad in ((math.inf, 0.9, 0.19), (0.5, 1.2, 0.0), (0.5, 0.9, -0.1)):
+            with pytest.raises(DomainError):
+                sn_cn_dn_eps_array(*bad)
 
 
 class TestCompleteK:

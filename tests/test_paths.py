@@ -191,6 +191,37 @@ class TestHalfPeriodValues:
         assert path.epsilon_at(u) == jacobi_epsilon(u, path.k, path.m1)
 
 
+class TestPathFamily:
+    QT = np.array([1e-9, 1e-4, 0.3, 1.0, 2.0])
+
+    def test_fields_match_single_paths(self):
+        family = quartic_path_from_qt(self.QT, 1.0)
+        for i, qt in enumerate(self.QT):
+            path = quartic_path_from_qt(float(qt), 1.0)
+            for name in ("k", "s", "m1", "u_T", "q0", "sn_T", "cn_T", "dn_T", "eps_T"):
+                assert getattr(family, name)[i] == pytest.approx(
+                    getattr(path, name), rel=1e-14), name
+
+    def test_closed_forms_and_pairs_work_elementwise(self):
+        family = quartic_path_from_qt(self.QT, 0.5)
+        action = quartic_action(family)
+        lon = canonical_longitudinal(family)
+        for i, qt in enumerate(self.QT):
+            path = quartic_path_from_qt(float(qt), 0.5)
+            assert action[i] == pytest.approx(quartic_action(path), rel=1e-9, abs=1e-30)
+            pair = canonical_longitudinal(path)
+            for theta in (0.0, 0.2, 0.5):
+                assert lon.fb(theta)[i] == pytest.approx(pair.fb(theta), rel=1e-10)
+
+    def test_pole_and_domain_errors(self):
+        cap = q_theta_max(1.0)
+        with pytest.raises(PoleError, match=f"q_t={1.01 * cap}"):
+            quartic_path_from_qt(np.array([0.5 * cap, 1.01 * cap, 2.0 * cap]), 1.0)
+        for bad in (0.0, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                quartic_path_from_qt(np.array([0.5, bad]), 1.0)
+
+
 class TestQThetaMax:
     def test_defining_residual(self):
         for Theta in (0.1, 0.5, 1.0, 2.0, 5.0):
@@ -204,6 +235,20 @@ class TestQThetaMax:
         qs = [q_theta_max(t) for t in (0.1, 0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(qs, qs[1:]))
         assert q_theta_max(0.1) > q_theta_max(1.0)
+
+    def test_value_is_pole_free_up_to_large_theta(self):
+        # a linear bisection capped at 200 steps once returned q_t past the
+        # pole from Theta ~ 260 (at 300: 3.1e-61 against a root of 4.1e-65)
+        from sct.paths import _pole_gap
+        for Theta in np.geomspace(0.01, 2000.0, 60):
+            try:
+                q = q_theta_max(float(Theta))
+            except ConvergenceError:
+                assert Theta > 740.0
+                continue
+            assert _pole_gap(q, float(Theta)) <= 0.0
+            assert q == pytest.approx(4.0 * math.sqrt(2.0) * math.exp(-0.5 * Theta),
+                                      rel=1e-2) or Theta < 20.0
 
     def test_paths_below_are_pole_free(self):
         for Theta in (0.5, 2.0):

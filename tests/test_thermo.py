@@ -1,6 +1,8 @@
 """Tests for partition functions, WKB levels and specific heat."""
 
 import math
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from sct.errors import (
 )
 from sct.paths import ReducedParams, q_theta_max, quartic_path_from_qt
 from sct.thermo import (
+    _gauss_kronrod,
     _phase_integral,
     _z2_quartic_integrand,
     gamma_half,
@@ -151,26 +154,71 @@ class TestZ2Quartic:
         with pytest.raises(RouteMismatchError, match="det_transverse"):
             z2_quartic(ReducedParams(0.5, 2, 1.0))
 
-    def test_kernel_calls_per_path(self, monkeypatch):
-        counts = {"sn_cn_dn": 0, "path": 0}
+    @pytest.mark.parametrize("point", [(0.5, 1, 10.0), (0.5, 3, 1.0), (0.2, 1, 0.1)])
+    def test_path_builds_and_kernel_calls_per_call(self, monkeypatch, point):
+        # the scan and each quadrature round are one array-kernel call each;
+        # scalar paths are built only for the tail bound
+        counts = Counter()
+        build = sct.thermo.quartic_path_from_qt
+        kernel = sct.paths._sn_cn_dn_eps_k
+        scalar_kernel = sct.paths.jacobi_sn_cn_dn
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_build(q_t, Theta):
+            counts["array" if np.ndim(q_t) else "scalar"] += 1
+            return build(q_t, Theta)
 
-        kernel = counted("sn_cn_dn", sct.elliptic.jacobi_sn_cn_dn)
-        for module in (sct.elliptic, sct.paths, sct.fluctuations, sct.thermo):
-            if hasattr(module, "jacobi_sn_cn_dn"):
-                monkeypatch.setattr(module, "jacobi_sn_cn_dn", kernel)
-        monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
-                            counted("path", quartic_path_from_qt))
-        z2_quartic(ReducedParams(0.5, 1, 10.0))
-        # one sn_cn_dn for the path itself and one inside jacobi_epsilon;
-        # the closed forms and both canonical-pair routes reuse them
-        assert counts["path"] > 100
-        assert counts["sn_cn_dn"] <= 3 * counts["path"]
+        def counted_kernel(u, k, m1):
+            counts["kernel"] += 1
+            return kernel(u, k, m1)
+
+        def counted_scalar_kernel(*args):
+            counts["scalar kernel"] += 1
+            return scalar_kernel(*args)
+
+        monkeypatch.setattr(sct.thermo, "quartic_path_from_qt", counted_build)
+        monkeypatch.setattr(sct.paths, "_sn_cn_dn_eps_k", counted_kernel)
+        monkeypatch.setattr(sct.paths, "jacobi_sn_cn_dn", counted_scalar_kernel)
+        z2_quartic(ReducedParams(*point))
+        assert counts["scalar"] <= 2
+        assert counts["scalar kernel"] <= 2 * counts["scalar"]
+        assert 2 <= counts["kernel"] == counts["array"] <= 6
+
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_route_check_covers_every_node(self, monkeypatch, where):
+        # perturb the canonical-pair route at a single node of the first
+        # quadrature round: the first, a middle or the last node
+        original = sct.fluctuations.omega_kernel
+        perturbed = []
+
+        def omega_kernel(pair):
+            kernel = original(pair)
+
+            def eval_(theta, theta_p):
+                value = kernel.eval(theta, theta_p)
+                if np.ndim(value) and not perturbed:
+                    i = round(where * (value.size - 1))
+                    perturbed.append(i)
+                    value = value.copy()
+                    value[i] *= 1.0 + 1e-6
+                return value
+
+            return types.SimpleNamespace(eval=eval_)
+
+        monkeypatch.setattr(sct.fluctuations, "omega_kernel", omega_kernel)
+        with pytest.raises(RouteMismatchError, match="det_longitudinal"):
+            z2_quartic(ReducedParams(0.5, 2, 1.0))
+        assert perturbed
+
+    @pytest.mark.parametrize("check_routes", [False, True])
+    def test_overflow_is_reported_before_the_routes_are_compared(self, check_routes):
+        # at Theta = 700 the closed-form determinants overflow, and the
+        # canonical-pair route with them; the failure names the node
+        Theta = 700.0
+        f = _z2_quartic_integrand(ReducedParams(0.5, 1, Theta), check_routes)
+        q_t = 0.99 * q_theta_max(Theta)
+        with pytest.raises(QuadratureError,
+                           match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
+            f(np.array([q_t]))
 
     def test_overflow_is_a_quadrature_error(self):
         with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
@@ -186,7 +234,14 @@ class TestZ2Quartic:
         with pytest.raises(QuadratureError, match=f"{match}.*Theta={Theta!r}"):
             z2_quartic(ReducedParams(0.5, 1, Theta))
 
-    @pytest.mark.parametrize("Theta", [300.0, 700.0, 800.0, 1480.0, 1600.0])
+    def test_theta_300_follows_the_ground_state(self):
+        # ln Z2 -> -Theta/2 + const once the ground state dominates; up to
+        # Theta ~ 260 the pole search stopped short and 300 had no value
+        lnz = {Theta: math.log(z2_quartic(ReducedParams(0.5, 1, Theta)))
+               for Theta in (200.0, 300.0)}
+        assert lnz[300.0] - lnz[200.0] == pytest.approx(-50.0, abs=1e-9)
+
+    @pytest.mark.parametrize("Theta", [700.0, 800.0, 1480.0, 1600.0])
     def test_large_theta_fails_as_an_sct_error(self, Theta):
         # no value out there before a log-space rewrite, but no bare error
         with pytest.raises(SctError):
@@ -196,6 +251,34 @@ class TestZ2Quartic:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(DomainError, match="tol="):
             z2_quartic(ReducedParams(0.5, 1, 1.0), tol=tol)
+
+
+class TestGaussKronrod:
+    def test_rule_degrees(self):
+        # Kronrod 21 integrates x^j exactly to j = 31, its Gauss 10 part to 19
+        from sct.thermo import _GK_GAUSS, _GK_KRONROD, _GK_NODES
+        for j in range(32):
+            exact = (1.0 - (-1.0) ** (j + 1)) / (j + 1)
+            assert _GK_KRONROD @ _GK_NODES ** j == pytest.approx(exact, abs=1e-15)
+            if j < 20:
+                assert _GK_GAUSS @ _GK_NODES ** j == pytest.approx(exact, abs=1e-15)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.allclose(np.sort(_GK_NODES[_GK_GAUSS > 0]), nodes, atol=1e-15)
+
+    def test_adaptive_rule_on_a_narrow_peak(self):
+        a = 1e-3
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 / (a * a + x * x)
+
+        val, err = _gauss_kronrod(f, [0.0, 0.5, 1.0], 1e-12)
+        exact = math.atan(1.0 / a) / a
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert abs(val - exact) <= err <= 1e-12 * val
+        # the smooth panel [0.5, 1] is done in the first round
+        assert calls[0] == 2 * 21 and all(n <= calls[0] for n in calls[1:])
 
 
 class TestZClassical:
