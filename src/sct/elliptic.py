@@ -117,9 +117,14 @@ def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float,
     return sn, cn, dn
 
 
+def _k_of_m1(m1: float) -> float:
+    # K(k) = pi / (2 agm(1, k')), from m1 = k'^2 > 0
+    return math.pi / (2.0 * _agm_ladder(m1)[0][-1])
+
+
 def _past_half_period(u: float, m1: float, big_k: float) -> DomainError:
-    return DomainError(f"u={u!r} with m1={m1!r}: |u| is not below the half "
-                       f"period K={big_k:.6g}")
+    return DomainError(f"u={u!r} with m1={m1!r}: outside the half period "
+                       f"|u| < K={big_k:.6g}")
 
 
 def _sn_cn_dn_near_one(u: float, m1: float) -> tuple[float, float, float]:
@@ -129,10 +134,8 @@ def _sn_cn_dn_near_one(u: float, m1: float) -> tuple[float, float, float]:
     # expansion breaks down (at m1 = 1e-13, u = 40 it gives cn = -2942);
     # K(k) < 373 whenever m1 > 0, so this also covers the overflow of
     # cosh and sinh past |u| ~ 710.5.
-    if m1 > 0.0:
-        big_k = math.pi / (2.0 * _agm_ladder(m1)[0][-1])
-        if abs(u) >= big_k:
-            raise _past_half_period(u, m1, big_k)
+    if m1 > 0.0 and abs(u) >= _k_of_m1(m1):
+        raise _past_half_period(u, m1, _k_of_m1(m1))
     t = math.tanh(u)
     if abs(u) >= 710.0:
         # k = 1: sech u = 2 e^-|u| where cosh overflows
@@ -154,7 +157,7 @@ def complete_K(k: float, m1: float | None = None) -> float:
     m1 = _m1_of(k, m1)
     if m1 == 0.0:
         raise DomainError("K(k) diverges at k = 1")
-    return math.pi / (2.0 * _agm_ladder(m1)[0][-1])
+    return _k_of_m1(m1)
 
 
 # Carlson duplication-algorithm error controls; truncation errors scale as

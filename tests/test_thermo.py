@@ -211,8 +211,9 @@ class TestZ2Quartic:
 
     @pytest.mark.parametrize("check_routes", [False, True])
     def test_overflow_is_reported_before_the_routes_are_compared(self, check_routes):
-        # at Theta = 700 the closed-form determinants overflow, and the
-        # canonical-pair route with them; the failure names the node
+        # at Theta = 700 the closed-form determinants overflow near q_Theta;
+        # with or without the route check, that is an overflow naming the
+        # node, not a route mismatch
         Theta = 700.0
         f = _z2_quartic_integrand(ReducedParams(0.5, 1, Theta), check_routes)
         q_t = 0.99 * q_theta_max(Theta)
@@ -263,7 +264,9 @@ class TestGaussKronrod:
             if j < 20:
                 assert _GK_GAUSS @ _GK_NODES ** j == pytest.approx(exact, abs=1e-15)
         nodes, weights = np.polynomial.legendre.leggauss(10)
-        assert np.allclose(np.sort(_GK_NODES[_GK_GAUSS > 0]), nodes, atol=1e-15)
+        gauss = _GK_GAUSS > 0
+        assert np.allclose(_GK_NODES[gauss], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(_GK_GAUSS[gauss], weights, rtol=0.0, atol=1e-15)
 
     def test_adaptive_rule_on_a_narrow_peak(self):
         a = 1e-3
@@ -277,8 +280,9 @@ class TestGaussKronrod:
         exact = math.atan(1.0 / a) / a
         assert val == pytest.approx(exact, rel=1e-12)
         assert abs(val - exact) <= err <= 1e-12 * val
-        # the smooth panel [0.5, 1] is done in the first round
-        assert calls[0] == 2 * 21 and all(n <= calls[0] for n in calls[1:])
+        # one call per round; after the first, each round bisects only the
+        # panel that holds the peak, so [0.5, 1] is evaluated once
+        assert len(calls) > 2 and all(n == 2 * 21 for n in calls)
 
 
 class TestZClassical:
