@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-import sct.elliptic
 import sct.fluctuations
 import sct.paths
 import sct.thermo
