@@ -36,6 +36,7 @@ from .fluctuations import (
     FlowMatrices,
     GreenTable,
     OmegaKernel,
+    RadialTrajectory,
     det_general,
     det_longitudinal,
     det_transverse,

@@ -1,9 +1,12 @@
 """Jacobi elliptic functions and Legendre elliptic integrals on the real line.
 
-Two kernels, pure and without cached state.  The scalar routines
-(jacobi_sn_cn_dn, complete_K, incomplete_E, jacobi_am, jacobi_epsilon)
-serve scalar callers such as the variational flow's right-hand side,
-where a numpy call per step would cost more than the work.
+Two kernels.  The scalar routines (jacobi_sn_cn_dn, complete_K,
+incomplete_E, jacobi_am, jacobi_epsilon) serve scalar callers such as
+the variational flow's right-hand side, where a numpy call per step
+would cost more than the work.  Their one piece of cached state is
+jacobi_sn_cn_dn's AGM ladder, memoized on m1 = 1 - k^2: it depends on
+the modulus alone, and the flow evaluates one modulus at every step of
+its path.
 sn_cn_dn_eps_array evaluates sn, cn, dn and epsilon elementwise over
 arrays on the first half period |u| < K(k), with the same branches per
 element; the one-loop quadrature builds its paths with it.
@@ -28,6 +31,7 @@ the array kernel takes it as a required argument.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,13 +61,13 @@ def _check_modulus(k: float) -> None:
 
 def _m1_of(k: float, m1: float | None) -> float:
     if m1 is not None:
-        if m1 < 0.0:
-            raise DomainError(f"m1={m1!r} must be nonnegative")
+        if not 0.0 <= m1 < math.inf:
+            raise DomainError(f"m1={m1!r} must be finite and nonnegative")
         return m1
     return (1.0 - k) * (1.0 + k)
 
 
-def _agm_ladder(m1: float) -> tuple[list, list]:
+def _agm_ladder(m1: float) -> tuple[tuple, tuple]:
     """Descending ladder from (a, b) = (1, sqrt(m1)), m1 > 0: a_j and
     c_j = (a_(j-1) - b_(j-1))/2 for j = 0..n (c_0 is unused), stopping
     once c_n is at the rounding level of a_n; a_n is then agm(1, k')."""
@@ -79,7 +83,15 @@ def _agm_ladder(m1: float) -> tuple[list, list]:
         c_seq.append(c)
         if abs(c) <= _AGM_TOL * a:
             break
-    return a_seq, c_seq
+    return tuple(a_seq), tuple(c_seq)
+
+
+# jacobi_sn_cn_dn meets one modulus at many u (the variational flow calls
+# it at every step of one path), so its ladders are memoized on m1, which
+# _m1_of has checked finite.  complete_K keeps the plain ladder: its
+# callers, q_theta_max's bisection above all, rarely repeat a modulus,
+# and a cache miss costs more than the ladder saves.
+_memo_agm_ladder = functools.lru_cache(maxsize=256)(_agm_ladder)
 
 
 def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float, float, float]:
@@ -100,17 +112,15 @@ def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float,
         s, c = math.sin(u), math.cos(u)
         return s, c, math.sqrt(1.0 - (k * s) ** 2)
 
-    a_seq, c_seq = _agm_ladder(m1)
+    a_seq, c_seq = _memo_agm_ladder(m1)
     n = len(a_seq) - 1
 
-    # Backward amplitude recursion.
+    # Backward amplitude recursion; c_j / a_j < 1, so no clamp is needed.
     phi = (2.0 ** n) * a_seq[n] * u
     phi_prev = phi
     for j in range(n, 0, -1):
-        arg = c_seq[j] / a_seq[j] * math.sin(phi)
-        arg = max(-1.0, min(1.0, arg))
         phi_prev = phi
-        phi = 0.5 * (phi + math.asin(arg))
+        phi = 0.5 * (phi + math.asin(c_seq[j] / a_seq[j] * math.sin(phi)))
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = cn / math.cos(phi_prev - phi)

@@ -15,7 +15,9 @@ Two independent constructions are implemented and cross-checked:
 
 * the general-D route: integrate the D x D variational flow A(t), B(t)
   of the equation of motion (columns solve the linearized equation, with
-  A(0) = 1, Adot(0) = 0, B(0) = 0, Bdot(0) = 1), build the Jacobi
+  A(0) = 1, Adot(0) = 0, B(0) = 0, Bdot(0) = 1) along the radial
+  trajectory r(t) e_1, where the Hessian is diag(V''(r), V'(r)/r, ...) in
+  the fixed frame and acts as a row scaling; build the Jacobi
   commutator
 
       J(t, t') = -[A(t) A(t')^-1 - B(t) B(t')^-1]
@@ -48,6 +50,7 @@ table has entries below the diagonal, J(0, Theta).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -245,39 +248,72 @@ class FlowMatrices:
         return self.at(theta).Bdot
 
 
-def radial_trajectory(position: Callable[[float], float], D: int):
-    """Embed a radial profile r(t) as the D-vector trajectory r(t) e_1."""
-    def traj(theta: float) -> np.ndarray:
-        x = np.zeros(D)
-        x[0] = position(theta)
+@dataclass(frozen=True)
+class RadialTrajectory:
+    """The D-vector trajectory r(t) e_1 of a radial profile r(t).  On it
+    the Hessian of a central potential is diagonal in the fixed frame,
+    diag(V''(|r|), V'(|r|)/|r|, ..., V'(|r|)/|r|), which is what
+    flow_matrices applies; calling it returns the vector itself."""
+
+    position: Callable[[float], float]
+    D: int
+
+    def __post_init__(self):
+        if not isinstance(self.D, numbers.Integral) or self.D < 1:
+            raise DomainError(f"dimension D={self.D!r} must be an integer >= 1")
+
+    def __call__(self, theta: float) -> np.ndarray:
+        x = np.zeros(self.D)
+        x[0] = self.position(theta)
         return x
-    return traj
 
 
-def flow_matrices(potential: RadialPotential, trajectory, Theta: float, *,
-                  rtol: float = 1e-10, atol: float = 1e-10) -> FlowMatrices:
+def radial_trajectory(position: Callable[[float], float], D: int) -> RadialTrajectory:
+    """Embed a radial profile r(t) as the D-vector trajectory r(t) e_1,
+    whose Hessian is diagonal in the fixed frame (see RadialTrajectory)."""
+    return RadialTrajectory(position, D)
+
+
+def flow_matrices(potential: RadialPotential, trajectory: RadialTrajectory,
+                  Theta: float, *, rtol: float = 1e-10,
+                  atol: float = 1e-10) -> FlowMatrices:
     """Integrate the matrix variational equation X'' = Hess V(x_c(t)) X
-    along a trajectory, for both canonical initial-condition slices."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
-    x0 = np.atleast_1d(np.asarray(trajectory(0.0), dtype=float))
-    D = x0.size
-    n = D * D
-    eye = np.eye(D)
+    along a radial trajectory, for both canonical initial-condition
+    slices.
+
+    On r(t) e_1 the Hessian is diag(V''(r), V'(r)/r, ..., V'(r)/r) with
+    r = |r(t)| (every entry V''(0) below r = 1e-14), so it acts on A and B
+    as a row scaling.  Row 0's factor is written radial + (V'' - radial),
+    the rounding of the dense Hessian radial 1 + (V'' - radial) n n^T, so
+    the flow equals the one driven by the dense matrix bit for bit.
+    Raises DomainError for a Theta that is not positive and finite, or
+    where r(t) is not finite."""
+    if not (Theta > 0.0 and math.isfinite(Theta)):
+        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+    position, D = trajectory.position, trajectory.D
+    dv, d2v = potential.dv, potential.d2v
+    rows = np.empty((D, 1))
+    out = np.empty((4, D, D))
 
     def rhs(t, y):
-        x = np.atleast_1d(np.asarray(trajectory(t), dtype=float))
-        hess = potential.hessian(x)
-        a = y[0:n].reshape(D, D)
-        b = y[2 * n:3 * n].reshape(D, D)
-        return np.concatenate([
-            y[n:2 * n],
-            (hess @ a).ravel(),
-            y[3 * n:4 * n],
-            (hess @ b).ravel(),
-        ])
+        r = abs(position(t))
+        if not r < math.inf:
+            raise DomainError(f"trajectory r(t)={r!r} is not finite at t={t!r}")
+        if r < 1e-14:
+            rows[:] = d2v(0.0)
+        else:
+            radial = dv(r) / r
+            rows[:] = radial
+            rows[0] = radial + (d2v(r) - radial)
+        y = y.reshape(4, D, D)
+        # (A, Adot, B, Bdot)' = (Adot, Hess A, Bdot, Hess B)
+        out[0::2] = y[1::2]
+        np.multiply(rows, y[0::2], out=out[1::2])
+        return out.ravel().copy()
 
-    y0 = np.concatenate([eye.ravel(), np.zeros(n), np.zeros(n), eye.ravel()])
+    eye = np.eye(D).ravel()
+    zero = np.zeros(D * D)
+    y0 = np.concatenate([eye, zero, zero, eye])
     sol = solve_ivp(rhs, (0.0, Theta), y0, method="DOP853",
                     dense_output=True, rtol=rtol, atol=atol)
     if not sol.success:
@@ -369,10 +405,16 @@ class GreenTable:
         return self.evaluator(theta, theta_p)
 
 
+def _table_grid(Theta: float, n: int) -> np.ndarray:
+    if n < 0:
+        raise DomainError(f"table size n={n!r} must be >= 0")
+    return np.linspace(0.0, Theta, n)
+
+
 def green_table_central(pair: CanonicalPair, Theta: float, n: int = 64) -> GreenTable:
     """green_central on an n-node grid, from the 2n + 1 kernel values
     Omega(0, t_i), Omega(t_i, Theta) and Omega(0, Theta)."""
-    grid = np.linspace(0.0, Theta, n)
+    grid = _table_grid(Theta, n)
     evaluator = lambda t, tp: green_central(pair, Theta, t, tp)
     if n == 0:
         return GreenTable(Theta, grid, np.empty((0, 0)), evaluator)
@@ -391,7 +433,7 @@ def green_table_general(flow: FlowMatrices, n: int = 64) -> GreenTable:
     dense-output evaluation, the guarded inverses at every node t_j != 0,
     and one batched product per triangle."""
     Th, D = flow.Theta, flow.D
-    grid = np.linspace(0.0, Th, n)
+    grid = _table_grid(Th, n)
     evaluator = lambda t, tp: green_general(flow, t, tp)
     values = np.empty((n, n, D, D))
     if n == 0:
@@ -424,7 +466,8 @@ def wick_moment(green: GreenTable, legs) -> float:
     sum over the (k-1)!! pairings of the product of Green's functions,
     zero for odd k.  ``legs`` is a sequence of (channel index, time)
     pairs; the Delta^{-1/2} prefactor is NOT included here (in reduced
-    units the hbar^{k/2} factor is one)."""
+    units the hbar^{k/2} factor is one).  On a matrix table the channel
+    is an integer in [0, D)."""
     legs = list(legs)
     k = len(legs)
     if k % 2 == 1:
@@ -440,6 +483,10 @@ def wick_moment(green: GreenTable, legs) -> float:
         val = green.eval(t, tp)
         if np.ndim(val) == 0:
             return float(val) if i == j else 0.0
+        D = val.shape[-1]
+        for c in (i, j):
+            if not (isinstance(c, numbers.Integral) and 0 <= c < D):
+                raise DomainError(f"leg channel {c!r} outside [0, {D})")
         return float(val[i, j])
 
     def pairings(items) -> float:

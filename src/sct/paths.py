@@ -200,11 +200,20 @@ class QuarticPath:
         return jacobi_epsilon(u, self.k, self.m1)
 
     def position(self, theta: float):
+        """q_c(theta) = q_t nc(u, k).  One path makes at most one scalar
+        kernel call (none at u = +-u_T), as the variational flow's
+        right-hand side calls it at every step."""
         theta = _check_time(theta, self.Theta)
-        if self.at_rest:
+        u_T = self.u_T
+        if isinstance(u_T, np.ndarray):  # a family of paths
+            _, cn, _ = self.sn_cn_dn_at(self.u_of(theta))
+            return self.q_t / cn
+        if self.q_t == 0.0:
             return 0.0
-        _, cn, _ = self.sn_cn_dn_at(self.u_of(theta))
-        return self.q_t / cn
+        u = self.u_of(theta)
+        if u == u_T or u == -u_T:
+            return self.q_t / self.cn_T
+        return self.q_t / jacobi_sn_cn_dn(u, self.k, self.m1)[1]
 
     def velocity(self, theta: float):
         theta = _check_time(theta, self.Theta)
@@ -510,6 +519,8 @@ class RadialPotential:
     d2v: Callable[[float], float]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Dense Hessian at a point x.  The flow applies its diagonal form
+        on r e_1 instead; this stays as the tests' oracle."""
         # dd_ij V = (V'/r) delta_ij + (V'' - V'/r) x_i x_j / r^2
         d = len(x)
         r = float(np.linalg.norm(x))

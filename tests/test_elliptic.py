@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ellipj
@@ -161,6 +163,35 @@ class TestJacobiFunctions:
             jacobi_sn_cn_dn(0.5, -0.1)
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(math.inf, 0.5)
+
+    @pytest.mark.parametrize("m1", [math.nan, math.inf, -1e-3])
+    def test_m1_must_be_finite_and_nonnegative(self, m1):
+        # a NaN m1 once came back as (nan, nan, nan) and K = nan
+        with pytest.raises(DomainError, match="m1"):
+            jacobi_sn_cn_dn(0.3, 0.5, m1=m1)
+        with pytest.raises(DomainError, match="m1"):
+            complete_K(0.5, m1=m1)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(log_m1=st.floats(-12.0, 0.0, exclude_max=True),
+           frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_ladder_branch_without_clamp(self, log_m1, frac):
+        # the backward recursion takes arcsin of (c_j / a_j) sin(phi) with
+        # no clamp: c_j / a_j < 1 keeps it in [-1, 1].  Against the array
+        # kernel: its phase differs by a few rounding steps of 2^n a_n u,
+        # so the bound grows with |u| (7.6 eps (1 + |u|) at worst over
+        # 3e5 random draws; 6.1e-16 relative holds on the path grid only)
+        m1 = max(1e-12, 10.0 ** log_m1)
+        k = math.sqrt(1.0 - m1)
+        big_k = complete_K(k, m1=m1)
+        u = frac * big_k
+        assume(abs(u) < big_k)
+        got = sn, cn, dn = jacobi_sn_cn_dn(u, k, m1)
+        assert abs(sn) <= 1.0 and 0.0 < cn <= 1.0 and 0.0 < dn <= 1.0
+        want = sn_cn_dn_eps_array(u, k, m1)[:3]
+        tol = 16.0 * np.finfo(float).eps * (1.0 + abs(u))
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= tol
 
 
 class TestArrayKernel:

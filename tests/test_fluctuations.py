@@ -5,12 +5,14 @@ import types
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import sct.fluctuations
 from sct.errors import DegenerateError, DomainError, SingularMatrixError
 from sct.fluctuations import (
     FlowMatrices,
     OmegaKernel,
+    RadialTrajectory,
     _det_longitudinal_closed,
     _det_transverse_closed,
     _guarded_inv,
@@ -233,6 +235,59 @@ class TestFlowMatrices:
                 assert mat[1, 1] == pytest.approx(mat[2, 2], rel=1e-10)
 
 
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("profile", ["quartic", "zero", "negative"])
+    def test_row_scaling_equals_the_dense_hessian_flow(self, D, profile):
+        # the production right-hand side against the dense Hess V(x) @ X,
+        # integrated with the same settings: same steps, same bits
+        Theta = 1.3
+        path = quartic_path_from_qt(1.0, Theta)
+        position = {"quartic": path.position,
+                    "zero": lambda t: 0.0,
+                    "negative": lambda t: -path.position(t)}[profile]
+        well = quartic_well()
+        traj = radial_trajectory(position, D)
+        n = D * D
+
+        def dense_rhs(t, y):
+            hess = well.hessian(traj(t))
+            a = y[0:n].reshape(D, D)
+            b = y[2 * n:3 * n].reshape(D, D)
+            return np.concatenate([y[n:2 * n], (hess @ a).ravel(),
+                                   y[3 * n:4 * n], (hess @ b).ravel()])
+
+        eye = np.eye(D).ravel()
+        y0 = np.concatenate([eye, np.zeros(2 * n), eye])
+        want = solve_ivp(dense_rhs, (0.0, Theta), y0, method="DOP853",
+                         dense_output=True, rtol=1e-10, atol=1e-10)
+        got = flow_matrices(well, traj, Theta)._sol
+        assert got.nfev == want.nfev
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("Theta", [math.nan, math.inf, -1.0, 0.0])
+    def test_theta_must_be_positive_and_finite(self, Theta, deadline):
+        with pytest.raises(DomainError, match="Theta"):
+            flow_matrices(quartic_well(), radial_trajectory(lambda t: 0.3, 2), Theta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trajectory_is_a_domain_error(self, bad, deadline):
+        # a non-finite profile once fed NaN steps to solve_ivp, which kept
+        # shrinking its step without end or gave up with ConvergenceError
+        for profile in (lambda t: bad, lambda t: bad if t > 0.5 else 0.3):
+            with pytest.raises(DomainError, match=r"not finite at t="):
+                flow_matrices(quartic_well(), radial_trajectory(profile, 2), 1.0)
+
+    @pytest.mark.parametrize("D", [0, -1, 2.0, "2", None])
+    def test_radial_trajectory_dimension(self, D):
+        with pytest.raises(DomainError, match="dimension"):
+            radial_trajectory(lambda t: 0.3, D)
+
+    def test_radial_trajectory_is_r_e1(self):
+        traj = radial_trajectory(lambda t: 2.0 * t, 3)
+        assert isinstance(traj, RadialTrajectory) and traj.D == 3
+        assert np.array_equal(traj(0.25), [0.5, 0.0, 0.0])
+
 def synthetic_flow(D, Theta, seed):
     """FlowMatrices over polynomial blocks A = 1 + t M1 + t^2 M3 and
     B = t + t^2 M2 with random M_k: not a true variational flow, so the
@@ -440,6 +495,17 @@ class TestWickMoments:
         with pytest.raises(DomainError):
             wick_moment(table, [(0, 0.4), (0, 2.5)])
 
+    @pytest.mark.parametrize("channel", [-1, 2, 5, 0.5])
+    def test_matrix_table_channel_validation(self, channel):
+        # channel -1 once read channel D - 1 and 5 raised a bare IndexError
+        path = quartic_path_from_qt(1.0, 1.0)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), 1.0)
+        table = green_table_general(flow, n=4)
+        t1, t2 = float(table.grid[1]), float(table.grid[2])
+        assert wick_moment(table, [(1, t1), (1, t2)]) == table.values[1, 2, 1, 1]
+        with pytest.raises(DomainError, match="channel"):
+            wick_moment(table, [(channel, t1), (channel, t2)])
+
 
 class GreenTableToy:
     """Minimal GreenTable stand-in: two 'times' indexing a 2x2 covariance."""
@@ -456,6 +522,14 @@ class GreenTableToy:
 
 
 class TestGreenTables:
+    def test_negative_size_is_a_domain_error(self):
+        path = quartic_path_from_qt(1.0, 1.0)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), 1.0)
+        with pytest.raises(DomainError, match="n=-1"):
+            green_table_central(harmonic_canonical_pair(), 1.0, n=-1)
+        with pytest.raises(DomainError, match="n=-1"):
+            green_table_general(flow, n=-1)
+
     def test_central_table_grid_matches_evaluator(self):
         pair = harmonic_canonical_pair()
         table = green_table_central(pair, 2.0, n=17)
