@@ -1,28 +1,24 @@
-"""Jacobi elliptic functions and Legendre elliptic integrals on the real line.
+"""Jacobi elliptic functions and the Jacobi epsilon function on the real line.
 
 Two kernels.  The scalar routines (jacobi_sn_cn_dn, complete_K,
-incomplete_E, jacobi_am, jacobi_epsilon) serve scalar callers such as
-the variational flow's right-hand side, where a numpy call per step
-would cost more than the work.  Their one piece of cached state is
-jacobi_sn_cn_dn's AGM ladder, memoized on m1 = 1 - k^2: it depends on
-the modulus alone, and the flow evaluates one modulus at every step of
-its path.
+jacobi_epsilon) serve scalar callers such as the variational flow's
+right-hand side, where a numpy call per step would cost more than the
+work; jacobi_sn_cn_dn memoizes its AGM ladder on m1 = 1 - k^2, since the
+flow evaluates one modulus at every step of its path.
 sn_cn_dn_eps_array evaluates sn, cn, dn and epsilon elementwise over
-arrays on the first half period |u| < K(k), with the same branches per
-element; the one-loop quadrature builds its paths with it.
+arrays, with the same branches per element; the one-loop quadrature
+builds its paths with it.
 
-Evaluation strategy:
-
-* ``sn, cn, dn``: descending Landen / AGM ladder (DLMF 22.20(ii)).  For
-  1 - k^2 < 1e-12 the ladder stalls and the hyperbolic expansion around
-  k = 1 (A&S 16.15) takes over; the physics of the quartic well clusters
-  exactly there.  That expansion is first order in 1 - k^2 and holds
-  only inside the half period |u| < K(k); past it both kernels raise
-  DomainError.
+* ``sn, cn, dn``: descending Landen / AGM ladder (DLMF 22.20(ii)), for
+  any real u.  For 1 - k^2 < 1e-12 the ladder stalls and the hyperbolic
+  expansion around k = 1 (A&S 16.15), where the quartic well's physics
+  clusters, takes over; it is first order in 1 - k^2 and holds only on
+  the half period |u| < K(k), past which both kernels raise DomainError.
 * ``K(k)``: AGM, K = pi / (2 agm(1, k')), on the same ladder.
-* ``E(phi, k)``: Carlson symmetric forms R_F, R_D evaluated with the
-  duplication algorithm, extended to any real phi by quasi-periodicity
-  E(phi + n*pi, k) = E(phi, k) + 2n E(k).
+* ``epsilon(u, k) = E(am(u, k), k)`` (DLMF 22.16(ii)) on the first half
+  period |u| < K(k) only (any u at k = 1), with am = arcsin(sn) and E by
+  Carlson's R_F, R_D duplication (Carlson 1995); both kernels raise
+  DomainError past it.  The closed orbits need u in [-u_T, u_T], u_T < K.
 
 Forming 1 - k^2 from k loses precision as k -> 1.  Callers that know
 1 - k^2 exactly (the quartic path does) can pass it as the ``m1`` keyword;
@@ -42,10 +38,6 @@ from .errors import DomainError
 # from 1 and the hyperbolic branch is used instead.
 _M1_SWITCH = 1e-12
 
-# For k below this the direct trig formulas are already exact to machine
-# precision (errors are O(k^2) inside a sqrt).
-_K_TINY = 1e-8
-
 _LADDER_MAX = 40
 # The ladder stops once c_n = (a_(n-1) - b_(n-1))/2 is at the rounding
 # level of a_n.  a and b can settle one or two ulps apart, so a threshold
@@ -54,12 +46,10 @@ _LADDER_MAX = 40
 _AGM_TOL = 2.3e-16
 
 
-def _check_modulus(k: float) -> None:
+def _m1_of(k: float, m1: float | None) -> float:
+    # checks the modulus k, and returns m1 = 1 - k^2 unless the caller gave it
     if not (0.0 <= k <= 1.0):
         raise DomainError(f"modulus k={k!r} outside [0, 1]")
-
-
-def _m1_of(k: float, m1: float | None) -> float:
     if m1 is not None:
         if not 0.0 <= m1 < math.inf:
             raise DomainError(f"m1={m1!r} must be finite and nonnegative")
@@ -75,10 +65,7 @@ def _agm_ladder(m1: float) -> tuple[tuple, tuple]:
     a_seq = [a]
     c_seq = [0.0]
     for _ in range(_LADDER_MAX):
-        an = 0.5 * (a + b)
-        bn = math.sqrt(a * b)
-        cn_ = 0.5 * (a - b)
-        a, b, c = an, bn, cn_
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         a_seq.append(a)
         c_seq.append(c)
         if abs(c) <= _AGM_TOL * a:
@@ -98,26 +85,22 @@ def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float,
     """All three Jacobi elliptic functions at real argument u, modulus k.
 
     Returns (sn, cn, dn).  Relative accuracy ~1e-13 away from the zeros
-    of cn; sn^2 + cn^2 = 1 holds exactly by construction.  For
-    0 < 1 - k^2 < 1e-12 and |u| >= K(k) it raises DomainError.
-    """
-    _check_modulus(k)
+    of cn; sn^2 + cn^2 = 1 holds exactly by construction.  Raises
+    DomainError for 0 < 1 - k^2 < 1e-12 and |u| >= K(k), and past |u| ~ 1e305."""
+    m1 = _m1_of(k, m1)
     if not math.isfinite(u):
         raise DomainError(f"argument u={u!r} is not finite")
-    m1 = _m1_of(k, m1)
 
     if m1 < _M1_SWITCH:
         return _sn_cn_dn_near_one(u, m1)
-    if k < _K_TINY:
-        s, c = math.sin(u), math.cos(u)
-        return s, c, math.sqrt(1.0 - (k * s) ** 2)
 
     a_seq, c_seq = _memo_agm_ladder(m1)
     n = len(a_seq) - 1
 
     # Backward amplitude recursion; c_j / a_j < 1, so no clamp is needed.
     phi = (2.0 ** n) * a_seq[n] * u
-    phi_prev = phi
+    if not math.isfinite(phi):
+        raise DomainError(f"argument u={u!r} overflows the ladder's phase 2^n a_n u")
     for j in range(n, 0, -1):
         phi_prev = phi
         phi = 0.5 * (phi + math.asin(c_seq[j] / a_seq[j] * math.sin(phi)))
@@ -144,8 +127,8 @@ def _sn_cn_dn_near_one(u: float, m1: float) -> tuple[float, float, float]:
     # expansion breaks down (at m1 = 1e-13, u = 40 it gives cn = -2942);
     # K(k) < 373 whenever m1 > 0, so this also covers the overflow of
     # cosh and sinh past |u| ~ 710.5.
-    if m1 > 0.0 and abs(u) >= _k_of_m1(m1):
-        raise _past_half_period(u, m1, _k_of_m1(m1))
+    if m1 > 0.0 and abs(u) >= (big_k := _k_of_m1(m1)):
+        raise _past_half_period(u, m1, big_k)
     t = math.tanh(u)
     if abs(u) >= 710.0:
         # k = 1: sech u = 2 e^-|u| where cosh overflows
@@ -163,7 +146,6 @@ def _sn_cn_dn_near_one(u: float, m1: float) -> tuple[float, float, float]:
 
 def complete_K(k: float, m1: float | None = None) -> float:
     """Complete elliptic integral of the first kind, K(k) = F(pi/2, k)."""
-    _check_modulus(k)
     m1 = _m1_of(k, m1)
     if m1 == 0.0:
         raise DomainError("K(k) diverges at k = 1")
@@ -215,66 +197,23 @@ def _carlson_e(s, c, k):
     return s * (r_f - (k * k) * s * s * r_d / 3.0)
 
 
-def _e_core(phi: float, k: float) -> float:
-    # E(phi, k) for phi in [0, pi/2], k in [0, 1).
-    s = math.sin(phi)
-    if s == 0.0:
-        return 0.0
-    return float(_carlson_e(s, math.cos(phi), k))
-
-
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, E(k) = E(pi/2, k)."""
-    _check_modulus(k)
-    if k == 1.0:
-        return 1.0
-    return _e_core(0.5 * math.pi, k)
-
-
-def incomplete_E(phi: float, k: float) -> float:
-    """Incomplete elliptic integral of the second kind,
-
-        E(phi, k) = int_0^phi sqrt(1 - k^2 sin^2 t) dt,
-
-    for any real phi via E(phi + n*pi, k) = E(phi, k) + 2n E(k)."""
-    _check_modulus(k)
-    if not math.isfinite(phi):
-        raise DomainError(f"phi={phi!r} is not finite")
-    if k == 0.0:
-        return phi
-    n = math.floor(phi / math.pi + 0.5)
-    phi_r = phi - n * math.pi
-    if k == 1.0:
-        return 2.0 * n + math.sin(phi_r)
-    base = 2.0 * n * complete_E(k) if n != 0 else 0.0
-    val = _e_core(abs(phi_r), k)
-    return base + math.copysign(val, phi_r)
-
-
-def jacobi_am(u: float, k: float, m1: float | None = None) -> float:
-    """Jacobi amplitude am(u, k), the angle with sn = sin(am), cn = cos(am)."""
-    _check_modulus(k)
-    m1 = _m1_of(k, m1)
-    sn, _, _ = jacobi_sn_cn_dn(u, k, m1)
-    if m1 < _M1_SWITCH:
-        # K is effectively infinite on this branch; am is the gudermannian
-        # plus an O(m1) correction already carried by sn.
-        return math.asin(max(-1.0, min(1.0, sn)))
-    big_k = complete_K(k, m1)
-    n = math.floor(u / (2.0 * big_k) + 0.5)
-    core = math.asin(max(-1.0, min(1.0, sn)))
-    if n == 0:
-        return core
-    return n * math.pi + (core if n % 2 == 0 else -core)
-
-
 def jacobi_epsilon(u: float, k: float, m1: float | None = None) -> float:
-    """Jacobi epsilon function, int_0^u dn^2(t, k) dt = E(am(u, k), k).
+    """Jacobi epsilon function, int_0^u dn^2(t, k) dt = E(am(u, k), k), on
+    the first half period |u| < K(k) (every u at k = 1), where
+    am = arcsin(sn) and E is Carlson's; elsewhere it raises DomainError,
+    as the array kernel does.
 
-    Odd in u and quasi-periodic; this is the antiderivative the canonical
-    fluctuation solutions need (the bare arccos(cn) amplitude is even in u
-    and would break the odd symmetry for u < 0)."""
-    return incomplete_E(jacobi_am(u, k, m1), k)
+    Odd in u; this is the antiderivative the canonical fluctuation
+    solutions need (the bare arccos(cn) amplitude is even in u and would
+    break the odd symmetry for u < 0)."""
+    sn, _, _ = jacobi_sn_cn_dn(u, k, m1)
+    m1 = _m1_of(k, m1)
+    if m1 > 0.0 and abs(u) >= (big_k := _k_of_m1(m1)):
+        raise _past_half_period(u, m1, big_k)
+    am = math.asin(max(-1.0, min(1.0, sn)))
+    if k == 1.0:
+        return math.sin(am)  # E(am, 1) = sin(am)
+    return math.copysign(float(_carlson_e(math.sin(abs(am)), math.cos(abs(am)), k)), am)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +229,11 @@ def sn_cn_dn_eps_array(u, k, m1):
     jacobi_epsilon: the hyperbolic k -> 1 expansion below m1 = 1e-12, the
     descending AGM ladder above, am = arcsin(sn) and Carlson's E.  It
     covers the first half period |u| < K(k), every u at m1 = 0, and
-    raises DomainError elsewhere: there am needs the quasi-periodic
-    extension, and the k -> 1 expansion fails.  Agrees with the scalar
-    routines to ~1e-15 relative."""
+    raises DomainError elsewhere, as jacobi_epsilon does.  On the path
+    families it agrees with the scalar routines to 1e-14 relative.
+    Elsewhere the two ladders' phases 2^n a_n u round apart, and it
+    agrees to 16 eps (1 + |u|) absolute, far less in relative terms
+    where cn and dn are small."""
     u, k, m1 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, k, m1)))
     if not np.all(np.isfinite(u)):
         raise DomainError("argument u is not finite everywhere")

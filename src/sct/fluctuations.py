@@ -71,6 +71,8 @@ from .paths import (
     CanonicalPair,
     QuarticPath,
     RadialPotential,
+    _check_dimension,
+    _check_theta,
     canonical_longitudinal,
     canonical_transverse,
 )
@@ -259,8 +261,7 @@ class RadialTrajectory:
     D: int
 
     def __post_init__(self):
-        if not isinstance(self.D, numbers.Integral) or self.D < 1:
-            raise DomainError(f"dimension D={self.D!r} must be an integer >= 1")
+        _check_dimension(self.D)
 
     def __call__(self, theta: float) -> np.ndarray:
         x = np.zeros(self.D)
@@ -288,8 +289,7 @@ def flow_matrices(potential: RadialPotential, trajectory: RadialTrajectory,
     the flow equals the one driven by the dense matrix bit for bit.
     Raises DomainError for a Theta that is not positive and finite, or
     where r(t) is not finite."""
-    if not (Theta > 0.0 and math.isfinite(Theta)):
-        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+    _check_theta(Theta)
     position, D = trajectory.position, trajectory.D
     dv, d2v = potential.dv, potential.d2v
     rows = np.empty((D, 1))
@@ -406,6 +406,7 @@ class GreenTable:
 
 
 def _table_grid(Theta: float, n: int) -> np.ndarray:
+    _check_theta(Theta)
     if n < 0:
         raise DomainError(f"table size n={n!r} must be >= 0")
     return np.linspace(0.0, Theta, n)

@@ -48,6 +48,7 @@ the closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +69,16 @@ _BISECT_MAX = 200
 _BISECT_RTOL = 1e-13
 
 
+def _check_theta(Theta: float) -> None:
+    if not 0.0 < Theta < math.inf:
+        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+
+
+def _check_dimension(D: int) -> None:
+    if not isinstance(D, numbers.Integral) or D < 1:
+        raise DomainError(f"dimension D={D!r} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class ReducedParams:
     """Dimensionless problem specification: coupling g, dimension D,
@@ -80,10 +91,8 @@ class ReducedParams:
     def __post_init__(self):
         if not 0.0 <= self.g < math.inf:
             raise DomainError(f"coupling g={self.g!r} must be finite and >= 0")
-        if int(self.D) != self.D or self.D < 1:
-            raise DomainError(f"dimension D={self.D!r} must be a positive integer")
-        if not (self.Theta > 0.0 and math.isfinite(self.Theta)):
-            raise DomainError(f"Theta={self.Theta!r} must be positive and finite")
+        _check_dimension(self.D)
+        _check_theta(self.Theta)
 
     @property
     def T(self) -> float:
@@ -100,8 +109,7 @@ def _check_time(theta: float, Theta: float) -> float:
 
 def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
     """r0 cosh(theta - Theta/2)/cosh(Theta/2), the closed harmonic path."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     if r0 < 0.0:
         raise DomainError(f"r0={r0!r} must be >= 0")
     theta = _check_time(theta, Theta)
@@ -113,8 +121,7 @@ def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
 
 def harmonic_action(r0: float, Theta: float) -> float:
     """Euclidean action of the closed harmonic path, r0^2 tanh(Theta/2)."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     if r0 < 0.0:
         raise DomainError(f"r0={r0!r} must be >= 0")
     return r0 * r0 * math.tanh(0.5 * Theta)
@@ -230,8 +237,7 @@ def quartic_path_from_qt(q_t, Theta: float) -> QuarticPath:
     Raises PoleError when sqrt(1+q_t^2) Theta/2 >= K(k), i.e. when the
     endpoint q0 would sit at or beyond the pole of nc (for a family,
     naming the first such q_t)."""
-    if Theta <= 0.0 or not math.isfinite(Theta):
-        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+    _check_theta(Theta)
     if np.ndim(q_t):
         return _quartic_paths(np.asarray(q_t, dtype=float), Theta)
     if q_t < 0.0 or not math.isfinite(q_t):
@@ -288,8 +294,7 @@ def q_theta_max(Theta: float) -> float:
     bracket's lower end, so the gap is <= 0 at the value returned.
     Raises ConvergenceError where 1 - k^2 underflows at the root (from
     Theta ~ 745) or the bisection does not close."""
-    if Theta <= 0.0 or not math.isfinite(Theta):
-        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+    _check_theta(Theta)
 
     def gap(q_t: float) -> float:
         if _modulus_and_scale(q_t)[0] == 0.0:
@@ -562,8 +567,7 @@ def shoot_radial_path(potential: RadialPotential, r0: float, Theta: float,
     """Solve d^2r/dt^2 = V'(r) with r(0) = r(Theta) = r0 by shooting on the
     initial slope.  Verification oracle only; the closed forms above are
     the production path."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     if r0 < 0.0:
         raise DomainError(f"r0={r0!r} must be >= 0")
     grid = np.linspace(0.0, Theta, n_samples)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -54,6 +55,8 @@ from .fluctuations import (
 from .paths import (
     QuarticPath,
     ReducedParams,
+    _check_dimension,
+    _check_theta,
     harmonic_action,
     harmonic_canonical_pair,
     q_theta_max,
@@ -65,38 +68,23 @@ from .paths import (
 from .elliptic import jacobi_sn_cn_dn  # noqa: F401
 
 _TWO_PI = 2.0 * math.pi
-
-# Gamma(D/2) exactly for the dimensions that actually occur; the general
-# formula only kicks in past D = 12.
-_SQRT_PI = math.sqrt(math.pi)
-_GAMMA_HALF_TABLE = {
-    1: _SQRT_PI, 2: 1.0, 3: _SQRT_PI / 2.0, 4: 1.0,
-    5: 3.0 * _SQRT_PI / 4.0, 6: 2.0, 7: 15.0 * _SQRT_PI / 8.0, 8: 6.0,
-    9: 105.0 * _SQRT_PI / 16.0, 10: 24.0,
-    11: 945.0 * _SQRT_PI / 32.0, 12: 120.0,
-}
-
-
-def gamma_half(D: int) -> float:
-    """Gamma(D/2) for positive integer D."""
-    if D in _GAMMA_HALF_TABLE:
-        return _GAMMA_HALF_TABLE[D]
-    return math.gamma(0.5 * D)
+_LN2 = math.log(2.0)
 
 
 def _angular_prefactor(D: int) -> float:
     # surface of the unit (D-1)-sphere
-    return 2.0 * math.pi ** (0.5 * D) / gamma_half(D)
+    return 2.0 * math.pi ** (0.5 * D) / math.gamma(0.5 * D)
 
 
 def ln_z_harmonic(D: int, Theta: float) -> float:
-    """ln of the harmonic partition function, -D ln(2 sinh(Theta/2)),
-    evaluated in log space so large Theta cannot overflow."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
-    if D < 1:
-        raise DomainError(f"D={D!r} must be >= 1")
-    return -D * (0.5 * Theta + math.log1p(-math.exp(-Theta)))
+    """ln of the harmonic partition function, -D ln(2 sinh(Theta/2)), in log
+    space so large Theta cannot overflow; ln(1 - e^-Theta) is ln(-expm1(-Theta))
+    up to Theta = ln 2, where log1p(-e^-Theta) loses digits (Maechler 2012)."""
+    _check_theta(Theta)
+    _check_dimension(D)
+    log1mexp = (math.log1p(-math.exp(-Theta)) if Theta > _LN2
+                else math.log(-math.expm1(-Theta)))
+    return -D * (0.5 * Theta + log1mexp)
 
 
 def z_harmonic(D: int, Theta: float) -> float:
@@ -108,8 +96,7 @@ def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     """End-to-end pipeline check: the radial one-loop integral with the
     harmonic action and determinant must reproduce z_harmonic exactly
     (the quadratic approximation is exact for a quadratic well)."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     det_l = _TWO_PI * omega_kernel(harmonic_canonical_pair()).eval(0.0, Theta)
 
     def integrand(r):
@@ -416,8 +403,6 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
         raise DomainError(f"g={g!r} must be >= 0")
     if n_max < 0:
         raise DomainError(f"n_max={n_max!r} must be >= 0")
-    from scipy.optimize import brentq
-
     levels = []
     lo = 1e-12
     for n in range(n_max + 1):
@@ -448,15 +433,12 @@ def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
     TruncationError unless the first omitted level (bounded below by
     linear extrapolation; level spacing never decreases for this well)
     would contribute less than 1e-16 of the partial sum."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     energies = np.asarray(spectrum.levels)
     e0 = energies[0]
     partial = float(np.exp(-Theta * (energies - e0)).sum())
-    if len(energies) >= 2:
-        e_next = 2.0 * energies[-1] - energies[-2]
-    else:
-        e_next = energies[-1] + 1.0
+    e_next = (2.0 * energies[-1] - energies[-2] if len(energies) >= 2
+              else energies[-1] + 1.0)
     if math.exp(-Theta * (e_next - e0)) >= 1e-16 * partial:
         raise TruncationError(
             f"spectrum truncated at n_max={spectrum.n_max} is too short at "
@@ -475,8 +457,7 @@ def specific_heat(lnz, Theta: float, target_err: float | None = None):
     seven distinct Theta, each once, Theta itself first.
     Returns (C, error_estimate); raises ConvergenceError if a requested
     target error cannot be met (noisy ln Z / collapsed step)."""
-    if Theta <= 0.0:
-        raise DomainError(f"Theta={Theta!r} must be positive")
+    _check_theta(Theta)
     h = min(max(1e-3 * Theta, 1e-4), 0.249 * Theta)
     f0 = lnz(Theta)
     # keyed by offset; 2 (h/2) is h exactly, so both stencils find it
@@ -522,7 +503,7 @@ def thermo_curve(lnz, T_grid) -> ThermoCurve:
     (the library never invents grids)."""
     ts, lnzs, cs, errs = [], [], [], []
     for T in T_grid:
-        if T <= 0.0:
+        if not T > 0.0:
             raise DomainError(f"temperature {T!r} must be positive")
         Theta = 1.0 / T
         c, c_err = specific_heat(lnz, Theta)

@@ -269,6 +269,18 @@ class TestMain:
         assert code == 2
         assert "needs --modes" in err
 
+    def test_harmonic_run_at_extreme_temperature(self, capsys):
+        # Theta = 1e-16 and 1e-17, where ln(1 - e^-Theta) once raised
+        # a bare ValueError
+        code, out, err = run_main(
+            ["run", "--mode=harmonic", "--dim=3", "--tmin=1e16",
+             "--tmax=1e17", "--steps=2"], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        for _, _, c, c_err in rows:
+            assert abs(c - 3.0) <= c_err
+
     def test_large_theta_exit_code(self, capsys):
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--tmin=0.0006",

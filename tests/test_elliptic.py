@@ -2,26 +2,25 @@
 
 Oracles used here are independent of the production path: adaptive
 quadrature of the defining integrals, numerical inversion of the
-incomplete integral of the first kind, and scipy.special.ellipj as a
-third-party implementation.
+incomplete integral of the first kind, scipy.special.ellipj as a
+third-party implementation, and mpmath at 30 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ellipj
+from scipy.special import ellipe, ellipj
 
 from sct.elliptic import (
     _agm_ladder,
-    complete_E,
+    _carlson_e,
     complete_K,
-    incomplete_E,
-    jacobi_am,
     jacobi_epsilon,
     jacobi_sn_cn_dn,
     sn_cn_dn_eps_array,
@@ -85,11 +84,10 @@ class TestJacobiFunctions:
             assert dm == pytest.approx(dp, abs=1e-13)
 
     def test_k_zero_reduces_to_trig(self):
-        for u in U_GRID:
-            sn, cn, dn = jacobi_sn_cn_dn(float(u), 0.0)
-            assert sn == pytest.approx(math.sin(u), abs=1e-12)
-            assert cn == pytest.approx(math.cos(u), abs=1e-12)
-            assert dn == pytest.approx(1.0, abs=1e-12)
+        # below k ~ 1e-8, m1 = 1 exactly and the ladder is exact trig
+        for k in (0.0, 1e-9):
+            for u in U_GRID:
+                assert jacobi_sn_cn_dn(float(u), k) == (math.sin(u), math.cos(u), 1.0)
 
     def test_k_one_reduces_to_hyperbolic(self):
         for u in U_GRID:
@@ -163,6 +161,10 @@ class TestJacobiFunctions:
             jacobi_sn_cn_dn(0.5, -0.1)
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(math.inf, 0.5)
+        # the ladder's phase 2^n a_n u overflowed into a bare ValueError
+        for k in (0.0, 0.5):
+            with pytest.raises(DomainError, match="overflows"):
+                jacobi_sn_cn_dn(1e308, k)
 
     @pytest.mark.parametrize("m1", [math.nan, math.inf, -1e-3])
     def test_m1_must_be_finite_and_nonnegative(self, m1):
@@ -228,8 +230,13 @@ class TestArrayKernel:
         k, m1 = 0.9, 0.19
         big_k = complete_K(k, m1=m1)
         sn_cn_dn_eps_array(np.array([-0.999 * big_k, 0.999 * big_k]), k, m1)
-        with pytest.raises(DomainError, match="half period"):
+        with pytest.raises(DomainError, match="half period") as array_err:
             sn_cn_dn_eps_array(np.array([0.5, 1.001 * big_k]), k, m1)
+        # the scalar epsilon has the same domain; sn, cn, dn stay periodic
+        with pytest.raises(DomainError) as scalar_err:
+            jacobi_epsilon(1.001 * big_k, k, m1)
+        assert str(scalar_err.value) == str(array_err.value)
+        assert jacobi_sn_cn_dn(1.001 * big_k, k, m1)[1] < 0.0
         # k = 1: every u, sech u = 2 e^-|u| past 710
         sn, cn, _, eps = sn_cn_dn_eps_array(np.array([711.0]), 1.0, 0.0)
         assert (sn[0], cn[0], eps[0]) == (1.0, 2.0 * math.exp(-711.0), 1.0)
@@ -262,56 +269,55 @@ class TestCompleteK:
 
 
 class TestIncompleteE:
+    """E(phi, k) on [0, pi/2], the Carlson step that epsilon applies."""
+
+    @staticmethod
+    def e(phi, k):
+        return float(_carlson_e(math.sin(phi), math.cos(phi), k))
+
     def test_zero_modulus_is_identity(self):
-        for phi in (-2.0, 0.0, 0.4, 1.1, 3.5):
-            assert incomplete_E(phi, 0.0) == pytest.approx(phi, rel=1e-15, abs=1e-15)
+        for phi in (0.0, 0.4, 1.1, 1.5):
+            assert self.e(phi, 0.0) == pytest.approx(phi, rel=1e-15, abs=1e-15)
 
     def test_complete_limit(self):
-        assert incomplete_E(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert self.e(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-15)
         for k in (0.3, 0.8, 0.999):
-            assert incomplete_E(math.pi / 2, k) == pytest.approx(complete_E(k), rel=1e-14)
+            assert float(_carlson_e(1.0, 0.0, k)) == pytest.approx(ellipe(k * k), rel=1e-14)
 
     def test_against_quadrature(self):
-        assert incomplete_E(0.9, 0.95) == pytest.approx(ellipe_quadrature(0.9, 0.95), rel=1e-12)
+        assert self.e(0.9, 0.95) == pytest.approx(ellipe_quadrature(0.9, 0.95), rel=1e-12)
         for phi in (0.2, 0.7, 1.3):
-            for k in (0.1, 0.6, 0.99, 1.0):
-                assert incomplete_E(phi, k) == pytest.approx(
+            for k in (0.1, 0.6, 0.99):
+                assert self.e(phi, k) == pytest.approx(
                     ellipe_quadrature(phi, k), rel=1e-12, abs=1e-14)
-
-    def test_quasi_periodic_extension(self):
-        for k in (0.4, 0.9):
-            for phi in (2.0, 4.5, -3.0):
-                assert incomplete_E(phi, k) == pytest.approx(
-                    ellipe_quadrature(phi, k), rel=1e-12)
 
     def test_monotone_in_phi_and_modulus(self):
         phis = np.linspace(0.05, math.pi / 2 - 0.05, 20)
         ks = np.linspace(0.0, 0.99, 12)
         for k in ks:
-            vals = [incomplete_E(float(p), float(k)) for p in phis]
+            vals = [self.e(float(p), float(k)) for p in phis]
             assert all(b > a for a, b in zip(vals, vals[1:]))
         for phi in phis:
-            vals = [incomplete_E(float(phi), float(k)) for k in ks]
+            vals = [self.e(float(phi), float(k)) for k in ks]
             assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            incomplete_E(0.5, 1.2)
 
 
 class TestAmplitudeAndEpsilon:
-    @pytest.mark.parametrize("k", [0.3, 0.8, 0.99])
-    def test_amplitude_defines_sn_cn(self, k):
-        for u in U_GRID:
-            am = jacobi_am(float(u), k)
-            sn, cn, _ = jacobi_sn_cn_dn(float(u), k)
-            assert math.sin(am) == pytest.approx(sn, abs=1e-12)
-            assert math.cos(am) == pytest.approx(cn, abs=1e-12)
+    """Epsilon lives on the first half period |u| < K(k) (every u at
+    k = 1); past it both kernels raise DomainError."""
+
+    @staticmethod
+    def half_period(k):
+        return math.inf if k == 1.0 else complete_K(k)
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 0.9, 1.0])
     def test_epsilon_integrates_dn_squared(self, k):
         # Independent dn from scipy in the oracle integrand.
         for u in (-4.0, -1.3, 0.7, 2.0, 4.8):
+            if abs(u) >= self.half_period(k):
+                with pytest.raises(DomainError, match="half period"):
+                    jacobi_epsilon(u, k)
+                continue
             oracle, err = quad(lambda t: ellipj(t, k * k)[2] ** 2, 0.0, u,
                                epsabs=1e-14, epsrel=1e-13, limit=200)
             assert jacobi_epsilon(u, k) == pytest.approx(oracle, abs=5e-12)
@@ -319,4 +325,25 @@ class TestAmplitudeAndEpsilon:
     def test_epsilon_odd(self):
         for k in (0.2, 0.95):
             for u in (0.3, 1.1, 2.7):
+                if u >= self.half_period(k):
+                    for v in (u, -u):
+                        with pytest.raises(DomainError, match="half period"):
+                            jacobi_epsilon(v, k)
+                    continue
                 assert jacobi_epsilon(-u, k) == pytest.approx(-jacobi_epsilon(u, k), rel=1e-13)
+
+    def test_both_kernels_against_mpmath(self):
+        # epsilon = E(arcsin sn(u | m), m), m = 1 - m1 exactly, at 30 digits,
+        # over the ladder (m1 >= 1e-12) and the k -> 1 expansion below it
+        rng = np.random.default_rng(20)
+        m1 = 10.0 ** rng.uniform(-15.0, math.log10(0.5), 200)
+        k = np.sqrt(1.0 - m1)
+        big_k = np.array([complete_K(float(a), m1=float(b)) for a, b in zip(k, m1)])
+        u = rng.uniform(-0.99, 0.999, 200) * big_k
+        array_eps = sn_cn_dn_eps_array(u, k, m1)[3]
+        with mpmath.workdps(30):
+            for i, (ui, ki, mi) in enumerate(zip(u.tolist(), k.tolist(), m1.tolist())):
+                m = 1 - mpmath.mpf(mi)
+                want = mpmath.ellipe(mpmath.asin(mpmath.ellipfun("sn", ui, m=m)), m)
+                for got in (jacobi_epsilon(ui, ki, mi), float(array_eps[i])):
+                    assert abs(got - want) <= 1e-13 * abs(want)

@@ -51,6 +51,12 @@ class TestReducedParams:
         with pytest.raises(DomainError):
             ReducedParams(0.5, 1, 0.0)
 
+    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1])
+    def test_dimension_is_an_integer_at_least_one(self, D):
+        # D = 0.5 once passed here and failed with TypeError in z2_quartic
+        with pytest.raises(DomainError, match="dimension"):
+            ReducedParams(0.5, D, 1.0)
+
     def test_temperature(self):
         assert ReducedParams(0.2, 1, 4.0).T == 0.25
 

@@ -4,6 +4,7 @@ import math
 import types
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,12 +21,22 @@ from sct.errors import (
     SctError,
     TruncationError,
 )
-from sct.paths import ReducedParams, q_theta_max, quartic_path_from_qt
+from sct.fluctuations import flow_matrices, green_table_central, radial_trajectory
+from sct.paths import (
+    ReducedParams,
+    harmonic_action,
+    harmonic_canonical_pair,
+    harmonic_trajectory,
+    q_theta_max,
+    quartic_path_from_qt,
+    quartic_well,
+    shoot_radial_path,
+)
 from sct.thermo import (
+    _angular_prefactor,
     _gauss_kronrod,
     _phase_integral,
     _z2_quartic_integrand,
-    gamma_half,
     jacobian_dq0_dqt,
     ln_z_classical,
     ln_z_harmonic,
@@ -46,10 +57,45 @@ def harmonic_specific_heat(Theta):
     return (0.5 * Theta / math.sinh(0.5 * Theta)) ** 2
 
 
-class TestGammaHalf:
-    def test_table_matches_gamma(self):
-        for D in range(1, 16):
-            assert gamma_half(D) == pytest.approx(math.gamma(0.5 * D), rel=1e-14)
+class TestAngularPrefactor:
+    def test_unit_sphere_surfaces(self):
+        for D, surface in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi)):
+            assert _angular_prefactor(D) == pytest.approx(surface, rel=1e-15)
+        # S_(D+2) = 2 pi S_D / D
+        for D in range(1, 14):
+            assert _angular_prefactor(D + 2) == pytest.approx(
+                2.0 * math.pi * _angular_prefactor(D) / D, rel=1e-14)
+
+
+class TestThetaDomain:
+    @pytest.mark.parametrize("Theta", [math.nan, math.inf, 0.0, -1.0])
+    def test_every_entry_point_rejects_it(self, Theta, deadline):
+        # NaN once raised KeyError in specific_heat, hung shoot_radial_path
+        # and came back as NaN from the harmonic references and z_wkb
+        lnz = lambda th: ln_z_harmonic(1, th)
+        well = quartic_well()
+        calls = {
+            "ReducedParams": lambda: ReducedParams(0.5, 1, Theta),
+            "quartic_path_from_qt": lambda: quartic_path_from_qt(0.5, Theta),
+            "q_theta_max": lambda: q_theta_max(Theta),
+            "harmonic_trajectory": lambda: harmonic_trajectory(1.0, Theta, 0.0),
+            "harmonic_action": lambda: harmonic_action(1.0, Theta),
+            "shoot_radial_path": lambda: shoot_radial_path(well, 1.0, Theta),
+            "flow_matrices": lambda: flow_matrices(
+                well, radial_trajectory(lambda t: 0.5, 2), Theta),
+            "green_table_central": lambda: green_table_central(
+                harmonic_canonical_pair(), Theta, 4),
+            "ln_z_harmonic": lambda: ln_z_harmonic(1, Theta),
+            "z2_harmonic_integral": lambda: z2_harmonic_integral(1, Theta),
+            "z_wkb": lambda: z_wkb(WkbSpectrum((0.5, 1.5), 0.0, 1), Theta),
+            "specific_heat": lambda: specific_heat(lnz, Theta),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                call()
+        # thermo_curve takes temperatures; each of these fails the same way
+        with pytest.raises(DomainError):
+            thermo_curve(lnz, [Theta])
 
 
 class TestHarmonicPartition:
@@ -60,6 +106,19 @@ class TestHarmonicPartition:
     def test_ground_state_dominance(self):
         Theta = 900.0
         assert ln_z_harmonic(1, Theta) == pytest.approx(-0.5 * Theta, rel=1e-12)
+
+    @pytest.mark.parametrize("Theta", [1e-17, 1e-10, 1e-3, 0.2, 10.0])
+    def test_against_mpmath(self, Theta):
+        # log1p(-exp(-Theta)) was 3.6e-9 off at Theta = 1e-10 and raised
+        # ValueError below ~1.1e-16; expm1 covers Theta <= ln 2
+        with mpmath.workdps(50):
+            want = float(-3 * mpmath.log(2 * mpmath.sinh(mpmath.mpf(Theta) / 2)))
+        assert ln_z_harmonic(3, Theta) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1])
+    def test_dimension_is_an_integer_at_least_one(self, D):
+        with pytest.raises(DomainError, match="dimension"):
+            ln_z_harmonic(D, 1.0)
 
     def test_pipeline_reproduces_closed_form(self):
         for D in (1, 2, 3):
@@ -387,7 +446,7 @@ class TestSpecificHeat:
 
     @pytest.mark.parametrize("D,Theta,expected", [
         (1, 1.0, (0.920673593717774, 4.0033923419628935e-08)),
-        (3, 0.37, (2.966007999536145, 1.1888807127757839e-07)),
+        (3, 0.37, (2.966008004588893, 1.1868082953807569e-07)),
     ])
     def test_seven_distinct_evaluations(self, D, Theta, expected):
         # stencils at h and h/2 share Theta and Theta +- h
