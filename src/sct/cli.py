@@ -188,6 +188,7 @@ _OPTIONS = (
     ("tol", "tol", float, "quadrature tolerance"),
     ("out", "out", str, "output file (default stdout)"),
 )
+_CONFIG_KEYS = ("mode", "modes") + tuple(flag for flag, *_ in _OPTIONS)
 
 
 def _read_config_file(path: str) -> dict:
@@ -201,7 +202,11 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                      f"choose from {', '.join(_CONFIG_KEYS)}")
+                values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values

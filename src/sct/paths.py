@@ -79,6 +79,11 @@ def _check_dimension(D: int) -> None:
         raise DomainError(f"dimension D={D!r} must be an integer >= 1")
 
 
+def _check_r0(r0: float) -> None:
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0={r0!r} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ReducedParams:
     """Dimensionless problem specification: coupling g, dimension D,
@@ -110,8 +115,7 @@ def _check_time(theta: float, Theta: float) -> float:
 def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
     """r0 cosh(theta - Theta/2)/cosh(Theta/2), the closed harmonic path."""
     _check_theta(Theta)
-    if r0 < 0.0:
-        raise DomainError(f"r0={r0!r} must be >= 0")
+    _check_r0(r0)
     theta = _check_time(theta, Theta)
     # exp form keeps the ratio finite for large Theta
     x = abs(theta - 0.5 * Theta)
@@ -122,8 +126,7 @@ def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
 def harmonic_action(r0: float, Theta: float) -> float:
     """Euclidean action of the closed harmonic path, r0^2 tanh(Theta/2)."""
     _check_theta(Theta)
-    if r0 < 0.0:
-        raise DomainError(f"r0={r0!r} must be >= 0")
+    _check_r0(r0)
     return r0 * r0 * math.tanh(0.5 * Theta)
 
 
@@ -568,8 +571,7 @@ def shoot_radial_path(potential: RadialPotential, r0: float, Theta: float,
     initial slope.  Verification oracle only; the closed forms above are
     the production path."""
     _check_theta(Theta)
-    if r0 < 0.0:
-        raise DomainError(f"r0={r0!r} must be >= 0")
+    _check_r0(r0)
     grid = np.linspace(0.0, Theta, n_samples)
     if r0 == 0.0:
         sol = solve_ivp(lambda t, y: [y[1], 0.0], (0.0, Theta), [0.0, 0.0],

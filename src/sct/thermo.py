@@ -14,16 +14,15 @@ q_t on [0, q_Theta), with the Jacobian identity
     dq0/dq_t = U'(q_t) Delta_l / (4 pi sqrt(2 [U(q0) - U(q_t)]))
 
 evaluated in a factored form whose q_t -> 0 limit is cosh(Theta/2)
-exactly.  The integrand vanishes at the q_Theta endpoint (the action
-grows without bound there), so the quadrature is cut where the integrand
-has dropped ~40 e-folds below its peak and the remainder is controlled
-by an analytic tail bound that is reported, never silently added.
-
-The integrand is evaluated over an array of q_t nodes at a time, from
-one family of paths (one array-kernel call): once on a 120-node scan
-that finds the peak and the cut, then once per round of a batched
-adaptive Gauss-Kronrod 21 rule, every node of which gets the dual-route
-determinant check.
+exactly.  The integrand is carried as its logarithm, -I/g + ln J +
+(D-1) ln q0 - (ln Delta_l + (D-1) ln Delta_t)/2, over an array of q_t
+nodes at a time from one family of paths (one array-kernel call): on a
+120-node scan, then once per round of a batched adaptive Gauss-Kronrod
+21 rule, every node of which gets the dual-route determinant check.  The
+scan gives the peak, factored out of the quadrature, and the cut where
+the integrand has dropped ~40 e-folds below it (it vanishes at q_Theta);
+the remainder is controlled by an analytic tail bound read from the
+scan's values at the cut, reported and never silently added.
 
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step; the error estimate rides
@@ -69,6 +68,8 @@ from .elliptic import jacobi_sn_cn_dn  # noqa: F401
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
+_LN_TINY = math.log(np.finfo(float).tiny)
+_LN_HUGE = math.log(np.finfo(float).max)
 
 
 def _angular_prefactor(D: int) -> float:
@@ -124,42 +125,33 @@ def jacobian_dq0_dqt(path: QuarticPath):
     return (1.0 + qt * qt) * det_l / (2.0 * _TWO_PI * slope_factor)
 
 
-def _z2_quartic_integrand(params: ReducedParams, check_routes: bool):
-    """The one-loop q_t integrand over an array of turning values q_t > 0,
-    from one path family; with check_routes, every node's determinants
-    are then re-derived from the canonical pairs (once they are known to
-    be finite: an overflow is reported as such, not as a mismatch)."""
-    g, D = params.g, params.D
-    Theta = params.Theta
-
-    def integrand(qt) -> np.ndarray:
-        path = quartic_path_from_qt(np.atleast_1d(qt), Theta)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                         divide="ignore"):
-            det_l = _det_longitudinal_closed(path)
-            det_t_pow = _det_transverse_closed(path) ** (D - 1)
-            weight = det_l * det_t_pow
-            # a product past the float range is taken apart, not read as 0
-            root = np.where(np.isfinite(weight), np.sqrt(weight),
-                            np.sqrt(det_l) * np.sqrt(det_t_pow))
-            value = (jacobian_dq0_dqt(path) * path.q0 ** (D - 1)
-                     * np.exp(-quartic_action(path) / g) / root)
-        # large D and Theta push det_t^(D-1) past the float range, and at
-        # Theta ~ 700 the closed-form determinants overflow
-        bad = ~(np.isfinite(det_l) & np.isfinite(det_t_pow) & np.isfinite(value))
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise QuadratureError(
-                f"one-loop integrand overflows at q_t={float(path.q_t[i])!r} for "
-                f"D={D}, Theta={Theta!r} (Delta_l {float(det_l[i])!r}, "
-                f"Delta_t^(D-1) {float(det_t_pow[i])!r}, integrand "
-                f"{float(value[i])!r})")
-        if check_routes:
-            det_longitudinal(path)
-            det_transverse(path)
-        return value
-
-    return integrand
+def _log_integrand(params: ReducedParams, qt: np.ndarray, check_routes: bool):
+    """ln f = ln J + (D-1) ln q0 + front of the one-loop q_t integrand f
+    over an array of turning values q_t > 0, from one path family, where
+    front = -I/g - (ln Delta_l + (D-1) ln Delta_t)/2 is the integrand's
+    q0-form factor.  Returns (family, ln f, front).  A non-finite ln f
+    (the closed forms overflow at Theta ~ 680) is reported as such before
+    check_routes re-derives every node's determinants from the canonical
+    pairs, so an overflow is never read as a route mismatch."""
+    g, D, Theta = params.g, params.D, params.Theta
+    path = quartic_path_from_qt(qt, Theta)
+    with np.errstate(all="ignore"):
+        det_l = _det_longitudinal_closed(path)
+        det_t = _det_transverse_closed(path)
+        front = -quartic_action(path) / g - 0.5 * (np.log(det_l)
+                                                   + (D - 1) * np.log(det_t))
+        log_f = np.log(jacobian_dq0_dqt(path)) + (D - 1) * np.log(path.q0) + front
+    bad = ~np.isfinite(log_f)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise QuadratureError(
+            f"one-loop integrand overflows at q_t={float(path.q_t[i])!r} for "
+            f"D={D}, Theta={Theta!r} (Delta_l {float(det_l[i])!r}, "
+            f"Delta_t {float(det_t[i])!r}, ln integrand {float(log_f[i])!r})")
+    if check_routes:
+        det_longitudinal(path)
+        det_transverse(path)
+    return path, log_f, front
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK's qk21; Piessens et
@@ -237,33 +229,23 @@ def _gauss_kronrod(f, edges, rtol: float):
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
 
 
-def _quartic_u(q: float) -> float:
-    return 0.5 * q * q + 0.25 * q ** 4
-
-
-def _tail_bound(params: ReducedParams, q_cut: float) -> float:
-    """Bound on the neglected [q_cut, q_Theta) piece, written as a q0
-    integral.  Along the fixed-Theta family U(q0) - U(q_t) never
-    decreases (dq_t/dq0 < 1 and U' is increasing), so
-    dI/dq0 >= 2 sqrt(2 [U(q0(q_cut)) - U(q_cut)]) on the whole tail, and
-    the determinants only grow; the integrand is dominated by a decaying
-    exponential with polynomial prefactor (closed form below)."""
+def _ln_tail_bound(params: ReducedParams, q0: float, q_cut: float,
+                   front: float) -> float:
+    """ln of a bound on the neglected [q_cut, q_Theta) piece, written as a
+    q0 integral, from q0 and the q0-form front at the cut.  Along the
+    fixed-Theta family U(q0) - U(q_t) never decreases (dq_t/dq0 < 1 and
+    U' is increasing), so dI/dq0 >= 2 sqrt(2 [U(q0(q_cut)) - U(q_cut)])
+    on the whole tail, and the determinants only grow; the integrand is
+    dominated by a decaying exponential with polynomial prefactor (closed
+    form below)."""
     g, D = params.g, params.D
-    path = quartic_path_from_qt(q_cut, params.Theta)
-    q0 = path.q0
-    gap = _quartic_u(q0) - _quartic_u(q_cut)
+    gap = 0.5 * (q0 * q0 - q_cut * q_cut) + 0.25 * (q0 ** 4 - q_cut ** 4)
     if gap <= 0.0:
         return math.inf
     decay = 2.0 * math.sqrt(2.0 * gap) / g
-    det_l = _det_longitudinal_closed(path)
-    det_t = _det_transverse_closed(path)
-    log_front = -quartic_action(path) / g - 0.5 * (math.log(det_l)
-                                                   + (D - 1) * math.log(det_t))
-    if log_front < -700.0:
-        return 0.0
     poly = sum(math.comb(D - 1, j) * q0 ** (D - 1 - j) * math.factorial(j)
                / decay ** (j + 1) for j in range(D))
-    return math.exp(log_front) * poly
+    return front + math.log(poly)
 
 
 def _check_tol(tol: float) -> None:
@@ -275,7 +257,9 @@ def _check_tol(tol: float) -> None:
 def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     """One-loop partition function of the quartic well: the q_t integral
     of jacobian * q0^(D-1) * exp(-I/g) * (Delta_l Delta_t^(D-1))^(-1/2)
-    over [0, q_Theta), times the angular and coupling prefactors.
+    over [0, q_Theta), times the angular and coupling prefactors.  Raises
+    QuadratureError, naming ln Z2, where Z2 leaves the normal float range
+    (at D = 8, g = 0.5 from Theta ~ 177, where Z2 ~ e^(-D Theta/2)).
 
     The one-loop Z carries an O(g) error and is not promised to make ln Z
     convex in Theta, so the C(T) derived from it may dip below zero at
@@ -301,31 +285,37 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
         np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
         np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
     ]))
-    values = _z2_quartic_integrand(params, check_routes=False)(scan)
-    logs = np.full(scan.shape, -math.inf)
-    logs[values > 0.0] = np.log(values[values > 0.0])
+    family, logs, front = _log_integrand(params, scan, check_routes=False)
     i_peak = int(np.argmax(logs))
-    log_peak = logs[i_peak]
-    if not math.isfinite(log_peak):
-        raise QuadratureError("quartic integrand vanished on the scan grid")
+    log_peak = float(logs[i_peak])
     q_peak = float(scan[i_peak])
-
-    above = np.nonzero((scan > q_peak) & (logs < log_peak - 40.0))[0]
-    q_cut = float(scan[above[0]]) if above.size else 0.9995 * q_cap
+    # the last scan node is 0.9995 q_cap, where the cut falls if the
+    # integrand never drops 40 e-folds past the peak
+    above = np.flatnonzero((scan > q_peak) & (logs < log_peak - 40.0))
+    i_cut = int(above[0]) if above.size else scan.size - 1
+    q_cut = float(scan[i_cut])
 
     inner = [q for q in (q_peak, 0.5 * q_cut, 2.0 * sigma) if 0.0 < q < q_cut]
-    val, err = _gauss_kronrod(_z2_quartic_integrand(params, check_routes=True),
-                              [0.0] + sorted(set(inner)) + [q_cut], 0.5 * tol)
+    val, err = _gauss_kronrod(
+        lambda q: np.exp(_log_integrand(params, q, check_routes=True)[1] - log_peak),
+        [0.0] + sorted(set(inner)) + [q_cut], 0.5 * tol)
     if not val > 0.0 or err > tol * val:
         raise QuadratureError(
-            f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e}, "
-            f"requested relative {tol:.1e}")
-    tail = _tail_bound(params, q_cut)
-    if tail > tol * val:
+            f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
+            f"(peak scaled to 1), requested relative {tol:.1e}")
+    ln_val = math.log(val) + log_peak
+    ln_tail = _ln_tail_bound(params, float(family.q0[i_cut]), q_cut,
+                             float(front[i_cut]))
+    if ln_tail > math.log(tol) + ln_val:
         raise QuadratureError(
-            f"tail bound {tail:.3e} beyond q_t={q_cut:.6g} exceeds tolerance "
-            f"{tol:.1e} on value {val:.6e}")
-    return _angular_prefactor(D) * g ** (-0.5 * D) * val
+            f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "
+            f"tolerance {tol:.1e} on value e^{ln_val:.6g}")
+    ln_z2 = math.log(_angular_prefactor(D)) - 0.5 * D * math.log(g) + ln_val
+    if not _LN_TINY <= ln_z2 <= _LN_HUGE:
+        raise QuadratureError(
+            f"Z2 leaves the normal float range at D={D}, Theta={Theta!r}: "
+            f"ln Z2 = {ln_z2!r}")
+    return math.exp(ln_z2)
 
 
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:

@@ -256,6 +256,15 @@ class TestMain:
         assert "steps='abc'" in err
         assert out == ""
 
+    def test_unknown_config_file_key(self, tmp_path, capsys):
+        # a misspelt key was once dropped silently and tmin kept its default
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text("mode=harmonic\ntmni=0.2\n")
+        code, out, err = run_main(["run", f"--config={cfg_file}", "--steps=2"], capsys)
+        assert code == 2
+        assert f"{cfg_file}:2: unknown key 'tmni'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag", ["--g=inf", "--tol=nan", "--tol=inf",
                                       "--tmin=nan", "--tmax=inf"])
     def test_non_finite_flag_exit_code(self, flag, capsys):

@@ -82,6 +82,16 @@ class TestHarmonic:
         with pytest.raises(DomainError):
             harmonic_trajectory(1.0, 2.0, -0.1)
 
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, -1.0])
+    def test_endpoint_must_be_finite_and_non_negative(self, r0):
+        # r0 < 0 alone let NaN and inf through: harmonic_action(nan, 1.0)
+        # was nan and shoot_radial_path ended in a bare scipy ValueError
+        for call in (lambda: harmonic_trajectory(r0, 1.0, 0.5),
+                     lambda: harmonic_action(r0, 1.0),
+                     lambda: shoot_radial_path(quartic_well(), r0, 1.0)):
+            with pytest.raises(DomainError, match=f"r0={r0!r} must be finite"):
+                call()
+
     def test_action_values(self):
         assert harmonic_action(0.0, 1.0) == 0.0
         assert harmonic_action(1.0, 400.0) == pytest.approx(1.0, rel=1e-14)

@@ -35,8 +35,8 @@ from sct.paths import (
 from sct.thermo import (
     _angular_prefactor,
     _gauss_kronrod,
+    _log_integrand,
     _phase_integral,
-    _z2_quartic_integrand,
     jacobian_dq0_dqt,
     ln_z_classical,
     ln_z_harmonic,
@@ -168,15 +168,16 @@ class TestZ2Quartic:
     def test_integrand_small_qt_scaling(self):
         # integrand / q_t^(D-1) tends to a finite positive constant
         params = ReducedParams(0.5, 3, 1.0)
-        f = _z2_quartic_integrand(params, check_routes=False)
-        scaled = [f(qt) / qt ** 2 for qt in (1e-3, 1e-4, 1e-5)]
-        assert scaled[0] == pytest.approx(scaled[1], rel=1e-4)
-        assert scaled[1] == pytest.approx(scaled[2], rel=1e-4)
+        qt = np.array([1e-3, 1e-4, 1e-5])
+        _, log_f, _ = _log_integrand(params, qt, check_routes=False)
+        scaled = log_f - 2.0 * np.log(qt)
+        assert scaled[0] == pytest.approx(scaled[1], abs=1e-4)
+        assert scaled[1] == pytest.approx(scaled[2], abs=1e-4)
         # the limit is cosh(Th/2)^D / (2 pi sinh Th)^(D/2) * cosh(Th/2)^(D-1 -> via q0)
         Theta = 1.0
         limit = (math.cosh(0.5 * Theta) ** 3
                  / (2.0 * math.pi * math.sinh(Theta)) ** 1.5)
-        assert scaled[2] == pytest.approx(limit, rel=1e-3)
+        assert scaled[2] == pytest.approx(math.log(limit), abs=1e-3)
 
     def test_rejects_zero_coupling(self):
         with pytest.raises(DomainError):
@@ -215,7 +216,7 @@ class TestZ2Quartic:
     @pytest.mark.parametrize("point", [(0.5, 1, 10.0), (0.5, 3, 1.0), (0.2, 1, 0.1)])
     def test_path_builds_and_kernel_calls_per_call(self, monkeypatch, point):
         # the scan and each quadrature round are one array-kernel call each;
-        # scalar paths are built only for the tail bound
+        # the tail bound reads the scan's family, so no scalar path is built
         counts = Counter()
         build = sct.thermo.quartic_path_from_qt
         kernel = sct.paths._sn_cn_dn_eps_k
@@ -237,8 +238,8 @@ class TestZ2Quartic:
         monkeypatch.setattr(sct.paths, "_sn_cn_dn_eps_k", counted_kernel)
         monkeypatch.setattr(sct.paths, "jacobi_sn_cn_dn", counted_scalar_kernel)
         z2_quartic(ReducedParams(*point))
-        assert counts["scalar"] <= 2
-        assert counts["scalar kernel"] <= 2 * counts["scalar"]
+        assert counts["scalar"] == 0
+        assert counts["scalar kernel"] == 0
         assert 2 <= counts["kernel"] == counts["array"] <= 6
 
     @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
@@ -273,14 +274,29 @@ class TestZ2Quartic:
         # with or without the route check, that is an overflow naming the
         # node, not a route mismatch
         Theta = 700.0
-        f = _z2_quartic_integrand(ReducedParams(0.5, 1, Theta), check_routes)
         q_t = 0.99 * q_theta_max(Theta)
         with pytest.raises(QuadratureError,
                            match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
-            f(np.array([q_t]))
+            _log_integrand(ReducedParams(0.5, 1, Theta), np.array([q_t]),
+                           check_routes)
 
     def test_overflow_is_a_quadrature_error(self):
         with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
+            z2_quartic(ReducedParams(0.5, 8, 200.0))
+
+    @pytest.mark.parametrize("g,D,Theta1,Theta2", [(0.5, 8, 100.0, 170.0),
+                                                   (10.0, 3, 340.0, 460.0)])
+    def test_ground_state_past_the_transverse_overflow(self, g, D, Theta1, Theta2):
+        # ln Z2 -> -D Theta/2 + const; the product Delta_l Delta_t^(D-1)
+        # overflowed here before the integrand was carried as its log
+        lnz1, lnz2 = (math.log(z2_quartic(ReducedParams(g, D, Theta)))
+                      for Theta in (Theta1, Theta2))
+        assert lnz2 - lnz1 == pytest.approx(-0.5 * D * (Theta2 - Theta1), abs=1e-9)
+
+    def test_z2_below_the_float_range_is_a_quadrature_error(self):
+        # ln Z2 = -802 at (0.5, 8, 200): the integral has a value, Z2 does not
+        with pytest.raises(QuadratureError,
+                           match=r"normal float range at D=8, Theta=200\.0: ln Z2 = -802\."):
             z2_quartic(ReducedParams(0.5, 8, 200.0))
 
     @pytest.mark.parametrize("Theta,match", [
