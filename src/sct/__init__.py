@@ -56,6 +56,7 @@ from .thermo import (
     jacobian_dq0_dqt,
     ln_z_classical,
     ln_z_harmonic,
+    ln_z_wkb,
     specific_heat,
     thermo_curve,
     wkb_levels,

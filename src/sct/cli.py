@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,12 +29,13 @@ import numpy as np
 from .errors import SctError, TruncationError
 from .paths import ReducedParams
 from .thermo import (
+    WkbSpectrum,
+    _wkb_level_stream,
     ln_z_classical,
     ln_z_harmonic,
+    ln_z_wkb,
     specific_heat,
-    wkb_levels,
     z2_quartic,
-    z_wkb,
 )
 
 MODES = ("harmonic", "quartic-semiclassical", "quartic-classical", "quartic-wkb")
@@ -78,20 +80,24 @@ class RunConfig:
         return np.linspace(self.T_min, self.T_max, self.T_steps)
 
 
-def _wkb_lnz(config: RunConfig):
-    # the spectrum must cover the hottest probe of the stencil, with margin
+def _wkb_spectrum(config: RunConfig) -> WkbSpectrum:
+    """The Bohr-Sommerfeld spectrum that covers the hottest probe of the
+    stencil, with margin: n_max doubles from 32, and each doubling solves
+    only the levels it adds (the spectrum is wkb_levels(g, n_max))."""
     theta_floor = 0.95 / config.T_max
+    stream = _wkb_level_stream(config.g)
+    levels = []
     n_max = 32
     while True:
-        spectrum = wkb_levels(config.g, n_max)
+        levels.extend(itertools.islice(stream, n_max + 1 - len(levels)))
+        spectrum = WkbSpectrum(tuple(levels), config.g, n_max)
         try:
-            z_wkb(spectrum, theta_floor)
-            break
+            ln_z_wkb(spectrum, theta_floor)
+            return spectrum
         except TruncationError:
             if n_max >= 8192:
                 raise
             n_max *= 2
-    return lambda theta: math.log(z_wkb(spectrum, theta))
 
 
 def lnz_function(config: RunConfig):
@@ -112,7 +118,8 @@ def _lnz_of_mode(config: RunConfig):
         return lambda theta: ln_z_classical(
             ReducedParams(config.g, config.D, theta), tol=tol)
     if config.mode == "quartic-wkb":
-        return _wkb_lnz(config)
+        spectrum = _wkb_spectrum(config)
+        return lambda theta: ln_z_wkb(spectrum, theta)
     raise ConfigError(f"unknown mode {config.mode!r}")
 
 

@@ -24,6 +24,14 @@ the integrand has dropped ~40 e-folds below it (it vanishes at q_Theta);
 the remainder is controlled by an analytic tail bound read from the
 scan's values at the cut, reported and never silently added.
 
+The classical Z is carried as its log too.  The radius is scaled by
+s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), so that the integrand
+x^(D-1) exp(-(a + b x^2) x^2) has a <= 1/2 and b <= 1, one of them at its
+bound.  A composite Gauss-Kronrod 21 rule on [0, U(D)], built once per D,
+sums exp(ln f - max ln f) in one array pass; a bound on QUADPACK's error
+estimate plus an analytic Gaussian bound on the tail beyond U must meet
+tol, else the adaptive rule refines the same panels.
+
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step; the error estimate rides
 along with the value.
@@ -31,8 +39,10 @@ along with the value.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -318,24 +328,108 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     return math.exp(ln_z2)
 
 
-def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
-    """Classical partition function (2 pi Theta)^(-D/2) int d^D x e^(-Theta V),
-    radial form; V(r) = r^2/2 + g r^4/4 in reduced units."""
-    _check_tol(tol)
-    g, D, Theta = params.g, params.D, params.Theta
+# the classical radial rule: _CL_PANELS equal Gauss-Kronrod 21 panels on
+# [0, 1] (their edges, half-width and nodes t), scaled onto [0, U(D)]
+_CL_PANELS = 32
+_CL_EDGES = np.linspace(0.0, 1.0, _CL_PANELS + 1)
+_CL_HALF = 0.5 / _CL_PANELS
+_CL_T = 0.5 * (_CL_EDGES[:-1] + _CL_EDGES[1:])[:, None] + _CL_HALF * _GK_NODES
+_GK_KRONROD_GAUSS = _GK_KRONROD - _GK_GAUSS
+_LN4 = math.log(4.0)
+# the tail beyond U is bounded e^-40 below the least scaled integral
+_CL_TAIL_EFOLDS = 40.0
+_CL_LN_FLOOR = -700.0
 
-    def integrand(r):
-        return r ** (D - 1) * math.exp(-Theta * (0.5 * r * r + 0.25 * g * r ** 4))
 
-    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
-    if err > 10.0 * tol * abs(val):
-        raise QuadratureError(
-            f"classical integral: error estimate {err:.3e} above tolerance")
-    return (_TWO_PI * Theta) ** (-0.5 * D) * _angular_prefactor(D) * val
+@functools.lru_cache(maxsize=None)
+def _classical_rule(D: int):
+    """The classical radial rule for dimension D: its end U, ln of a bound
+    T on the integral beyond U, and the rows (D-1) ln x, -x^2, -x^4, -1 at
+    its nodes x = U t, so that ln f - c = (1, a, b, c) @ rows.
+
+    For x >= U >= 1/sqrt(2) the integrand x^(D-1) exp(-(a + b x^2) x^2)
+    is at most x^(D-1) e^(-x^2/2) (a = 1/2, or b = 1 and x^4 >= x^2/2),
+    whose integral over [U, inf) is
+    2^(D/2-1) Gamma(D/2, U^2/2) <= U^(D-2) e^(-U^2/2) / (1 - (D-2)/U^2)
+    (the last factor for D >= 3 only, U^2 > D - 2).  U is the first point
+    of a 2 % ladder from sqrt(D) + 1 where T lies _CL_TAIL_EFOLDS below the
+    least the integral can be: from x^2/2 <= (1 + x^4)/4 it is at least
+    e^(-1/4) Gamma(D/4) (5/4)^(-D/4) / 4."""
+    ln_floor = -0.25 - _LN4 - 0.25 * D * math.log(1.25) + math.lgamma(0.25 * D)
+    U = math.sqrt(D) + 1.0
+    while True:
+        ln_tail = ((D - 2) * math.log(U) - 0.5 * U * U
+                   - math.log1p(-max(D - 2, 0) / (U * U)))
+        if ln_tail <= ln_floor - _CL_TAIL_EFOLDS:
+            break
+        U *= 1.02
+    x = U * _CL_T.ravel()
+    rows = np.stack([(D - 1) * np.log(x), -x ** 2, -x ** 4, -np.ones_like(x)])
+    return U, ln_tail, rows
+
+
+def _scaled_radial_integral(D: int, a: float, b: float, tol: float):
+    """(ln I, relative error estimate) of I = int_0^inf x^(D-1)
+    exp(-(a + b x^2) x^2) dx for a <= 1/2, b <= 1, one at its bound.
+
+    The precomputed rule sums exp(ln f - ln f_max) over [0, U(D)], ln f_max
+    in closed form, in one pass.  A panel's QUADPACK error estimate is at
+    most 200 times its Kronrod - Gauss difference d (the largest
+    min(r, (200 d)^1.5 / sqrt(r)) over r is 200 d) plus the 50 eps
+    rounding floor, so that bound plus the tail bound must be within tol
+    of I; else the adaptive rule, which starts from QUADPACK's own
+    estimate on the same panels, must be, else QuadratureError."""
+    U, ln_tail, rows = _classical_rule(D)
+    # ln f is largest at x^2 = y, the positive root of 4b y^2 + 2a y = D-1
+    # (at x = 0, where ln f = 0, for D = 1)
+    peak = 0.0
+    if D > 1:
+        y = 2.0 * (D - 1) / (2.0 * a + math.sqrt(4.0 * a * a + 16.0 * b * (D - 1)))
+        peak = 0.5 * (D - 1) * math.log(y) - (a + b * y) * y
+    # floored at e^-700, which changes I by less than U e^-700 but keeps
+    # subnormals (slow in exp and in the sums) out of the pass
+    ln_f = np.maximum(np.array([1.0, a, b, peak]) @ rows, _CL_LN_FLOOR)
+    fx = np.exp(ln_f).reshape(_CL_PANELS, -1)
+    half = U * _CL_HALF
+    val = half * float(np.add.reduce(fx @ _GK_KRONROD))
+    err = (200.0 * half * float(np.add.reduce(np.abs(fx @ _GK_KRONROD_GAUSS)))
+           + 50.0 * _EPS * val)
+    rel = err / val + math.exp(ln_tail - peak - math.log(val))
+    if rel > tol:
+        val, err = _gauss_kronrod(
+            lambda x: np.exp((D - 1) * np.log(x) - (a + b * x * x) * x * x - peak),
+            U * _CL_EDGES, 0.5 * tol)
+        rel = err / val + math.exp(ln_tail - peak - math.log(val))
+        if rel > tol:
+            raise QuadratureError(
+                f"classical radial integral at D={D}, a={a!r}, b={b!r}: "
+                f"relative error estimate {rel:.3e} above tolerance {tol:.1e}")
+    return math.log(val) + peak, rel
 
 
 def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
-    return math.log(z_classical(params, tol))
+    """ln of the classical partition function (2 pi Theta)^(-D/2) int d^D x
+    e^(-Theta V), V(r) = r^2/2 + g r^4/4 in reduced units.  With r = s x,
+    s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), it is
+    -(D/2) ln(2 pi Theta) + ln S_D + D ln s + ln I, where I is the scaled
+    radial integral (_scaled_radial_integral), so no Theta overflows."""
+    _check_tol(tol)
+    g, D, Theta = params.g, params.D, params.Theta
+    if g <= 4.0 * Theta:
+        ln_s, a, b = -0.5 * math.log(Theta), 0.5, 0.25 * g / Theta
+    else:
+        ln_s = 0.25 * (_LN4 - math.log(g) - math.log(Theta))
+        a, b = math.sqrt(Theta / g), 1.0
+    ln_i, _ = _scaled_radial_integral(D, a, b, tol)
+    ln_surface = _LN2 + 0.5 * D * math.log(math.pi) - math.lgamma(0.5 * D)
+    return -0.5 * D * math.log(_TWO_PI * Theta) + ln_surface + D * ln_s + ln_i
+
+
+def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
+    """Classical partition function, exp of ln_z_classical: the radius
+    scaled to the potential's own width, a precomputed composite
+    Gauss-Kronrod rule, log-space assembly and an analytic tail bound."""
+    return math.exp(ln_z_classical(params, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +461,30 @@ def _phase_integral(energy: float, g: float) -> float:
 @dataclass(frozen=True)
 class WkbSpectrum:
     """Bohr-Sommerfeld levels E_0..E_{n_max} of the one-dimensional
-    quartic well, each solving  (phase integral)(E_n) = 2 pi (n + 1/2)."""
+    quartic well, each solving  (phase integral)(E_n) = 2 pi (n + 1/2).
+    The levels are also kept as an array, built once, for the sums."""
 
     levels: tuple
     g: float
     n_max: int
+    _energies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.levels) != self.n_max + 1:
+        energies = np.asarray(self.levels, dtype=float)
+        if energies.size != self.n_max + 1:
             raise DomainError("level count does not match n_max")
-        if self.levels[0] <= 0.0:
+        if energies[0] <= 0.0:
             raise DomainError("ground state must be positive")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if np.any(energies[1:] <= energies[:-1]):
             raise DomainError("levels must be strictly increasing")
+        object.__setattr__(self, "_energies", energies)
 
 
-def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
-    """Solve the Bohr-Sommerfeld condition for levels 0..n_max (D = 1).
-
-    This is the lowest-order rule: it quantizes the classical energy
-    E(I) = I + (3g/8) I^2 - (17g^2/64) I^3 + ... at action I = n + 1/2,
-    so at small g the ground state is E_0 ~ 1/2 + 3g/32, not the quantum
-    first-order 1/2 + 3g/16 (that shift needs higher-order WKB terms)."""
-    if g < 0.0:
-        raise DomainError(f"g={g!r} must be >= 0")
-    if n_max < 0:
-        raise DomainError(f"n_max={n_max!r} must be >= 0")
-    levels = []
+def _wkb_level_stream(g: float):
+    """Bohr-Sommerfeld levels E_0, E_1, ... in order, each solved once,
+    bracketed from the level below; g >= 0 is the caller's check."""
     lo = 1e-12
-    for n in range(n_max + 1):
+    for n in itertools.count():
         target = _TWO_PI * (n + 0.5)
         hi = max(2.0 * (n + 1.0), lo * 2.0)
         for _ in range(200):
@@ -413,18 +502,34 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
         if resid > 1e-9:
             raise ConvergenceError(
                 f"level {n}: quantization residual {resid:.3e} above 1e-9")
-        levels.append(energy)
+        yield energy
         lo = energy
-    return WkbSpectrum(tuple(levels), g, n_max)
 
 
-def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
-    """Partition sum over the Bohr-Sommerfeld spectrum.  Raises
-    TruncationError unless the first omitted level (bounded below by
-    linear extrapolation; level spacing never decreases for this well)
-    would contribute less than 1e-16 of the partial sum."""
+def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
+    """Solve the Bohr-Sommerfeld condition for levels 0..n_max (D = 1).
+
+    This is the lowest-order rule: it quantizes the classical energy
+    E(I) = I + (3g/8) I^2 - (17g^2/64) I^3 + ... at action I = n + 1/2,
+    so at small g the ground state is E_0 ~ 1/2 + 3g/32, not the quantum
+    first-order 1/2 + 3g/16 (that shift needs higher-order WKB terms)."""
+    if g < 0.0:
+        raise DomainError(f"g={g!r} must be >= 0")
+    if n_max < 0:
+        raise DomainError(f"n_max={n_max!r} must be >= 0")
+    levels = tuple(itertools.islice(_wkb_level_stream(g), n_max + 1))
+    return WkbSpectrum(levels, g, n_max)
+
+
+def ln_z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
+    """ln of the partition sum over the Bohr-Sommerfeld spectrum,
+    -Theta E_0 + ln sum_n e^(-Theta (E_n - E_0)), in log space so large
+    Theta cannot underflow.  Raises TruncationError unless the first
+    omitted level (bounded below by linear extrapolation; level spacing
+    never decreases for this well) would contribute less than 1e-16 of
+    the partial sum."""
     _check_theta(Theta)
-    energies = np.asarray(spectrum.levels)
+    energies = spectrum._energies
     e0 = energies[0]
     partial = float(np.exp(-Theta * (energies - e0)).sum())
     e_next = (2.0 * energies[-1] - energies[-2] if len(energies) >= 2
@@ -433,7 +538,12 @@ def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
         raise TruncationError(
             f"spectrum truncated at n_max={spectrum.n_max} is too short at "
             f"Theta={Theta}: next level ~{e_next:.4g} still contributes")
-    return math.exp(-Theta * e0) * partial
+    return -Theta * float(e0) + math.log(partial)
+
+
+def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
+    """Partition sum over the Bohr-Sommerfeld spectrum, exp of ln_z_wkb."""
+    return math.exp(ln_z_wkb(spectrum, Theta))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ import sys
 import pytest
 
 import sct.cli
+import sct.thermo
 from sct.cli import ConfigError, RunConfig, compare, main, run
+from sct.paths import ReducedParams
+from sct.thermo import specific_heat, wkb_levels
 
 
 def run_main(argv, capsys):
@@ -290,6 +293,28 @@ class TestMain:
         for _, _, c, c_err in rows:
             assert abs(c - 3.0) <= c_err
 
+    def test_reference_modes_at_extreme_temperature(self, capsys):
+        for argv in (
+                # Theta = 5e7 and 1e8: adaptive quadrature over [0, inf)
+                # missed the peak and returned 0, and math.log(0) raised a
+                # bare ValueError
+                ["--mode=quartic-classical", "--g=0.5", "--dim=3",
+                 "--tmin=1e-8", "--tmax=2e-8"],
+                # Theta = 500 and 1e4: the partition sum underflowed to 0
+                ["--mode=quartic-wkb", "--g=0.2", "--dim=1", "--tmin=1e-4",
+                 "--tmax=2e-3"]):
+            code, out, err = run_main(["run", *argv, "--steps=2"], capsys)
+            assert code == 0, err
+            _, rows = parse_csv(out)
+            assert len(rows) == 2
+            assert all(math.isfinite(v) for row in rows for v in row)
+        # g = 0.5, D = 8, Theta = 1e-60, where the classical C is 3D/4 to
+        # ~1e-30: the integral's error estimate was 3e77; the stencil's own
+        # step (a quarter of Theta here) limits C
+        lnz = lambda th: sct.cli.ln_z_classical(ReducedParams(0.5, 8, th))
+        c, c_err = specific_heat(lnz, 1e-60)
+        assert abs(c - 6.0) <= c_err <= 3e-3
+
     def test_large_theta_exit_code(self, capsys):
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--tmin=0.0006",
@@ -310,3 +335,21 @@ class TestMain:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("T,lnZ,C,C_err")
+
+
+def test_wkb_spectrum_solves_each_level_once(monkeypatch):
+    # T_max = 30 needs 512 levels; doubling 32 -> 512 once re-solved every
+    # level at each size, 33 + 65 + ... + 513 = 992 root finds
+    solves = []
+    brentq = sct.thermo.brentq
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(sct.thermo, "brentq", counted)
+    config = RunConfig(mode="quartic-wkb", g=0.2, D=1, T_min=0.1, T_max=30.0)
+    spectrum = sct.cli._wkb_spectrum(config)
+    assert (spectrum.n_max, len(solves)) == (512, 513)
+    monkeypatch.undo()
+    assert spectrum == wkb_levels(0.2, 512)

@@ -1,9 +1,10 @@
 """Tests for the Jacobi elliptic / elliptic integral layer.
 
-Oracles used here are independent of the production path: adaptive
-quadrature of the defining integrals, numerical inversion of the
-incomplete integral of the first kind, scipy.special.ellipj as a
-third-party implementation, and mpmath at 30 digits.
+Oracles used here are independent of the production path: mpmath's
+incomplete integrals and functions at 30 digits, numerical inversion of
+the incomplete integral of the first kind, adaptive quadrature of
+epsilon's defining integral, and scipy.special.ellipj as a third-party
+implementation.
 """
 
 import math
@@ -31,20 +32,16 @@ from sct.paths import _modulus_and_scale, q_theta_max
 U_GRID = np.linspace(-5.0, 5.0, 81)
 
 
-def ellipf_quadrature(phi, k):
-    """Incomplete integral of the first kind by adaptive quadrature."""
-    val, err = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                    0.0, phi, epsabs=1e-15, epsrel=1e-14, limit=200)
-    assert err < 1e-12
-    return val
+def ellipf_mpmath(phi, k):
+    """Incomplete integral of the first kind, mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.ellipf(phi, mpmath.mpf(k) ** 2))
 
 
-def ellipe_quadrature(phi, k):
-    """Incomplete integral of the second kind by adaptive quadrature."""
-    val, err = quad(lambda t: math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                    0.0, phi, epsabs=1e-15, epsrel=1e-14, limit=200)
-    assert err < 1e-12
-    return val
+def ellipe_mpmath(phi, k):
+    """Incomplete integral of the second kind, mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return float(mpmath.ellipe(phi, mpmath.mpf(k) ** 2))
 
 
 class TestJacobiFunctions:
@@ -60,7 +57,7 @@ class TestJacobiFunctions:
     def test_against_inversion_of_first_kind_integral(self):
         # sn(u, k) = sin(phi) where u = F(phi, k); invert F numerically.
         u, k = 0.7, 0.9
-        phi = brentq(lambda p: ellipf_quadrature(p, k) - u, 0.0, 1.5,
+        phi = brentq(lambda p: ellipf_mpmath(p, k) - u, 0.0, 1.5,
                      xtol=1e-15, rtol=8.9e-16)
         sn, cn, dn = jacobi_sn_cn_dn(u, k)
         assert sn == pytest.approx(math.sin(phi), abs=1e-13)
@@ -250,10 +247,10 @@ class TestCompleteK:
         assert complete_K(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
 
     def test_lemniscatic_value(self):
-        # AGM value, cross-checked against quadrature of the defining integral.
+        # AGM value, cross-checked against mpmath's incomplete integral at pi/2.
         k = 1.0 / math.sqrt(2.0)
         assert complete_K(k) == pytest.approx(1.85407467730137, rel=1e-12)
-        assert complete_K(k) == pytest.approx(ellipf_quadrature(math.pi / 2, k), rel=1e-12)
+        assert complete_K(k) == pytest.approx(ellipf_mpmath(math.pi / 2, k), rel=1e-12)
 
     def test_log_divergence_near_one(self):
         m1 = 1e-10
@@ -285,11 +282,11 @@ class TestIncompleteE:
             assert float(_carlson_e(1.0, 0.0, k)) == pytest.approx(ellipe(k * k), rel=1e-14)
 
     def test_against_quadrature(self):
-        assert self.e(0.9, 0.95) == pytest.approx(ellipe_quadrature(0.9, 0.95), rel=1e-12)
+        assert self.e(0.9, 0.95) == pytest.approx(ellipe_mpmath(0.9, 0.95), rel=1e-12)
         for phi in (0.2, 0.7, 1.3):
             for k in (0.1, 0.6, 0.99):
                 assert self.e(phi, k) == pytest.approx(
-                    ellipe_quadrature(phi, k), rel=1e-12, abs=1e-14)
+                    ellipe_mpmath(phi, k), rel=1e-12, abs=1e-14)
 
     def test_monotone_in_phi_and_modulus(self):
         phis = np.linspace(0.05, math.pi / 2 - 0.05, 20)

@@ -40,6 +40,7 @@ from sct.thermo import (
     jacobian_dq0_dqt,
     ln_z_classical,
     ln_z_harmonic,
+    ln_z_wkb,
     specific_heat,
     thermo_curve,
     wkb_levels,
@@ -88,6 +89,7 @@ class TestThetaDomain:
             "ln_z_harmonic": lambda: ln_z_harmonic(1, Theta),
             "z2_harmonic_integral": lambda: z2_harmonic_integral(1, Theta),
             "z_wkb": lambda: z_wkb(WkbSpectrum((0.5, 1.5), 0.0, 1), Theta),
+            "ln_z_wkb": lambda: ln_z_wkb(WkbSpectrum((0.5, 1.5), 0.0, 1), Theta),
             "specific_heat": lambda: specific_heat(lnz, Theta),
         }
         for name, call in calls.items():
@@ -359,7 +361,89 @@ class TestGaussKronrod:
         assert len(calls) > 2 and all(n == 2 * 21 for n in calls)
 
 
+def ln_radial_mpmath(D, alpha, beta):
+    """ln int_0^inf r^(D-1) exp(-alpha r^2 - beta r^4) dr at 40 digits, in
+    closed form: with u = r^2 and nu = D/2 it is half of
+    Gamma(nu) (2 beta)^(-nu/2) e^(alpha^2 / (8 beta)) D_(-nu)(alpha / sqrt(2 beta))
+    (Gradshteyn & Ryzhik 3.462.1; D_(-nu) the parabolic cylinder function)."""
+    with mpmath.workdps(40):
+        alpha, beta, nu = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(D) / 2
+        z = alpha / mpmath.sqrt(2 * beta)
+        return (mpmath.log(mpmath.gamma(nu) * mpmath.pcfd(-nu, z) / 2)
+                - nu / 2 * mpmath.log(2 * beta) + z * z / 4)
+
+
+def ln_z_classical_mpmath(g, D, Theta):
+    with mpmath.workdps(40):
+        Theta, nu = mpmath.mpf(Theta), mpmath.mpf(D) / 2
+        ln_surface = mpmath.log(2 * mpmath.pi ** nu / mpmath.gamma(nu))
+        return (-nu * mpmath.log(2 * mpmath.pi * Theta) + ln_surface
+                + ln_radial_mpmath(D, Theta / 2, Theta * mpmath.mpf(g) / 4))
+
+
 class TestZClassical:
+    GRID = [(g, D, Theta) for g in (1e-6, 1e-3, 0.2, 10.0, 1e3)
+            for D in (1, 2, 3, 8, 32) for Theta in (1e-5, 0.03, 1.0, 10.0, 200.0)]
+
+    def test_against_mpmath(self, monkeypatch):
+        # every scaled integral the rule evaluates, with its error estimate
+        seen = []
+        radial = sct.thermo._scaled_radial_integral
+
+        def recorded(D, a, b, tol):
+            result = radial(D, a, b, tol)
+            seen.append((D, a, b, tol) + result)
+            return result
+
+        monkeypatch.setattr(sct.thermo, "_scaled_radial_integral", recorded)
+        worst = 0.0
+        for g, D, Theta in self.GRID:
+            got = ln_z_classical(ReducedParams(g, D, Theta), tol=1e-13)
+            want = ln_z_classical_mpmath(g, D, Theta)
+            worst = max(worst, abs(float(got - want)))
+        # ln Z to 1e-13 absolute, Z to 1e-13 relative
+        assert worst <= 1e-13
+        assert len(seen) == len(self.GRID)
+        for D, a, b, tol, ln_i, rel in seen:
+            # the estimate bounds the true error, and meets tol
+            true_rel = abs(float(mpmath.expm1(ln_i - ln_radial_mpmath(D, a, b))))
+            assert true_rel <= rel <= tol, (D, a, b)
+
+    def test_tolerance_is_met_or_raises(self):
+        # the rule's rounding floor is 50 eps ~ 1.1e-14 of the integral
+        params = ReducedParams(0.2, 3, 1.0)
+        with pytest.raises(QuadratureError, match="above tolerance"):
+            ln_z_classical(params, tol=1e-15)
+        assert ln_z_classical(params, tol=1e-13) == pytest.approx(
+            float(ln_z_classical_mpmath(0.2, 3, 1.0)), abs=1e-14)
+
+    def test_quartic_limit_where_a_underflows(self):
+        # g = 1e240, Theta = 1e-214: a = sqrt(Theta / g) underflows to 0, where
+        # the peak's root once divided 0 by 0; the scaled integral is then
+        # int x^(D-1) e^(-x^4) dx = Gamma(D/4) / 4
+        g, Theta = 1e240, 1e-214
+        for D in (1, 2, 3):
+            want = (-0.5 * D * math.log(2 * math.pi * Theta)
+                    + math.log(2 * math.pi ** (0.5 * D) / math.gamma(0.5 * D))
+                    + 0.25 * D * (math.log(4 / g) - math.log(Theta))
+                    + math.log(math.gamma(0.25 * D) / 4))
+            assert ln_z_classical(ReducedParams(g, D, Theta)) == pytest.approx(
+                want, rel=1e-14)
+
+    def test_large_dimension_uses_the_adaptive_rule(self, monkeypatch):
+        # at large D and b = 1 the peak is narrower than a fixed panel, the
+        # fixed rule's bound misses tol and the adaptive rule refines its
+        # panels; ln S_D comes from lgamma, so Gamma(D/2) cannot overflow
+        rounds = []
+        adaptive = sct.thermo._gauss_kronrod
+        monkeypatch.setattr(sct.thermo, "_gauss_kronrod",
+                            lambda *args: rounds.append(args) or adaptive(*args))
+        for D in (100, 1000):
+            got = ln_z_classical(ReducedParams(10.0, D, 0.03), tol=1e-12)
+            assert got == pytest.approx(
+                float(ln_z_classical_mpmath(10.0, D, 0.03)), rel=1e-13)
+        assert len(rounds) == 2
+
     def test_harmonic_limit(self):
         assert z_classical(ReducedParams(1e-12, 1, 2.0)) == pytest.approx(0.5, rel=1e-7)
 
@@ -440,6 +524,15 @@ class TestWkb:
         spectrum = wkb_levels(0.2, 3)
         with pytest.raises(TruncationError):
             z_wkb(spectrum, 0.2)
+
+    def test_ln_z_wkb_past_the_underflow(self):
+        spectrum = wkb_levels(0.2, 40)
+        for Theta in (1.0, 3.0, 40.0):
+            assert ln_z_wkb(spectrum, Theta) == pytest.approx(
+                math.log(z_wkb(spectrum, Theta)), rel=1e-15, abs=1e-15)
+        # z_wkb underflows to 0 here; its log is -Theta E_0 to rounding
+        assert z_wkb(spectrum, 1e4) == 0.0
+        assert ln_z_wkb(spectrum, 1e4) == -1e4 * spectrum.levels[0]
 
     def test_z_wkb_stable_under_doubling(self):
         g, Theta = 0.2, 5.0
