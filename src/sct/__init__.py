@@ -60,6 +60,7 @@ from .thermo import (
     specific_heat,
     thermo_curve,
     wkb_levels,
+    wkb_spectrum,
     z2_harmonic_integral,
     z2_quartic,
     z_classical,

@@ -19,22 +19,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SctError, TruncationError
+from .errors import SctError
 from .paths import ReducedParams
 from .thermo import (
-    WkbSpectrum,
-    _wkb_level_stream,
     ln_z_classical,
     ln_z_harmonic,
     ln_z_wkb,
     specific_heat,
+    wkb_spectrum,
     z2_quartic,
 )
 
@@ -80,26 +78,6 @@ class RunConfig:
         return np.linspace(self.T_min, self.T_max, self.T_steps)
 
 
-def _wkb_spectrum(config: RunConfig) -> WkbSpectrum:
-    """The Bohr-Sommerfeld spectrum that covers the hottest probe of the
-    stencil, with margin: n_max doubles from 32, and each doubling solves
-    only the levels it adds (the spectrum is wkb_levels(g, n_max))."""
-    theta_floor = 0.95 / config.T_max
-    stream = _wkb_level_stream(config.g)
-    levels = []
-    n_max = 32
-    while True:
-        levels.extend(itertools.islice(stream, n_max + 1 - len(levels)))
-        spectrum = WkbSpectrum(tuple(levels), config.g, n_max)
-        try:
-            ln_z_wkb(spectrum, theta_floor)
-            return spectrum
-        except TruncationError:
-            if n_max >= 8192:
-                raise
-            n_max *= 2
-
-
 def lnz_function(config: RunConfig):
     """ln Z as a function of Theta for the configured mode.  It remembers
     its last value: the row loop asks for ln Z at a row's Theta and
@@ -118,7 +96,8 @@ def _lnz_of_mode(config: RunConfig):
         return lambda theta: ln_z_classical(
             ReducedParams(config.g, config.D, theta), tol=tol)
     if config.mode == "quartic-wkb":
-        spectrum = _wkb_spectrum(config)
+        # the spectrum must cover the hottest probe of the stencil, with margin
+        spectrum = wkb_spectrum(config.g, 0.95 / config.T_max)
         return lambda theta: ln_z_wkb(spectrum, theta)
     raise ConfigError(f"unknown mode {config.mode!r}")
 

@@ -75,7 +75,8 @@ def _check_theta(Theta: float) -> None:
 
 
 def _check_dimension(D: int) -> None:
-    if not isinstance(D, numbers.Integral) or D < 1:
+    # the exact type first: the ABC check alone costs ~3 us a call
+    if not (type(D) is int or isinstance(D, numbers.Integral)) or D < 1:
         raise DomainError(f"dimension D={D!r} must be an integer >= 1")
 
 

@@ -30,7 +30,8 @@ x^(D-1) exp(-(a + b x^2) x^2) has a <= 1/2 and b <= 1, one of them at its
 bound.  A composite Gauss-Kronrod 21 rule on [0, U(D)], built once per D,
 sums exp(ln f - max ln f) in one array pass; a bound on QUADPACK's error
 estimate plus an analytic Gaussian bound on the tail beyond U must meet
-tol, else the adaptive rule refines the same panels.
+tol, else the adaptive rule refines the panels, with edges added at the
+peak.
 
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step; the error estimate rides
@@ -329,19 +330,19 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
 
 
 # the classical radial rule: _CL_PANELS equal Gauss-Kronrod 21 panels on
-# [0, 1] (their edges, half-width and nodes t), scaled onto [0, U(D)]
+# [0, 1] (their edges and nodes t), scaled onto [0, U(D)]
 _CL_PANELS = 32
 _CL_EDGES = np.linspace(0.0, 1.0, _CL_PANELS + 1)
-_CL_HALF = 0.5 / _CL_PANELS
-_CL_T = 0.5 * (_CL_EDGES[:-1] + _CL_EDGES[1:])[:, None] + _CL_HALF * _GK_NODES
-_GK_KRONROD_GAUSS = _GK_KRONROD - _GK_GAUSS
+_CL_T = (0.5 * (_CL_EDGES[:-1] + _CL_EDGES[1:])[:, None]
+         + (0.5 / _CL_PANELS) * _GK_NODES).ravel()
 _LN4 = math.log(4.0)
 # the tail beyond U is bounded e^-40 below the least scaled integral
 _CL_TAIL_EFOLDS = 40.0
-_CL_LN_FLOOR = -700.0
+# extra edges for the adaptive rule, in widths of the peak from its centre
+_CL_PEAK_EDGES = (-8.0, -2.0, 0.0, 2.0, 8.0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _classical_rule(D: int):
     """The classical radial rule for dimension D: its end U, ln of a bound
     T on the integral beyond U, and the rows (D-1) ln x, -x^2, -x^4, -1 at
@@ -363,8 +364,9 @@ def _classical_rule(D: int):
         if ln_tail <= ln_floor - _CL_TAIL_EFOLDS:
             break
         U *= 1.02
-    x = U * _CL_T.ravel()
+    x = U * _CL_T
     rows = np.stack([(D - 1) * np.log(x), -x ** 2, -x ** 4, -np.ones_like(x)])
+    rows.flags.writeable = False  # shared by every call at this D
     return U, ln_tail, rows
 
 
@@ -372,34 +374,49 @@ def _scaled_radial_integral(D: int, a: float, b: float, tol: float):
     """(ln I, relative error estimate) of I = int_0^inf x^(D-1)
     exp(-(a + b x^2) x^2) dx for a <= 1/2, b <= 1, one at its bound.
 
-    The precomputed rule sums exp(ln f - ln f_max) over [0, U(D)], ln f_max
-    in closed form, in one pass.  A panel's QUADPACK error estimate is at
-    most 200 times its Kronrod - Gauss difference d (the largest
-    min(r, (200 d)^1.5 / sqrt(r)) over r is 200 d) plus the 50 eps
-    rounding floor, so that bound plus the tail bound must be within tol
-    of I; else the adaptive rule, which starts from QUADPACK's own
-    estimate on the same panels, must be, else QuadratureError."""
+    The integrand is taken as exp(ln f - ln f_max), ln f_max in closed
+    form.  The precomputed equal panels on [0, U(D)] give it in one pass
+    if a bound on QUADPACK's error estimate there, plus the tail bound
+    beyond U, is within tol of I: a panel's estimate is at most 200 times
+    its Kronrod - Gauss difference d (the largest
+    min(r, (200 d)^1.5 / sqrt(r)) over r is 200 d) plus the 50 eps rounding
+    floor.  Otherwise the adaptive rule, which starts from QUADPACK's own
+    estimate, refines those panels with edges added at the peak and
+    around it, and must meet tol, else QuadratureError.  That is the case
+    where the peak, which narrows as D grows, falls between the nodes:
+    their values then underflow to 0, or the few left are far from smooth
+    and d is of the order of the value (neighbouring nodes alternate
+    between the Gauss and the Kronrod-only sets)."""
     U, ln_tail, rows = _classical_rule(D)
-    # ln f is largest at x^2 = y, the positive root of 4b y^2 + 2a y = D-1
-    # (at x = 0, where ln f = 0, for D = 1)
-    peak = 0.0
+    # ln f is largest at x^2 = y, the positive root of 4b y^2 + 2a y = D-1,
+    # with width 1/sqrt(-(ln f)'') there (at x = 0, where ln f = 0, for
+    # D = 1, with width ~1: e^(-x^4) for a -> 0)
+    peak, x_peak, width = 0.0, 0.0, 1.0
     if D > 1:
         y = 2.0 * (D - 1) / (2.0 * a + math.sqrt(4.0 * a * a + 16.0 * b * (D - 1)))
         peak = 0.5 * (D - 1) * math.log(y) - (a + b * y) * y
-    # floored at e^-700, which changes I by less than U e^-700 but keeps
-    # subnormals (slow in exp and in the sums) out of the pass
-    ln_f = np.maximum(np.array([1.0, a, b, peak]) @ rows, _CL_LN_FLOOR)
-    fx = np.exp(ln_f).reshape(_CL_PANELS, -1)
-    half = U * _CL_HALF
-    val = half * float(np.add.reduce(fx @ _GK_KRONROD))
-    err = (200.0 * half * float(np.add.reduce(np.abs(fx @ _GK_KRONROD_GAUSS)))
+        x_peak = math.sqrt(y)
+        width = 1.0 / math.sqrt((D - 1) / y + 2.0 * a + 12.0 * b * y)
+
+    def rel_error(val, err):
+        if not val > 0.0:
+            return math.inf
+        return err / val + math.exp(ln_tail - peak - math.log(val))
+
+    fx = np.exp(np.array([1.0, a, b, peak]) @ rows).reshape(_CL_PANELS, -1)
+    kronrod = fx @ _GK_KRONROD
+    half = 0.5 * U / _CL_PANELS
+    val = half * float(np.add.reduce(kronrod))
+    err = (200.0 * half * float(np.add.reduce(np.abs(kronrod - fx @ _GK_GAUSS)))
            + 50.0 * _EPS * val)
-    rel = err / val + math.exp(ln_tail - peak - math.log(val))
+    rel = rel_error(val, err)
     if rel > tol:
+        near = [x_peak + k * width for k in _CL_PEAK_EDGES]
         val, err = _gauss_kronrod(
             lambda x: np.exp((D - 1) * np.log(x) - (a + b * x * x) * x * x - peak),
-            U * _CL_EDGES, 0.5 * tol)
-        rel = err / val + math.exp(ln_tail - peak - math.log(val))
+            np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U]),
+            0.5 * tol)
+        rel = rel_error(val, err)
         if rel > tol:
             raise QuadratureError(
                 f"classical radial integral at D={D}, a={a!r}, b={b!r}: "
@@ -482,7 +499,8 @@ class WkbSpectrum:
 
 def _wkb_level_stream(g: float):
     """Bohr-Sommerfeld levels E_0, E_1, ... in order, each solved once,
-    bracketed from the level below; g >= 0 is the caller's check."""
+    bracketed from the level below (for g >= 0, which wkb_levels and
+    wkb_spectrum check)."""
     lo = 1e-12
     for n in itertools.count():
         target = _TWO_PI * (n + 0.5)
@@ -544,6 +562,29 @@ def ln_z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
 def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
     """Partition sum over the Bohr-Sommerfeld spectrum, exp of ln_z_wkb."""
     return math.exp(ln_z_wkb(spectrum, Theta))
+
+
+def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
+    """The Bohr-Sommerfeld spectrum whose partition sum is not truncated
+    at Theta_min, nor at any larger Theta: n_max doubles from 32 (to at
+    most 8192, else TruncationError), and each doubling solves only the
+    levels it adds, so the result is wkb_levels(g, n_max)."""
+    if g < 0.0:
+        raise DomainError(f"g={g!r} must be >= 0")
+    _check_theta(Theta_min)
+    stream = _wkb_level_stream(g)
+    levels = []
+    n_max = 32
+    while True:
+        levels.extend(itertools.islice(stream, n_max + 1 - len(levels)))
+        spectrum = WkbSpectrum(tuple(levels), g, n_max)
+        try:
+            ln_z_wkb(spectrum, Theta_min)
+            return spectrum
+        except TruncationError:
+            if n_max >= 8192:
+                raise
+            n_max *= 2
 
 
 # ---------------------------------------------------------------------------

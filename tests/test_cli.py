@@ -11,10 +11,9 @@ import sys
 import pytest
 
 import sct.cli
-import sct.thermo
 from sct.cli import ConfigError, RunConfig, compare, main, run
 from sct.paths import ReducedParams
-from sct.thermo import specific_heat, wkb_levels
+from sct.thermo import specific_heat
 
 
 def run_main(argv, capsys):
@@ -336,20 +335,3 @@ class TestMain:
         assert proc.returncode == 0
         assert proc.stdout.startswith("T,lnZ,C,C_err")
 
-
-def test_wkb_spectrum_solves_each_level_once(monkeypatch):
-    # T_max = 30 needs 512 levels; doubling 32 -> 512 once re-solved every
-    # level at each size, 33 + 65 + ... + 513 = 992 root finds
-    solves = []
-    brentq = sct.thermo.brentq
-
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return brentq(*args, **kwargs)
-
-    monkeypatch.setattr(sct.thermo, "brentq", counted)
-    config = RunConfig(mode="quartic-wkb", g=0.2, D=1, T_min=0.1, T_max=30.0)
-    spectrum = sct.cli._wkb_spectrum(config)
-    assert (spectrum.n_max, len(solves)) == (512, 513)
-    monkeypatch.undo()
-    assert spectrum == wkb_levels(0.2, 512)

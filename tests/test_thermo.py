@@ -44,6 +44,7 @@ from sct.thermo import (
     specific_heat,
     thermo_curve,
     wkb_levels,
+    wkb_spectrum,
     z2_harmonic_integral,
     z2_quartic,
     z_classical,
@@ -444,6 +445,18 @@ class TestZClassical:
                 float(ln_z_classical_mpmath(10.0, D, 0.03)), rel=1e-13)
         assert len(rounds) == 2
 
+    def test_peak_between_the_nodes_at_large_dimension(self):
+        # g = 10, D = 120000 (b = 1): the peak at x ~ 13.2 is ~0.02 wide and
+        # falls between the equal panels' nodes, hundreds of e-folds above
+        # all of them; with those nodes floored at e^-700 the rule integrated
+        # a constant, reported 5e-14 and returned ln Z ~690 too low.  Now
+        # such a rule goes to the adaptive one, with the peak as an edge.
+        for Theta in (0.5, 1.0, 2.0):
+            got = ln_z_classical(ReducedParams(10.0, 120000, Theta))
+            # ln Z ~ -3.9e5, so 1e-14 of it is the log sum's rounding
+            assert got == pytest.approx(
+                float(ln_z_classical_mpmath(10.0, 120000, Theta)), rel=1e-14)
+
     def test_harmonic_limit(self):
         assert z_classical(ReducedParams(1e-12, 1, 2.0)) == pytest.approx(0.5, rel=1e-7)
 
@@ -479,6 +492,36 @@ def phase_integral_oracle(energy, g):
 
 
 class TestWkb:
+    def test_spectrum_solves_each_level_once(self, monkeypatch):
+        # Theta_min = 0.95 / 30 needs 512 levels; doubling 32 -> 512 once
+        # re-solved every level at each size, 33 + 65 + ... + 513 = 992 root
+        # finds
+        solves = []
+        brentq = sct.thermo.brentq
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(sct.thermo, "brentq", counted)
+        spectrum = wkb_spectrum(0.2, 0.95 / 30.0)
+        assert (spectrum.n_max, len(solves)) == (512, 513)
+        monkeypatch.undo()
+        assert spectrum == wkb_levels(0.2, 512)
+        # 512 is the first size whose partition sum is not truncated at
+        # Theta_min, nor above it
+        for Theta in (0.95 / 30.0, 0.1, 10.0):
+            ln_z_wkb(spectrum, Theta)
+        with pytest.raises(TruncationError):
+            ln_z_wkb(wkb_levels(0.2, 256), 0.95 / 30.0)
+
+    def test_spectrum_domain(self):
+        with pytest.raises(DomainError, match="g="):
+            wkb_spectrum(-0.1, 1.0)
+        for Theta_min in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                wkb_spectrum(0.2, Theta_min)
+
     def test_harmonic_levels_exact(self):
         spectrum = wkb_levels(0.0, 12)
         for n, e in enumerate(spectrum.levels):
