@@ -15,7 +15,7 @@ class PoleError(SctError):
 
 
 class DegenerateError(SctError):
-    """A construction degenerates: vanishing Wronskian, zero mode, or a
+    """A construction degenerates: a zero mode (Omega(0, Theta) = 0), or a
     q_t = 0 path passed to an operation that needs the anharmonic branch."""
 
 

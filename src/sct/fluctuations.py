@@ -7,10 +7,12 @@ Two independent constructions are implemented and cross-checked:
   and D-1 transverse channels with frequency V'(r_c)/r_c.  With canonical
   solution pairs the determinant of a channel is 2 pi f_a(0) f_b(Theta)
   and its Green's function is Omega(0, t_<) Omega(t_>, Theta) /
-  Omega(0, Theta), where Omega is the antisymmetric kernel built from the
-  pair.  For the quartic well the determinants also have explicit
-  elliptic closed forms; both evaluations are carried out on every call
-  and must agree to 1e-8.  Both take a family of paths (array fields) as
+  Omega(0, Theta), where Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t)
+  is the antisymmetric kernel of the pair (its unit Wronskian is a
+  contract of the construction, never a computed divisor).  For the
+  quartic well the determinants also have explicit elliptic closed
+  forms; both evaluations are carried out on every call and must agree
+  to 1e-8.  Both take a family of paths (array fields) as
   well as one path, elementwise.
 
 * the general-D route: integrate the D x D variational flow A(t), B(t)
@@ -98,27 +100,18 @@ def _guarded_inv(mat: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OmegaKernel:
-    """Antisymmetric two-time kernel of a solution pair,
-    Omega(t, t') = [f_a(t) f_b(t') - f_a(t') f_b(t)] / W;
-    for canonical pairs the Wronskian denominator is one."""
+    """Antisymmetric two-time kernel of a canonical pair,
+    Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t).  A canonical pair has
+    unit Wronskian by construction (the pair builders in paths), so no
+    Wronskian is computed or divided by: near the nc pole at q_Theta the
+    computed f_a f_b' - f_a' f_b cancels to noise, while Omega does not."""
 
     pair: CanonicalPair
 
     def eval(self, theta: float, theta_p: float):
         """Omega(theta, theta_p); elementwise for a pair of a path family."""
-        fa, fb, fad, fbd = self.pair.eval(theta)
-        fa_p, fb_p, fad_p, fbd_p = self.pair.eval(theta_p)
-        # the fluctuation operators carry no first-derivative term, so the
-        # Wronskian is the same at every time; evaluate it where the pair
-        # is smallest, dodging cancellation between exponentially large
-        # products at the far end of long intervals
-        here = abs(fa * fbd) + abs(fad * fb) <= abs(fa_p * fbd_p) + abs(fad_p * fb_p)
-        wronskian = np.where(here, fa * fbd - fad * fb, fa_p * fbd_p - fad_p * fb_p)[()]
-        if np.any(abs(wronskian) < 1e-12):
-            raise DegenerateError(
-                f"Wronskian {np.min(abs(wronskian)):.3e} below 1e-12 for pair "
-                f"at ({theta}, {theta_p})")
-        return (fa * fb_p - fa_p * fb) / wronskian
+        fa, fb = self.pair.fa, self.pair.fb
+        return fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
 
 
 def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
@@ -155,8 +148,9 @@ def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
         return closed
     with np.errstate(all="ignore"):
         via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
-    # a route that fails to a non-finite value counts as a mismatch
-    off = ~(abs(via_pair - closed) <= 1e-8 * abs(closed))
+    # a route that fails to a non-finite value counts as a mismatch; not
+    # `~`, which maps a scalar path's Python bool to -1 or -2, both truthy
+    off = np.logical_not(abs(via_pair - closed) <= 1e-8 * abs(closed))
     if np.any(off):
         i = np.flatnonzero(off)[0]
         raise RouteMismatchError(

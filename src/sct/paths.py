@@ -396,13 +396,11 @@ class CanonicalPair:
     fa_dot: Callable[[float], float]
     fb_dot: Callable[[float], float]
 
-    def eval(self, theta: float) -> tuple[float, float, float, float]:
-        return (self.fa(theta), self.fb(theta),
-                self.fa_dot(theta), self.fb_dot(theta))
-
     def wronskian(self, theta: float) -> float:
-        fa, fb, fad, fbd = self.eval(theta)
-        return fa * fbd - fad * fb
+        """f_a f_b' - f_a' f_b at one time, 1 by the pair's contract; a
+        check only, since the determinants and Omega never divide by it."""
+        return (self.fa(theta) * self.fb_dot(theta)
+                - self.fa_dot(theta) * self.fb(theta))
 
 
 def harmonic_canonical_pair() -> CanonicalPair:

@@ -83,9 +83,10 @@ _LN_TINY = math.log(np.finfo(float).tiny)
 _LN_HUGE = math.log(np.finfo(float).max)
 
 
-def _angular_prefactor(D: int) -> float:
-    # surface of the unit (D-1)-sphere
-    return 2.0 * math.pi ** (0.5 * D) / math.gamma(0.5 * D)
+def _ln_sphere_surface(D: int) -> float:
+    """ln of the surface 2 pi^(D/2) / Gamma(D/2) of the unit (D-1)-sphere,
+    from lgamma, so no D overflows."""
+    return _LN2 + 0.5 * D * math.log(math.pi) - math.lgamma(0.5 * D)
 
 
 def ln_z_harmonic(D: int, Theta: float) -> float:
@@ -118,7 +119,7 @@ def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     if err > 10.0 * tol * abs(val):
         raise QuadratureError(
             f"harmonic radial integral: error estimate {err:.3e} above tolerance")
-    return _angular_prefactor(D) * val * det_l ** (-0.5 * D)
+    return math.exp(_ln_sphere_surface(D) + math.log(val) - 0.5 * D * math.log(det_l))
 
 
 def jacobian_dq0_dqt(path: QuarticPath):
@@ -253,10 +254,13 @@ def _ln_tail_bound(params: ReducedParams, q0: float, q_cut: float,
     gap = 0.5 * (q0 * q0 - q_cut * q_cut) + 0.25 * (q0 ** 4 - q_cut ** 4)
     if gap <= 0.0:
         return math.inf
-    decay = 2.0 * math.sqrt(2.0 * gap) / g
-    poly = sum(math.comb(D - 1, j) * q0 ** (D - 1 - j) * math.factorial(j)
-               / decay ** (j + 1) for j in range(D))
-    return front + math.log(poly)
+    ln_decay = math.log(2.0 * math.sqrt(2.0 * gap) / g)
+    # term j is (D-1)!/(D-1-j)! q0^(D-1-j) / decay^(j+1), summed as logs
+    lgamma_d, ln_q0 = math.lgamma(D), math.log(q0)
+    ln_terms = [lgamma_d - math.lgamma(D - j) + (D - 1 - j) * ln_q0
+                - (j + 1) * ln_decay for j in range(D)]
+    top = max(ln_terms)
+    return front + top + math.log(sum(math.exp(t - top) for t in ln_terms))
 
 
 def _check_tol(tol: float) -> None:
@@ -321,7 +325,7 @@ def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
         raise QuadratureError(
             f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "
             f"tolerance {tol:.1e} on value e^{ln_val:.6g}")
-    ln_z2 = math.log(_angular_prefactor(D)) - 0.5 * D * math.log(g) + ln_val
+    ln_z2 = _ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val
     if not _LN_TINY <= ln_z2 <= _LN_HUGE:
         raise QuadratureError(
             f"Z2 leaves the normal float range at D={D}, Theta={Theta!r}: "
@@ -438,8 +442,8 @@ def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
         ln_s = 0.25 * (_LN4 - math.log(g) - math.log(Theta))
         a, b = math.sqrt(Theta / g), 1.0
     ln_i, _ = _scaled_radial_integral(D, a, b, tol)
-    ln_surface = _LN2 + 0.5 * D * math.log(math.pi) - math.lgamma(0.5 * D)
-    return -0.5 * D * math.log(_TWO_PI * Theta) + ln_surface + D * ln_s + ln_i
+    return (-0.5 * D * math.log(_TWO_PI * Theta) + _ln_sphere_surface(D)
+            + D * ln_s + ln_i)
 
 
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:

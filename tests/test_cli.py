@@ -314,6 +314,30 @@ class TestMain:
         c, c_err = specific_heat(lnz, 1e-60)
         assert abs(c - 6.0) <= c_err <= 3e-3
 
+    @pytest.mark.parametrize("argv", [
+        # T = 0.0357 is Theta = 28.01, where dividing Omega by a computed
+        # Wronskian failed the route check
+        ["--g=0.5", "--dim=1", "--tmin=0.0357", "--tmax=0.05"],
+        # the tail bound's linear sum overflowed from D = 163 (exit 1)
+        ["--dim=200", "--tmin=1", "--tmax=2"],
+        ["--dim=400", "--tmin=1", "--tmax=2"],
+    ])
+    def test_semiclassical_rows_where_it_used_to_fail(self, argv, capsys):
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", *argv, "--steps=2"], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(v) for row in rows for v in row)
+
+    def test_dimension_past_the_float_range_exit_code(self, capsys):
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", "--dim=1000", "--tmin=1",
+             "--tmax=2", "--steps=2"], capsys)
+        assert code == 3
+        assert "normal float range at D=1000" in err
+        assert out == ""
+
     def test_large_theta_exit_code(self, capsys):
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--tmin=0.0006",

@@ -36,6 +36,7 @@ from sct.paths import (
     canonical_transverse,
     harmonic_canonical_pair,
     harmonic_well,
+    q_theta_max,
     quartic_path_from_qt,
     quartic_well,
 )
@@ -72,10 +73,25 @@ class TestOmegaKernel:
         assert kern.eval(0.0, 1.0) == pytest.approx(pair.fa(0.0) * pair.fb(1.0), rel=1e-11)
 
     def test_degenerate_pair(self):
+        # a dependent "pair" gives Omega = 0 everywhere, so the Green's
+        # function meets a zero mode; the kernel itself divides by nothing
         bad = CanonicalPair(math.cosh, lambda t: 2.0 * math.cosh(t),
                             math.sinh, lambda t: 2.0 * math.sinh(t))
-        with pytest.raises(DegenerateError):
-            omega_kernel(bad).eval(0.3, 0.9)
+        assert omega_kernel(bad).eval(0.3, 0.9) == 0.0
+        with pytest.raises(DegenerateError, match="zero mode"):
+            green_central(bad, 1.0, 0.3, 0.9)
+
+    def test_reads_only_the_pair_values(self):
+        # unit Wronskian is the pair's contract: Omega computes no Wronskian
+        # and never calls the derivative closures
+        def refuse(theta):
+            raise AssertionError("derivative closure called")
+
+        path = quartic_path_from_qt(1.0, 1.0)
+        for pair in (canonical_longitudinal(path), canonical_transverse(path)):
+            bare = CanonicalPair(pair.fa, pair.fb, refuse, refuse)
+            assert omega_kernel(bare).eval(0.0, 1.0) == (
+                pair.fa(0.0) * pair.fb(1.0) - pair.fa(1.0) * pair.fb(0.0))
 
 
 class TestChannelDeterminants:
@@ -107,6 +123,19 @@ class TestChannelDeterminants:
             TWO_PI * pair_l.fa(0.0) * pair_l.fb(Theta), rel=1e-8)
         assert det_transverse(path) == pytest.approx(
             TWO_PI * pair_t.fa(0.0) * pair_t.fb(Theta), rel=1e-8)
+
+    @pytest.mark.parametrize("Theta", [10.0, 20.0, 28.011])
+    def test_pair_route_up_to_the_pole(self, Theta):
+        # towards the nc pole at q_Theta the computed Wronskian of the
+        # longitudinal pair drifts from 1 (2e-6 at 0.99 q_Theta, Theta = 10);
+        # the determinant from the pair, divided by nothing, stays exact
+        q_cap = q_theta_max(Theta)
+        for frac in (0.3, 0.66, 0.86, 0.99, 0.999, 0.9999):
+            path = quartic_path_from_qt(frac * q_cap, Theta)
+            for closed, builder in ((_det_longitudinal_closed, canonical_longitudinal),
+                                    (_det_transverse_closed, canonical_transverse)):
+                via_pair = TWO_PI * omega_kernel(builder(path)).eval(0.0, Theta)
+                assert via_pair == pytest.approx(closed(path), rel=1e-12)
 
     @pytest.mark.parametrize("qt,Theta", ADMISSIBLE)
     def test_positivity(self, qt, Theta):

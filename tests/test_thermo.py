@@ -33,8 +33,9 @@ from sct.paths import (
     shoot_radial_path,
 )
 from sct.thermo import (
-    _angular_prefactor,
     _gauss_kronrod,
+    _ln_sphere_surface,
+    _ln_tail_bound,
     _log_integrand,
     _phase_integral,
     jacobian_dq0_dqt,
@@ -62,11 +63,19 @@ def harmonic_specific_heat(Theta):
 class TestAngularPrefactor:
     def test_unit_sphere_surfaces(self):
         for D, surface in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi)):
-            assert _angular_prefactor(D) == pytest.approx(surface, rel=1e-15)
+            assert _ln_sphere_surface(D) == pytest.approx(math.log(surface), abs=1e-15)
         # S_(D+2) = 2 pi S_D / D
         for D in range(1, 14):
-            assert _angular_prefactor(D + 2) == pytest.approx(
-                2.0 * math.pi * _angular_prefactor(D) / D, rel=1e-14)
+            assert _ln_sphere_surface(D + 2) == pytest.approx(
+                math.log(2.0 * math.pi / D) + _ln_sphere_surface(D), abs=1e-14)
+
+    @pytest.mark.parametrize("D", [345, 1000, 100000])
+    def test_past_the_gamma_overflow(self, D):
+        # math.gamma(D/2) overflows from D = 345
+        with mpmath.workdps(40):
+            want = float(mpmath.log(2 * mpmath.pi ** (mpmath.mpf(D) / 2)
+                                    / mpmath.gamma(mpmath.mpf(D) / 2)))
+        assert _ln_sphere_surface(D) == pytest.approx(want, rel=1e-14)
 
 
 class TestThetaDomain:
@@ -329,6 +338,90 @@ class TestZ2Quartic:
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(DomainError, match="tol="):
             z2_quartic(ReducedParams(0.5, 1, 1.0), tol=tol)
+
+    @pytest.mark.parametrize("D", [1, 3, 8])
+    def test_low_temperature_window_has_values(self, D):
+        # with Omega divided by a computed Wronskian, the route check failed
+        # at Theta in 10-32 from g = 0.5 on (28 at g = 0.5, 10-32 at g = 100)
+        for g in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
+            for Theta in range(2, 62, 2):
+                z = z2_quartic(ReducedParams(g, D, float(Theta)), tol=1e-9)
+                assert 0.0 < z < math.inf
+
+    # point-sweep points (perfbench generate(seed), seeds 1, 4, 9, 10, 10)
+    # that raised RouteMismatchError while Omega divided by the Wronskian
+    @pytest.mark.parametrize("point", [
+        (1.7504387440282339, 1, 26.852590367596235),
+        (2.130775639899161, 1, 29.1910212176545),
+        (4.1832512310791055, 3, 21.766892757724534),
+        (2.9828944812471545, 3, 21.907210040677878),
+        (1.4953479062381951, 1, 25.53269192545193),
+    ])
+    def test_former_route_mismatch_points(self, point):
+        for tol in (1e-7, 1e-9):
+            assert 0.0 < z2_quartic(ReducedParams(*point), tol=tol) < math.inf
+
+    def test_route_check_bites_on_the_pair(self, monkeypatch):
+        # a 1e-6 error in the longitudinal f_b at t = Theta is caught
+        build = sct.fluctuations.canonical_longitudinal
+
+        def perturbed(path):
+            pair = build(path)
+
+            def fb(theta):
+                value = pair.fb(theta)
+                return value * (1.0 + 1e-6) if theta == path.Theta else value
+
+            return sct.paths.CanonicalPair(pair.fa, fb, pair.fa_dot, pair.fb_dot)
+
+        monkeypatch.setattr(sct.fluctuations, "canonical_longitudinal", perturbed)
+        with pytest.raises(RouteMismatchError, match="det_longitudinal"):
+            z2_quartic(ReducedParams(0.5, 1, 10.0))
+
+    # c(g, D) = lim ln Z2 + D Theta / 2, measured on the finite pipeline
+    ZERO_T_LIMIT = {
+        (0.5, 1): -0.105876668581,
+        (0.2, 1): -0.049008457206,
+        (0.01, 1): -0.002789259881,
+        (0.5, 3): -0.471847345681,
+    }
+
+    @pytest.mark.parametrize("g,D", sorted(ZERO_T_LIMIT))
+    def test_zero_temperature_limit(self, g, D):
+        # the remainder is ~D e^-Theta; Theta 480-670 needed the Wronskian
+        # gone (the computed one turned NaN there), and from 680 the closed
+        # forms overflow
+        thetas = (40.0, 100.0, 200.0, 400.0, 600.0, 670.0) if D == 1 else (
+            40.0, 100.0, 200.0, 400.0, 470.0)
+        for Theta in thetas:
+            lnz = math.log(z2_quartic(ReducedParams(g, D, Theta)))
+            assert abs(lnz + 0.5 * D * Theta - self.ZERO_T_LIMIT[g, D]) <= 1e-12
+
+    def test_tail_bound_at_large_dimension(self):
+        # the linear sum raised OverflowError in decay ** (j + 1) from D = 163
+        params = ReducedParams(0.5, 400, 1.0)
+        assert math.isfinite(_ln_tail_bound(params, 3.0, 2.0, -50.0))
+        # D = 1: one term, 1 / decay, decay = 2 sqrt(2 gap) / g
+        gap = 0.5 * (9.0 - 4.0) + 0.25 * (81.0 - 16.0)
+        assert _ln_tail_bound(ReducedParams(0.5, 1, 1.0), 3.0, 2.0, -50.0) == (
+            pytest.approx(-50.0 - math.log(4.0 * math.sqrt(2.0 * gap)), rel=1e-15))
+
+    def test_domain_sweep_is_finite_or_an_sct_error(self, deadline):
+        # 400 points; the linear-space tail bound and math.gamma(D/2) raised
+        # bare OverflowErrors at the large dimensions
+        outcomes = Counter()
+        for g in np.geomspace(1e-6, 1e3, 10):
+            for D in (1, 2, 3, 8, 30, 163, 345, 1000):
+                for Theta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+                    try:
+                        z = z2_quartic(ReducedParams(float(g), D, Theta))
+                    except SctError:
+                        outcomes["SctError"] += 1
+                    else:
+                        assert 0.0 < z < math.inf
+                        outcomes["value"] += 1
+        assert sum(outcomes.values()) == 400
+        assert outcomes["value"] >= 200
 
 
 class TestGaussKronrod:
