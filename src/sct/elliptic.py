@@ -76,7 +76,7 @@ def _agm_ladder(m1: float) -> tuple[tuple, tuple]:
 # jacobi_sn_cn_dn meets one modulus at many u (the variational flow calls
 # it at every step of one path), so its ladders are memoized on m1, which
 # _m1_of has checked finite.  complete_K keeps the plain ladder: its
-# callers, q_theta_max's bisection above all, rarely repeat a modulus,
+# callers, q_theta_max's root search above all, rarely repeat a modulus,
 # and a cache miss costs more than the ladder saves.
 _memo_agm_ladder = functools.lru_cache(maxsize=256)(_agm_ladder)
 

@@ -111,18 +111,32 @@ class OmegaKernel:
     def eval(self, theta: float, theta_p: float):
         """Omega(theta, theta_p); elementwise for a pair of a path family."""
         fa, fb = self.pair.fa, self.pair.fb
-        return fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
+        try:
+            return fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
+        except OverflowError as exc:  # math.cosh / math.sinh past ~710
+            raise DomainError(
+                f"Omega({theta!r}, {theta_p!r}): a canonical solution "
+                f"overflows the float range ({exc})") from exc
 
 
 def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
     return OmegaKernel(pair)
 
 
-def _det_longitudinal_closed(path: QuarticPath) -> float:
+def _harmonic_det(Theta: float) -> float:
     # the q_t = 0 path rests at the origin, where both channels are
-    # harmonic; the k = 1 elliptic forms below do not reach that limit
+    # harmonic; the k = 1 elliptic forms do not reach that limit.  The
+    # product is inf from Theta ~ 708.6, and math.sinh raises from ~710.5
+    det = _TWO_PI * math.sinh(Theta) if Theta <= 710.0 else math.inf
+    if det == math.inf:
+        raise DomainError(f"Theta={Theta!r}: the harmonic determinant "
+                          "2 pi sinh(Theta) overflows the float range")
+    return det
+
+
+def _det_longitudinal_closed(path: QuarticPath) -> float:
     if path.at_rest:
-        return _TWO_PI * math.sinh(path.Theta)
+        return _harmonic_det(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1
@@ -134,7 +148,7 @@ def _det_longitudinal_closed(path: QuarticPath) -> float:
 
 def _det_transverse_closed(path: QuarticPath) -> float:
     if path.at_rest:
-        return _TWO_PI * math.sinh(path.Theta)
+        return _harmonic_det(path.Theta)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1

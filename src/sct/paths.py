@@ -47,6 +47,7 @@ the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -65,8 +66,7 @@ from .elliptic import (
 )
 from .errors import ConvergenceError, DegenerateError, DomainError, PoleError
 
-_BISECT_MAX = 200
-_BISECT_RTOL = 1e-13
+_ROOT_RTOL = 1e-13
 
 
 def _check_theta(Theta: float) -> None:
@@ -293,13 +293,17 @@ def q_theta_max(Theta: float) -> float:
 
     The root falls like 4 sqrt(2) e^(-Theta/2), so the octave
     [2^(e-1), 2^e] that holds it is found in ln q_t, starting from that
-    asymptote; the octave is then bisected to 1e-13 relative.  The
-    midpoint of the last bracket is returned if it is pole-free, else the
-    bracket's lower end, so the gap is <= 0 at the value returned.
-    Raises ConvergenceError where 1 - k^2 underflows at the root (from
-    Theta ~ 745) or the bisection does not close."""
+    asymptote; brentq then closes the octave to 1e-13 relative, or to the
+    q_t step that moves m1 = 1 - k^2 by one ulp where that is coarser (m1
+    is subnormal from Theta ~ 710).  A value past the pole is stepped down
+    by that tolerance, so the gap is <= 0 at the value returned.  Raises
+    ConvergenceError where 1 - k^2 underflows at the root (from
+    Theta ~ 745) or the stepped-down value is still past the pole."""
     _check_theta(Theta)
 
+    # brentq evaluates the octave's ends again and returns a point it has
+    # evaluated; the cache answers those
+    @functools.lru_cache(maxsize=None)
     def gap(q_t: float) -> float:
         if _modulus_and_scale(q_t)[0] == 0.0:
             raise ConvergenceError(
@@ -313,57 +317,48 @@ def q_theta_max(Theta: float) -> float:
         e += 1
     while gap(math.ldexp(1.0, e - 1)) > 0.0:
         e -= 1
-    lo, hi = math.ldexp(1.0, e - 1), math.ldexp(1.0, e)
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _BISECT_RTOL * hi:
-            break
-    else:  # pragma: no cover - an octave closes in ~44 halvings
-        raise ConvergenceError(
-            f"q_theta_max(Theta={Theta!r}): bisection stopped at [{lo!r}, {hi!r}]")
-    mid = 0.5 * (lo + hi)
-    return mid if gap(mid) <= 0.0 else lo
+    lo = math.ldexp(1.0, e - 1)
+    m1 = _modulus_and_scale(lo)[0]
+    xtol = lo * (math.ulp(m1) / m1)
+    q = brentq(gap, lo, 2.0 * lo, xtol=xtol, rtol=_ROOT_RTOL)
+    if gap(q) > 0.0:
+        # brentq's bracket held the root within xtol + rtol q of q
+        q -= xtol + _ROOT_RTOL * q
+        if gap(q) > 0.0:
+            raise ConvergenceError(
+                f"q_theta_max(Theta={Theta!r}): q_t={q!r} lies past the pole "
+                f"(gap {gap(q):.3e}) after a step below brentq's root")
+    return q
 
 
 def invert_endpoint(q0: float, Theta: float) -> float:
     """Turning value q_t in [0, q_Theta) whose path ends at q0; inverts
-    q0 = q_t nc(u_T, k) by bisection (the map is strictly increasing and
-    onto [0, inf)).  Raises ConvergenceError when the bisection interval
-    collapses before the endpoint gap drops to 1e-12 (1 + q0), which
+    q0 = q_t nc(u_T, k) with brentq on [0, q_Theta (1 - 1e-15)] (the map
+    is strictly increasing and onto [0, inf)).  Raises ConvergenceError
+    when the endpoint gap at the value found exceeds 1e-12 (1 + q0), which
     happens for large q0, where q0 varies faster in q_t than one ulp
-    resolves."""
+    resolves, or q0 lies beyond the bracket's top."""
     if q0 < 0.0 or not math.isfinite(q0):
         raise DomainError(f"q0={q0!r} must be finite and >= 0")
     if q0 == 0.0:
         return 0.0
-    q_cap = q_theta_max(Theta)
-    lo, hi = 0.0, q_cap * (1.0 - 1e-15)
+    hi = q_theta_max(Theta) * (1.0 - 1e-15)
 
-    def endpoint(q_t: float) -> float:
+    def gap(q_t: float) -> float:
         try:
-            return quartic_path_from_qt(q_t, Theta).q0
+            return quartic_path_from_qt(q_t, Theta).q0 - q0
         except PoleError:
             return math.inf
 
-    bound = 1e-12 * (1.0 + q0)
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        gap = endpoint(mid) - q0
-        if abs(gap) <= bound:
-            return mid
-        if gap > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(hi, 1e-300):
-            break
-    raise ConvergenceError(
-        f"invert_endpoint(q0={q0!r}, Theta={Theta!r}): bisection stopped at "
-        f"q_t={mid!r} with endpoint gap {gap:.3e} above {bound:.3e}")
+    # brentq steps at least xtol / 2 from q_t = 0, which keeps its trials
+    # far above the q_t ~ 3e-162 where m1 = q_t^2 / 2 underflows
+    q_t = brentq(gap, 0.0, hi, xtol=1e-150) if gap(hi) > 0.0 else hi
+    miss, bound = gap(q_t), 1e-12 * (1.0 + q0)
+    if not abs(miss) <= bound:
+        raise ConvergenceError(
+            f"invert_endpoint(q0={q0!r}, Theta={Theta!r}): brentq stopped at "
+            f"q_t={q_t!r} with endpoint gap {miss:.3e} above {bound:.3e}")
+    return q_t
 
 
 def quartic_action(path: QuarticPath) -> float:

@@ -601,9 +601,13 @@ def specific_heat(lnz, Theta: float, target_err: float | None = None):
     The two stencils share Theta and Theta +- h, so ln Z is evaluated at
     seven distinct Theta, each once, Theta itself first.
     Returns (C, error_estimate); raises ConvergenceError if a requested
-    target error cannot be met (noisy ln Z / collapsed step)."""
+    target error cannot be met (noisy ln Z / collapsed step), or if C or
+    its error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
+    float range (Theta below ~1e-154 or above ~1e154)."""
     _check_theta(Theta)
     h = min(max(1e-3 * Theta, 1e-4), 0.249 * Theta)
+    if 0.25 * h * h == 0.0:
+        raise _stencil_error(Theta, h)
     f0 = lnz(Theta)
     # keyed by offset; 2 (h/2) is h exactly, so both stencils find it
     below = {d: lnz(Theta - d) for d in (0.5 * h, h, 2 * h)}
@@ -619,11 +623,19 @@ def specific_heat(lnz, Theta: float, target_err: float | None = None):
     noise_floor = 1e-14 * max(1.0, abs(f0)) / (0.25 * h * h)
     err = Theta * Theta * (abs(richardson - d_h2) + noise_floor)
     value = Theta * Theta * richardson
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise _stencil_error(Theta, h)
     if target_err is not None and err > target_err:
         raise ConvergenceError(
             f"specific heat error estimate {err:.3e} exceeds requested "
             f"{target_err:.3e} at Theta={Theta} (ln Z too noisy for step {h:.1e})")
     return value, err
+
+
+def _stencil_error(Theta: float, h: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"specific heat at Theta={Theta!r} is not finite: the stencil "
+        f"divides by (h/2)^2 = {0.25 * h * h!r}")
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,33 @@ class TestMain:
         assert len(rows) == 2
         assert all(math.isfinite(v) for row in rows for v in row)
 
+    @pytest.mark.parametrize("argv", [
+        # Theta = 1e-306 and 1e-308: a ZeroDivisionError traceback, exit 1
+        "run --mode=harmonic --tmin=1e306 --tmax=1e308",
+        "run --mode=harmonic --tmin=1e-300 --tmax=1e-299",
+        "run --mode=harmonic --dim=1000000 --tmin=0.1 --tmax=1",
+        "run --mode=harmonic --tmin=0 --tmax=1",
+        "run --mode=quartic-semiclassical --tmin=1e-4 --tmax=2e-4",
+        "run --mode=quartic-semiclassical --tmin=1e300 --tmax=1e301",
+        "run --mode=quartic-semiclassical --tmin=1e5 --tmax=1e6",
+        "run --mode=quartic-semiclassical --g=1e-300 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-semiclassical --g=1e300 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-semiclassical --g=0 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-semiclassical --tol=1e-300 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-semiclassical --tol=0.99 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-semiclassical --dim=0 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-classical --tmin=1e300 --tmax=1e301",
+        "run --mode=quartic-classical --g=1e300 --dim=1000000 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-classical --g=1e-300 --tmin=1e-300 --tmax=1e-299",
+        "run --mode=quartic-wkb --g=1e300 --tmin=0.5 --tmax=1",
+        "run --mode=quartic-wkb --g=1e-300 --tmin=0.5 --tmax=1",
+        "compare --mode=harmonic,quartic-classical --tmin=1e306 --tmax=1e308",
+    ])
+    def test_extreme_flags_exit_cleanly(self, argv, capsys):
+        code, _, err = run_main(argv.split() + ["--steps=2"], capsys)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
     def test_dimension_past_the_float_range_exit_code(self, capsys):
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--dim=1000", "--tmin=1",

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import sct.paths
 from sct.elliptic import jacobi_epsilon, jacobi_sn_cn_dn
 from sct.errors import ConvergenceError, DegenerateError, DomainError, PoleError
 from sct.paths import (
     CanonicalPair,
     ReducedParams,
+    _pole_gap,
     canonical_longitudinal,
     canonical_transverse,
     harmonic_action,
@@ -255,7 +258,6 @@ class TestQThetaMax:
     def test_value_is_pole_free_up_to_large_theta(self):
         # a linear bisection capped at 200 steps once returned q_t past the
         # pole from Theta ~ 260 (at 300: 3.1e-61 against a root of 4.1e-65)
-        from sct.paths import _pole_gap
         for Theta in np.geomspace(0.01, 2000.0, 60):
             try:
                 q = q_theta_max(float(Theta))
@@ -265,6 +267,50 @@ class TestQThetaMax:
             assert _pole_gap(q, float(Theta)) <= 0.0
             assert q == pytest.approx(4.0 * math.sqrt(2.0) * math.exp(-0.5 * Theta),
                                       rel=1e-2) or Theta < 20.0
+
+    @pytest.mark.parametrize("Theta,expected", [
+        (0.1, 37.07417130716567),
+        (1.0, 3.6351253698206847),
+        (10.0, 0.03803299265415916),
+        (100.0, 1.0910656773662108e-21),
+    ])
+    def test_pinned_values(self, Theta, expected):
+        assert q_theta_max(Theta) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_kernel_calls_per_call(self, monkeypatch):
+        # the octave search plus brentq, each q_t evaluated once
+        calls = []
+        complete_k = sct.paths.complete_K
+
+        def counted(k, m1=None):
+            calls.append(k)
+            return complete_k(k, m1=m1)
+
+        monkeypatch.setattr(sct.paths, "complete_K", counted)
+        for Theta in np.geomspace(0.01, 740.0, 30):
+            calls.clear()
+            q_theta_max(float(Theta))
+            assert len(calls) <= 15, Theta
+
+    @pytest.mark.parametrize("Theta", [0.05, 28.0])
+    def test_root_past_the_pole_is_stepped_down(self, monkeypatch, Theta):
+        roots = []
+
+        def recorded(*args, **kwargs):
+            roots.append(brentq(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(sct.paths, "brentq", recorded)
+        q = q_theta_max(Theta)
+        assert _pole_gap(roots[0], Theta) > 0.0
+        assert _pole_gap(q, Theta) <= 0.0
+        assert q == pytest.approx(roots[0], rel=3e-13)
+
+    def test_still_past_the_pole_after_the_step_raises(self, monkeypatch):
+        # a root at the octave's top: one step of the tolerance stays past it
+        monkeypatch.setattr(sct.paths, "brentq", lambda f, a, b, **kwargs: b)
+        with pytest.raises(ConvergenceError, match="past the pole"):
+            q_theta_max(1.0)
 
     def test_paths_below_are_pole_free(self):
         for Theta in (0.5, 2.0):
@@ -291,6 +337,17 @@ class TestInvertEndpoint:
         for q0 in (0.3, 1.0, 5.0, 40.0):
             qt = invert_endpoint(q0, 1.0)
             assert quartic_path_from_qt(qt, 1.0).q0 == pytest.approx(q0, abs=1e-10 * (1 + q0))
+
+    @pytest.mark.parametrize("q0", [1e-20, 1e-100, 1e-140])
+    def test_small_endpoint_to_full_precision(self, q0):
+        # the bisection returned its first q_t within the absolute bound,
+        # 8.3e-13 for every q0 below ~1e-12
+        qt = invert_endpoint(q0, 1.0)
+        assert quartic_path_from_qt(qt, 1.0).q0 == pytest.approx(q0, rel=1e-15, abs=0.0)
+
+    def test_endpoint_below_the_resolved_paths(self):
+        # the root lies where m1 = q_t^2 / 2 underflows; q_t = 0 meets the bound
+        assert invert_endpoint(1e-300, 1.0) == 0.0
 
     def test_large_endpoint_approaches_cap(self):
         qt = invert_endpoint(100.0, 1.0)

@@ -21,7 +21,16 @@ from sct.errors import (
     SctError,
     TruncationError,
 )
-from sct.fluctuations import flow_matrices, green_table_central, radial_trajectory
+from sct.fluctuations import (
+    _det_longitudinal_closed,
+    _det_transverse_closed,
+    det_longitudinal,
+    det_transverse,
+    flow_matrices,
+    green_central,
+    green_table_central,
+    radial_trajectory,
+)
 from sct.paths import (
     ReducedParams,
     harmonic_action,
@@ -108,6 +117,28 @@ class TestThetaDomain:
         # thermo_curve takes temperatures; each of these fails the same way
         with pytest.raises(DomainError):
             thermo_curve(lnz, [Theta])
+
+    # q_t = 0 path closed forms and the harmonic pair: math.sinh and
+    # math.cosh raised a bare OverflowError from Theta ~ 710.5, and the
+    # closed forms returned 2 pi sinh(Theta) = inf from ~708.6
+    AT_REST = {f.__name__: f for f in (
+        _det_longitudinal_closed, _det_transverse_closed, det_longitudinal,
+        det_transverse, jacobian_dq0_dqt)}
+    OVERFLOW_CALLS = {
+        **{name: lambda Theta, f=f: f(quartic_path_from_qt(0.0, Theta))
+           for name, f in AT_REST.items()},
+        "z2_harmonic_integral": lambda Theta: z2_harmonic_integral(1, Theta),
+        "green_central": lambda Theta: green_central(
+            harmonic_canonical_pair(), Theta, 1.0, 2.0),
+        "green_table_central": lambda Theta: green_table_central(
+            harmonic_canonical_pair(), Theta, 4),
+    }
+
+    @pytest.mark.parametrize("name,Theta", [(name, 800.0) for name in OVERFLOW_CALLS]
+                             + [(name, 709.0) for name in AT_REST])
+    def test_overflow_is_an_sct_error(self, name, Theta):
+        with pytest.raises(SctError, match="overflows the float range"):
+            self.OVERFLOW_CALLS[name](Theta)
 
 
 class TestHarmonicPartition:
@@ -720,6 +751,17 @@ class TestSpecificHeat:
         noisy = lambda th: ln_z_harmonic(1, th) + 1e-4 * rng.standard_normal()
         with pytest.raises(ConvergenceError):
             specific_heat(noisy, 1.0, target_err=1e-6)
+
+    @pytest.mark.parametrize("Theta", [1e-154, 1e-155, 1e-160, 1e-162, 1e-300])
+    def test_step_outside_the_float_range(self, Theta):
+        # (h/2)^2 subnormal, then 0: C was (inf, inf), then (nan, nan),
+        # then a bare ZeroDivisionError
+        with pytest.raises(ConvergenceError, match="is not finite"):
+            specific_heat(lambda th: ln_z_harmonic(3, th), Theta)
+
+    def test_tiny_theta_with_a_normal_step(self):
+        c, err = specific_heat(lambda th: ln_z_harmonic(3, th), 1e-150)
+        assert abs(c - 3.0) <= err
 
     def test_domain(self):
         with pytest.raises(DomainError):
