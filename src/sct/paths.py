@@ -36,10 +36,10 @@ other argument still goes to the kernel, so the values read from a path
 are exactly the ones the kernel returns.
 
 A QuarticPath is one path (float fields, built with the scalar kernel)
-or a family of paths at one Theta, one per element of an array of q_t
-(array fields, built with the array kernel in one call).  The action,
-the closed-form determinants, the Jacobian and the canonical pairs are
-written once, elementwise, and take either.
+or a family of paths, one per element of an array of q_t, at one Theta
+or at a Theta per element (array fields, built with the array kernel in
+one call).  The action, the closed-form determinants, the Jacobian and
+the canonical pairs are written once, elementwise, and take either.
 
 A generic shooting solver is included purely as a numerical oracle for
 the closed forms.
@@ -67,6 +67,9 @@ from .elliptic import (
 from .errors import ConvergenceError, DegenerateError, DomainError, PoleError
 
 _ROOT_RTOL = 1e-13
+# the k = 1 values are exact to rounding while ln q_t + u_T stays below
+# this, where q_t^2 e^(2 u_T) / 32 reaches one ulp
+_LN_FLAT_LIMIT = 0.5 * math.log(32.0 * np.finfo(float).eps)
 
 
 def _check_theta(Theta: float) -> None:
@@ -159,9 +162,11 @@ class QuarticPath:
     at any other u; either way the result equals the kernel's bit for
     bit.
 
-    The fields other than Theta are floats, or for a family of paths
-    arrays of one shape, elementwise (sn_cn_dn_eps_array is then the
-    kernel and u an array of that shape)."""
+    The fields are floats, or for a family of paths arrays of one shape,
+    elementwise (sn_cn_dn_eps_array is then the kernel and u an array of
+    that shape).  A family's Theta is one float, or an array of that
+    shape: one period per node, so one family can hold the nodes of
+    several Theta."""
 
     q_t: float
     Theta: float
@@ -234,16 +239,22 @@ class QuarticPath:
         return self.q_t * self.s * sn * dn / (cn * cn)
 
 
-def quartic_path_from_qt(q_t, Theta: float) -> QuarticPath:
+def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
     """Build the quartic path with turning value q_t and period Theta, or,
-    for an array of q_t > 0, the family of those paths in one kernel call.
+    for an array of q_t > 0, the family of those paths in one kernel call,
+    at one Theta or at a Theta per node (an array of q_t's shape).
 
     Raises PoleError when sqrt(1+q_t^2) Theta/2 >= K(k), i.e. when the
     endpoint q0 would sit at or beyond the pole of nc (for a family,
-    naming the first such q_t)."""
-    _check_theta(Theta)
+    naming the first such q_t).  Where m1 = q_t^2 / (2 (1 + q_t^2))
+    underflows to 0 (0 < q_t < ~3e-162) the kernel's k = 1 values serve,
+    sn, cn, dn = tanh, sech, sech, so q0 = q_t cosh(u_T).  They drop a
+    relative q_t^2 e^(2 u_T) / 32 from cn and dn, so they serve while that
+    is below rounding, q_t e^(u_T) <= 6e-8, and DomainError is raised
+    beyond (the pole lies ~18 further in u)."""
     if np.ndim(q_t):
         return _quartic_paths(np.asarray(q_t, dtype=float), Theta)
+    _check_theta(Theta)
     if q_t < 0.0 or not math.isfinite(q_t):
         raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
     m1, k, s = _modulus_and_scale(q_t)
@@ -252,25 +263,35 @@ def quartic_path_from_qt(q_t, Theta: float) -> QuarticPath:
         sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
         eps = jacobi_epsilon(u_T, k, m1)
         return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
-    big_k = complete_K(k, m1=m1)
-    if u_T >= big_k:
+    if m1 == 0.0:
+        if math.log(q_t) + u_T > _LN_FLAT_LIMIT:
+            raise _flat_error(q_t, Theta, u_T)
+    elif u_T >= (big_k := complete_K(k, m1=m1)):
         raise _pole_error(q_t, Theta, u_T, big_k)
     sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
     eps = jacobi_epsilon(u_T, k, m1)
     return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
 
 
-def _quartic_paths(q_t: np.ndarray, Theta: float) -> QuarticPath:
+def _quartic_paths(q_t: np.ndarray, Theta) -> QuarticPath:
     if not np.all((q_t > 0.0) & (q_t < math.inf)):
         raise DomainError("an array of turning values must be finite and > 0 "
                           "(build the q_t = 0 path on its own)")
+    if np.ndim(Theta) == 0:
+        _check_theta(Theta)
+    elif not (Theta.min() > 0.0 and Theta.max() < math.inf):
+        raise DomainError("every Theta of a family must be positive and finite")
     m1, k, s = _modulus_and_scale(q_t, np.sqrt)
     u_T = 0.5 * s * Theta
     sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u_T, k, m1)
     past = u_T >= big_k
+    if not m1.all():
+        past |= (m1 == 0.0) & (np.log(q_t) + u_T > _LN_FLAT_LIMIT)
     if past.any():
         i = np.flatnonzero(past)[0]
-        raise _pole_error(q_t.flat[i], Theta, u_T.flat[i], big_k.flat[i])
+        q, th, u = q_t.flat[i], np.broadcast_to(Theta, q_t.shape).flat[i], u_T.flat[i]
+        raise (_flat_error(q, th, u) if m1.flat[i] == 0.0
+               else _pole_error(q, th, u, big_k.flat[i]))
     return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
 
 
@@ -278,6 +299,12 @@ def _pole_error(q_t: float, Theta: float, u_T: float, big_k: float) -> PoleError
     return PoleError(
         f"q_t={q_t}, Theta={Theta}: argument u={u_T:.6g} reaches the "
         f"nc pole at K={big_k:.6g}; the endpoint q0 is unbounded")
+
+
+def _flat_error(q_t: float, Theta: float, u_T: float) -> DomainError:
+    return DomainError(
+        f"q_t={q_t}, Theta={Theta}: 1 - k^2 underflows to 0, and at u={u_T:.6g} "
+        "the k = 1 values it leaves are not exact (q_t e^u above 6e-8)")
 
 
 def _pole_gap(q_t: float, Theta: float) -> float:
@@ -298,13 +325,19 @@ def q_theta_max(Theta: float) -> float:
     is subnormal from Theta ~ 710).  A value past the pole is stepped down
     by that tolerance, so the gap is <= 0 at the value returned.  Raises
     ConvergenceError where 1 - k^2 underflows at the root (from
-    Theta ~ 745) or the stepped-down value is still past the pole."""
+    Theta ~ 745), where q_t^2 overflows on the way to it (the root is
+    ~3.7 / Theta, so below Theta ~ 3e-154) or where the stepped-down value
+    is still past the pole."""
     _check_theta(Theta)
 
     # brentq evaluates the octave's ends again and returns a point it has
     # evaluated; the cache answers those
     @functools.lru_cache(maxsize=None)
     def gap(q_t: float) -> float:
+        if q_t * q_t == math.inf:
+            raise ConvergenceError(
+                f"q_Theta at Theta={Theta!r}, about 3.7 / Theta, lies where "
+                "q_t^2 overflows the float range")
         if _modulus_and_scale(q_t)[0] == 0.0:
             raise ConvergenceError(
                 f"q_Theta at Theta={Theta!r}, about 4 sqrt(2) e^(-Theta/2), "

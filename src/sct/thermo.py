@@ -16,13 +16,17 @@ q_t on [0, q_Theta), with the Jacobian identity
 evaluated in a factored form whose q_t -> 0 limit is cosh(Theta/2)
 exactly.  The integrand is carried as its logarithm, -I/g + ln J +
 (D-1) ln q0 - (ln Delta_l + (D-1) ln Delta_t)/2, over an array of q_t
-nodes at a time from one family of paths (one array-kernel call): on a
-120-node scan, then once per round of a batched adaptive Gauss-Kronrod
-21 rule, every node of which gets the dual-route determinant check.  The
-scan gives the peak, factored out of the quadrature, and the cut where
-the integrand has dropped ~40 e-folds below it (it vanishes at q_Theta);
-the remainder is controlled by an analytic tail bound read from the
-scan's values at the cut, reported and never silently added.
+nodes at a time from one family of paths (one array-kernel call).
+ln_z2_quartic takes a set of Theta (the seven of a specific-heat
+stencil, say) in one pass: the 120-node scans of every Theta are one
+family, with a Theta per node, and so is each round of a batched
+adaptive Gauss-Kronrod 21 rule over all their integrals, every node of
+which gets the dual-route determinant check.  Each Theta's scan gives
+its peak, factored out of its quadrature, and the cut where the
+integrand has dropped ~40 e-folds below it (it vanishes at q_Theta); the
+remainder is controlled by an analytic tail bound read from the scan's
+values at the cut, reported and never silently added.  ln Z2 is the
+primary quantity; z2_quartic is its exp at one Theta.
 
 The classical Z is carried as its log too.  The radius is scaled by
 s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), so that the integrand
@@ -34,8 +38,8 @@ tol, else the adaptive rule refines the panels, with edges added at the
 peak.
 
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
-a five-point stencil plus one Richardson step; the error estimate rides
-along with the value.
+a five-point stencil plus one Richardson step (at the seven
+stencil_thetas); the error estimate rides along with the value.
 """
 
 from __future__ import annotations
@@ -108,9 +112,12 @@ def z_harmonic(D: int, Theta: float) -> float:
 def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     """End-to-end pipeline check: the radial one-loop integral with the
     harmonic action and determinant must reproduce z_harmonic exactly
-    (the quadratic approximation is exact for a quadratic well)."""
+    (the quadratic approximation is exact for a quadratic well).  The
+    determinant 2 pi Omega(0, Theta) is taken in logs: it leaves the float
+    range from Theta ~ 708.6, Omega itself from ~710.5 (DomainError)."""
     _check_theta(Theta)
-    det_l = _TWO_PI * omega_kernel(harmonic_canonical_pair()).eval(0.0, Theta)
+    ln_det_l = math.log(_TWO_PI) + math.log(
+        omega_kernel(harmonic_canonical_pair()).eval(0.0, Theta))
 
     def integrand(r):
         return r ** (D - 1) * math.exp(-harmonic_action(r, Theta))
@@ -119,7 +126,7 @@ def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     if err > 10.0 * tol * abs(val):
         raise QuadratureError(
             f"harmonic radial integral: error estimate {err:.3e} above tolerance")
-    return math.exp(_ln_sphere_surface(D) + math.log(val) - 0.5 * D * math.log(det_l))
+    return math.exp(_ln_sphere_surface(D) + math.log(val) - 0.5 * D * ln_det_l)
 
 
 def jacobian_dq0_dqt(path: QuarticPath):
@@ -137,15 +144,15 @@ def jacobian_dq0_dqt(path: QuarticPath):
     return (1.0 + qt * qt) * det_l / (2.0 * _TWO_PI * slope_factor)
 
 
-def _log_integrand(params: ReducedParams, qt: np.ndarray, check_routes: bool):
+def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
     """ln f = ln J + (D-1) ln q0 + front of the one-loop q_t integrand f
-    over an array of turning values q_t > 0, from one path family, where
+    over an array of turning values q_t > 0 at Theta (one value, or one
+    per node), from one path family, where
     front = -I/g - (ln Delta_l + (D-1) ln Delta_t)/2 is the integrand's
     q0-form factor.  Returns (family, ln f, front).  A non-finite ln f
     (the closed forms overflow at Theta ~ 680) is reported as such before
     check_routes re-derives every node's determinants from the canonical
     pairs, so an overflow is never read as a route mismatch."""
-    g, D, Theta = params.g, params.D, params.Theta
     path = quartic_path_from_qt(qt, Theta)
     with np.errstate(all="ignore"):
         det_l = _det_longitudinal_closed(path)
@@ -158,7 +165,8 @@ def _log_integrand(params: ReducedParams, qt: np.ndarray, check_routes: bool):
         i = np.flatnonzero(bad)[0]
         raise QuadratureError(
             f"one-loop integrand overflows at q_t={float(path.q_t[i])!r} for "
-            f"D={D}, Theta={Theta!r} (Delta_l {float(det_l[i])!r}, "
+            f"D={D}, Theta={float(np.broadcast_to(Theta, qt.shape)[i])!r} "
+            f"(Delta_l {float(det_l[i])!r}, "
             f"Delta_t {float(det_t[i])!r}, ln integrand {float(log_f[i])!r})")
     if check_routes:
         det_longitudinal(path)
@@ -216,29 +224,47 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def _gauss_kronrod(f, edges, rtol: float):
-    """(integral, error estimate) of f over [edges[0], edges[-1]], split at
-    the inner edges, by globally adaptive Gauss-Kronrod 21.  Each round
-    evaluates f once, on the nodes of every open panel, and bisects only
-    the panels whose error estimate exceeds their share of rtol |integral|
-    (in proportion to width); it stops when the total error is within
-    rtol |integral|, or would need more than _GK_PANEL_LIMIT panels."""
-    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
-    span = hi[-1] - lo[0]
-    n_panels = lo.size
-    closed_val = closed_err = 0.0
-    while True:
-        val, err = _gk21_panels(f, lo, hi)
-        total = closed_val + val.sum()
-        total_err = closed_err + err.sum()
-        split = err > rtol * abs(total) * (hi - lo) / span
-        n_panels += int(split.sum())
-        if (total_err <= rtol * abs(total) or not split.any()
-                or n_panels > _GK_PANEL_LIMIT):
-            return float(total), float(total_err)
-        closed_val += val[~split].sum()
-        closed_err += err[~split].sum()
-        mid = 0.5 * (lo[split] + hi[split])
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    """(integrals, error estimates), as arrays, of f over
+    [edges[j][0], edges[j][-1]] for each integral j, split at its inner
+    edges, by globally adaptive Gauss-Kronrod 21.  f(x, j) takes nodes x
+    and, per node, the integral j it belongs to (an int where one integral
+    is open).  Each round evaluates f once, on the nodes of every open
+    panel of every open integral.  Per integral, a round bisects only the
+    panels whose error estimate exceeds their share of rtol |integral| (in
+    proportion to width), and the integral closes when its total error is
+    within rtol |integral|, or would need more than _GK_PANEL_LIMIT
+    panels.  An integral's panels and sums are the ones it has when
+    integrated alone."""
+    total, total_err = [0.0] * len(edges), [0.0] * len(edges)
+    # per open integral: its index, its open panels [lo, hi], its span,
+    # the value and error of its closed panels, and its panel count
+    still_open = [(j, np.asarray(e[:-1], dtype=float), np.asarray(e[1:], dtype=float),
+                   float(e[-1]) - float(e[0]), 0.0, 0.0, len(e) - 1)
+                  for j, e in enumerate(edges)]
+    while still_open:
+        runs, still_open = still_open, []
+        sizes = [run[1].size for run in runs]
+        which = runs[0][0] if len(runs) == 1 else np.repeat(
+            np.array([run[0] for run in runs]), _GK_NODES.size * np.array(sizes))
+        val, err = _gk21_panels(lambda x: f(x, which),
+                                np.concatenate([run[1] for run in runs]),
+                                np.concatenate([run[2] for run in runs]))
+        for (j, lo, hi, span, closed_val, closed_err, n_panels), stop in zip(
+                runs, itertools.accumulate(sizes)):
+            v, e = val[stop - lo.size:stop], err[stop - lo.size:stop]
+            total[j] = closed_val + v.sum()
+            total_err[j] = closed_err + e.sum()
+            split = e > rtol * abs(total[j]) * (hi - lo) / span
+            n_panels += int(split.sum())
+            if (total_err[j] <= rtol * abs(total[j]) or not split.any()
+                    or n_panels > _GK_PANEL_LIMIT):
+                continue
+            mid = 0.5 * (lo[split] + hi[split])
+            still_open.append((j, np.concatenate([lo[split], mid]),
+                               np.concatenate([mid, hi[split]]), span,
+                               closed_val + v[~split].sum(),
+                               closed_err + e[~split].sum(), n_panels))
+    return np.array(total), np.array(total_err)
 
 
 def _ln_tail_bound(params: ReducedParams, q0: float, q_cut: float,
@@ -269,63 +295,102 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol={tol!r} must be finite and positive")
 
 
+def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
+    """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas,
+    in one pass of each stage: one path family over every Theta's scan
+    nodes (a Theta per node); per Theta its peak, cut and panel edges; one
+    adaptive Gauss-Kronrod loop over all the integrals, each round one
+    family whose every node gets the dual-route check; then per Theta, in
+    the order given, the accuracy check and the tail bound.  ln Z2 has no
+    float range to leave, so a Theta where Z2 would leave it (D = 8,
+    g = 0.5 from Theta ~ 177) has a value."""
+    if not 0.0 < g < math.inf:
+        raise DomainError(f"g={g!r} must be positive and finite (use z_harmonic at g=0)")
+    _check_dimension(D)
+    _check_tol(tol)
+    thetas = np.array(Thetas, dtype=float).ravel()
+    if not thetas.size:
+        return []
+    scans = []
+    for Theta in thetas.tolist():
+        _check_theta(Theta)
+        # the scan grid covers both the weak-coupling scale
+        # sqrt(g / sinh Theta) and the full window [0, q_Theta)
+        sigma = (math.sqrt(g / math.sinh(Theta)) if Theta < 700.0
+                 else math.sqrt(2.0 * g) * math.exp(-0.5 * Theta))
+        if 1e-3 * sigma == 0.0:
+            raise QuadratureError(
+                f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
+                f"scale {sigma!r})")
+        q_cap = q_theta_max(Theta)
+        start = min(1e-3 * sigma, 1e-4 * q_cap)
+        scans.append((sigma, np.unique(np.concatenate([
+            np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
+            np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
+        ]))))
+    sizes = [scan.size for _, scan in scans]
+    # a Theta per node; a lone Theta stays one float, as in the rounds
+    family, logs, front = _log_integrand(
+        g, D, np.concatenate([scan for _, scan in scans]),
+        thetas[0] if thetas.size == 1 else np.repeat(thetas, np.array(sizes)),
+        check_routes=False)
+
+    edges, log_peaks, cuts = [], [], []
+    for (sigma, scan), lo in zip(scans, itertools.accumulate([0] + sizes)):
+        log_scan = logs[lo:lo + scan.size]
+        i_peak = int(np.argmax(log_scan))
+        log_peak = float(log_scan[i_peak])
+        q_peak = float(scan[i_peak])
+        # the last scan node is 0.9995 q_cap, where the cut falls if the
+        # integrand never drops 40 e-folds past the peak
+        above = np.flatnonzero((scan > q_peak) & (log_scan < log_peak - 40.0))
+        i_cut = int(above[0]) if above.size else scan.size - 1
+        q_cut = float(scan[i_cut])
+        inner = [q for q in (q_peak, 0.5 * q_cut, 2.0 * sigma) if 0.0 < q < q_cut]
+        edges.append([0.0] + sorted(set(inner)) + [q_cut])
+        log_peaks.append(log_peak)
+        cuts.append(lo + i_cut)
+    peaks = np.array(log_peaks)
+
+    vals, errs = _gauss_kronrod(
+        lambda q, j: np.exp(_log_integrand(g, D, q, thetas[j], check_routes=True)[1]
+                            - peaks[j]),
+        edges, 0.5 * tol)
+    ln_z2 = []
+    for Theta, val, err, log_peak, i_cut in zip(
+            thetas.tolist(), vals.tolist(), errs.tolist(), log_peaks, cuts):
+        if not val > 0.0 or err > tol * val:
+            raise QuadratureError(
+                f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
+                f"(peak scaled to 1), requested relative {tol:.1e} at "
+                f"Theta={Theta!r}")
+        ln_val = math.log(val) + log_peak
+        q_cut = float(family.q_t[i_cut])
+        ln_tail = _ln_tail_bound(ReducedParams(g, D, Theta), float(family.q0[i_cut]),
+                                 q_cut, float(front[i_cut]))
+        if ln_tail > math.log(tol) + ln_val:
+            raise QuadratureError(
+                f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "
+                f"tolerance {tol:.1e} on value e^{ln_val:.6g} at Theta={Theta!r}")
+        ln_z2.append(_ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val)
+    return ln_z2
+
+
 def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
     """One-loop partition function of the quartic well: the q_t integral
     of jacobian * q0^(D-1) * exp(-I/g) * (Delta_l Delta_t^(D-1))^(-1/2)
-    over [0, q_Theta), times the angular and coupling prefactors.  Raises
-    QuadratureError, naming ln Z2, where Z2 leaves the normal float range
-    (at D = 8, g = 0.5 from Theta ~ 177, where Z2 ~ e^(-D Theta/2)).
+    over [0, q_Theta), times the angular and coupling prefactors; the exp
+    of ln_z2_quartic at one Theta.  Raises QuadratureError, naming ln Z2,
+    where Z2 leaves the normal float range (at D = 8, g = 0.5 from
+    Theta ~ 177, where Z2 ~ e^(-D Theta/2)).
 
     The one-loop Z carries an O(g) error and is not promised to make ln Z
     convex in Theta, so the C(T) derived from it may dip below zero at
     T << 1, where the true C is itself far below that error (at g = 0.5,
     D = 1, T = 0.1 the one-loop C is about -4e-3 and the exact C about
     +6e-4)."""
-    if params.g <= 0.0:
-        raise DomainError(f"g={params.g!r} must be positive (use z_harmonic at g=0)")
-    _check_tol(tol)
     g, D, Theta = params.g, params.D, params.Theta
-
-    # locate the peak and the ~40 e-fold cutoff on a scan grid that covers
-    # both the weak-coupling scale sqrt(g/sinh Theta) and the full window
-    sigma = (math.sqrt(g / math.sinh(Theta)) if Theta < 700.0
-             else math.sqrt(2.0 * g) * math.exp(-0.5 * Theta))
-    if 1e-3 * sigma == 0.0:
-        raise QuadratureError(
-            f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
-            f"scale {sigma!r})")
-    q_cap = q_theta_max(Theta)
-    start = min(1e-3 * sigma, 1e-4 * q_cap)
-    scan = np.unique(np.concatenate([
-        np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
-        np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
-    ]))
-    family, logs, front = _log_integrand(params, scan, check_routes=False)
-    i_peak = int(np.argmax(logs))
-    log_peak = float(logs[i_peak])
-    q_peak = float(scan[i_peak])
-    # the last scan node is 0.9995 q_cap, where the cut falls if the
-    # integrand never drops 40 e-folds past the peak
-    above = np.flatnonzero((scan > q_peak) & (logs < log_peak - 40.0))
-    i_cut = int(above[0]) if above.size else scan.size - 1
-    q_cut = float(scan[i_cut])
-
-    inner = [q for q in (q_peak, 0.5 * q_cut, 2.0 * sigma) if 0.0 < q < q_cut]
-    val, err = _gauss_kronrod(
-        lambda q: np.exp(_log_integrand(params, q, check_routes=True)[1] - log_peak),
-        [0.0] + sorted(set(inner)) + [q_cut], 0.5 * tol)
-    if not val > 0.0 or err > tol * val:
-        raise QuadratureError(
-            f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
-            f"(peak scaled to 1), requested relative {tol:.1e}")
-    ln_val = math.log(val) + log_peak
-    ln_tail = _ln_tail_bound(params, float(family.q0[i_cut]), q_cut,
-                             float(front[i_cut]))
-    if ln_tail > math.log(tol) + ln_val:
-        raise QuadratureError(
-            f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "
-            f"tolerance {tol:.1e} on value e^{ln_val:.6g}")
-    ln_z2 = _ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val
+    (ln_z2,) = ln_z2_quartic(g, D, [Theta], tol)
     if not _LN_TINY <= ln_z2 <= _LN_HUGE:
         raise QuadratureError(
             f"Z2 leaves the normal float range at D={D}, Theta={Theta!r}: "
@@ -416,10 +481,11 @@ def _scaled_radial_integral(D: int, a: float, b: float, tol: float):
     rel = rel_error(val, err)
     if rel > tol:
         near = [x_peak + k * width for k in _CL_PEAK_EDGES]
-        val, err = _gauss_kronrod(
-            lambda x: np.exp((D - 1) * np.log(x) - (a + b * x * x) * x * x - peak),
-            np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U]),
+        vals, errs = _gauss_kronrod(
+            lambda x, _: np.exp((D - 1) * np.log(x) - (a + b * x * x) * x * x - peak),
+            [np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U])],
             0.5 * tol)
+        val, err = float(vals[0]), float(errs[0])
         rel = rel_error(val, err)
         if rel > tol:
             raise QuadratureError(
@@ -595,30 +661,45 @@ def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
 # Specific heat and temperature curves.
 # ---------------------------------------------------------------------------
 
-def specific_heat(lnz, Theta: float, target_err: float | None = None):
-    """C = Theta^2 d^2(ln Z)/dTheta^2 by five-point stencils at steps h
-    and h/2, h = max(1e-3 Theta, 1e-4), Richardson-extrapolated once.
-    The two stencils share Theta and Theta +- h, so ln Z is evaluated at
-    seven distinct Theta, each once, Theta itself first.
-    Returns (C, error_estimate); raises ConvergenceError if a requested
-    target error cannot be met (noisy ln Z / collapsed step), or if C or
-    its error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
-    float range (Theta below ~1e-154 or above ~1e154)."""
+def _stencil(Theta: float):
+    # the step h and the seven Theta of specific_heat's stencils
     _check_theta(Theta)
     h = min(max(1e-3 * Theta, 1e-4), 0.249 * Theta)
     if 0.25 * h * h == 0.0:
         raise _stencil_error(Theta, h)
-    f0 = lnz(Theta)
-    # keyed by offset; 2 (h/2) is h exactly, so both stencils find it
-    below = {d: lnz(Theta - d) for d in (0.5 * h, h, 2 * h)}
-    above = {d: lnz(Theta + d) for d in (0.5 * h, h, 2 * h)}
+    half, double = 0.5 * h, 2 * h
+    return h, (Theta, Theta - half, Theta - h, Theta - double,
+               Theta + half, Theta + h, Theta + double)
 
-    def stencil(hh: float) -> float:
-        return (-below[2 * hh] + 16.0 * below[hh] - 30.0 * f0
-                + 16.0 * above[hh] - above[2 * hh]) / (12.0 * hh * hh)
 
-    d_h = stencil(h)
-    d_h2 = stencil(0.5 * h)
+def stencil_thetas(Theta: float) -> tuple:
+    """The seven Theta at which specific_heat evaluates ln Z, in its order:
+    Theta, Theta - h/2, Theta - h, Theta - 2h, Theta + h/2, Theta + h,
+    Theta + 2h, bit for bit.  Raises ConvergenceError where the step
+    collapses, (h/2)^2 underflowing to 0 (Theta below ~1e-162)."""
+    return _stencil(Theta)[1]
+
+
+def specific_heat(lnz, Theta: float, target_err: float | None = None):
+    """C = Theta^2 d^2(ln Z)/dTheta^2 by five-point stencils at steps h
+    and h/2, h = max(1e-3 Theta, 1e-4), Richardson-extrapolated once.
+    The two stencils share Theta and Theta +- h, so ln Z is evaluated at
+    the seven distinct stencil_thetas(Theta), each once, Theta itself
+    first.
+    Returns (C, error_estimate); raises ConvergenceError if a requested
+    target error cannot be met (noisy ln Z / collapsed step), or if C or
+    its error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
+    float range (Theta below ~1e-154 or above ~1e154)."""
+    h, thetas = _stencil(Theta)
+    # ln Z at Theta, then below and above it at offsets h/2, h and 2h
+    f0, b1, b2, b4, a1, a2, a4 = [lnz(theta) for theta in thetas]
+
+    def stencil(hh: float, below_1, below_2, above_1, above_2) -> float:
+        return (-below_2 + 16.0 * below_1 - 30.0 * f0
+                + 16.0 * above_1 - above_2) / (12.0 * hh * hh)
+
+    d_h = stencil(h, b2, b4, a2, a4)
+    d_h2 = stencil(0.5 * h, b1, b2, a1, a2)
     richardson = (16.0 * d_h2 - d_h) / 15.0
     noise_floor = 1e-14 * max(1.0, abs(f0)) / (0.25 * h * h)
     err = Theta * Theta * (abs(richardson - d_h2) + noise_floor)

@@ -12,8 +12,9 @@ import pytest
 
 import sct.cli
 from sct.cli import ConfigError, RunConfig, compare, main, run
+from sct.errors import ConvergenceError
 from sct.paths import ReducedParams
-from sct.thermo import specific_heat
+from sct.thermo import specific_heat, stencil_thetas
 
 
 def run_main(argv, capsys):
@@ -107,6 +108,26 @@ class TestRun:
             assert thetas.count(1.0 / float(T)) == 1
 
 
+    @pytest.mark.parametrize("D", [1, 3])
+    def test_one_batch_per_semiclassical_row(self, monkeypatch, D):
+        # a row's seven ln Z2 share each path-family build: the scan and the
+        # quadrature rounds, 2-3 builds a row where one Theta at a time
+        # made 14-21
+        builds, batches = [], []
+        build, batch = sct.thermo.quartic_path_from_qt, sct.cli.ln_z2_quartic
+        monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
+                            lambda q_t, Theta: builds.append(q_t) or build(q_t, Theta))
+        monkeypatch.setattr(sct.cli, "ln_z2_quartic",
+                            lambda *args: batches.append(args[2]) or batch(*args))
+        cfg = RunConfig(mode="quartic-semiclassical", g=0.5, D=D, T_min=0.1,
+                        T_max=5.0, T_steps=4)
+        run(cfg, io.StringIO())
+        assert len(builds) <= 3 * cfg.T_steps
+        assert [thetas[0] for thetas in batches] == [
+            1.0 / float(T) for T in cfg.temperature_grid()]
+        assert all(len(thetas) == 7 for thetas in batches)
+
+
 class TestCompare:
     def test_single_mode_matches_run_minus_lnz(self):
         cfg = RunConfig(mode="harmonic", D=1, T_min=0.5, T_max=2.0, T_steps=4)
@@ -156,13 +177,21 @@ class TestMain:
         assert "wkb requires D=1" in err
         assert out == ""
 
-    def test_overflow_exit_code(self, capsys):
-        code, out, err = run_main(
-            ["run", "--mode=quartic-semiclassical", "--dim=8",
-             "--tmin=0.005", "--tmax=0.006", "--steps=2"], capsys)
-        assert code == 3
-        assert "Theta=200" in err
-        assert out == ""
+    def test_rows_past_the_float_range_of_z2(self, capsys):
+        # Theta = 200 and 170 at D = 8: Z2 ~ e^-802 and e^-682 have no float
+        # value (exit 3 while the column read ln z2_quartic); their logs
+        # differ by -D/2 dTheta, the one-loop ground energy
+        argv = ["--dim=8", "--tmin=0.005", f"--tmax={1.0 / 170.0!r}", "--steps=2"]
+        code, out, err = run_main(["run", "--mode=quartic-semiclassical", *argv], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        theta = [1.0 / float(T) for T in
+                 RunConfig(mode="harmonic", T_min=0.005, T_max=1.0 / 170.0,
+                           T_steps=2).temperature_grid()]
+        assert rows[0][1] - rows[1][1] == pytest.approx(-4.0 * (theta[0] - theta[1]), abs=1e-8)
+        assert rows[0][1] == pytest.approx(-802.03294, abs=1e-5)
+        for _, _, c, c_err in rows:
+            assert abs(c) <= c_err  # the gapped limit
 
     def test_missing_mode(self, capsys):
         code, _, err = run_main(["run"], capsys)
@@ -357,12 +386,38 @@ class TestMain:
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
 
-    def test_dimension_past_the_float_range_exit_code(self, capsys):
+    def test_dimension_past_the_float_range_has_rows(self, capsys):
+        # ln Z2 = -1695 at D = 1000, T = 1: exit 3 while the column read
+        # ln z2_quartic; the rows are the library's ln Z2
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--dim=1000", "--tmin=1",
              "--tmax=2", "--steps=2"], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [1.0, 2.0]
+        lnz = sct.thermo.ln_z2_quartic(0.5, 1000, [1.0, 0.5], 1e-9)
+        for row, want in zip(rows, lnz):
+            assert row[1] == pytest.approx(want, rel=1e-14)
+            assert row[1] < math.log(sys.float_info.min)
+            assert 0.0 < row[2] and row[3] < 1e-6 * row[2]
+
+    def test_failing_stencil_point_fails_its_row(self, monkeypatch, capsys):
+        # the second row's Theta + 2h fails; the row is reported by its T
+        cfg = RunConfig(mode="quartic-semiclassical", T_min=0.5, T_max=1.0, T_steps=2)
+        bad = stencil_thetas(1.0 / float(cfg.temperature_grid()[1]))[6]
+        q_theta_max = sct.thermo.q_theta_max
+
+        def failing(Theta):
+            if Theta == bad:
+                raise ConvergenceError(f"injected at Theta={Theta!r}")
+            return q_theta_max(Theta)
+
+        monkeypatch.setattr(sct.thermo, "q_theta_max", failing)
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", "--tmin=0.5", "--tmax=1",
+             "--steps=2"], capsys)
         assert code == 3
-        assert "normal float range at D=1000" in err
+        assert f"injected at Theta={bad!r} [while evaluating T=1, Theta=1]" in err
         assert out == ""
 
     def test_large_theta_exit_code(self, capsys):

@@ -81,6 +81,31 @@ class TestOmegaKernel:
         with pytest.raises(DegenerateError, match="zero mode"):
             green_central(bad, 1.0, 0.3, 0.9)
 
+    def test_harmonic_pair_past_the_float_range(self):
+        # cosh(t) sinh(t') is inf once t + t' passes ~710, and Omega was
+        # inf - inf = NaN, as were the Green's function and 60 of the 64
+        # table entries at Theta = 600, with no error
+        pair = harmonic_canonical_pair()
+        with pytest.raises(DomainError, match=r"Omega\(598.0, 599.0\) = nan: .*"
+                                              "overflows the float range"):
+            omega_kernel(pair).eval(598.0, 599.0)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            green_central(pair, 600.0, 598.0, 599.0)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            green_table_central(pair, 600.0, 8)
+        # below, Omega(t, t') = sinh(t' - t) stays finite
+        assert omega_kernel(pair).eval(0.0, 600.0) == math.sinh(600.0)
+        assert green_central(pair, 600.0, 1.0, 2.0) == pytest.approx(
+            math.sinh(1.0) * math.exp(-2.0), rel=1e-12)
+
+    def test_non_finite_family_entry_is_named(self):
+        # elementwise: the first non-finite entry and its times
+        pair = CanonicalPair(lambda t: 1.0,
+                             lambda t: np.array([1.0, math.inf, 10.0]) if np.ndim(t) else 0.0,
+                             None, None)
+        with pytest.raises(DomainError, match=r"Omega\(0.0, 3.0\) = inf"):
+            omega_kernel(pair).eval(0.0, np.array([1.0, 3.0, 5.0]))
+
     def test_reads_only_the_pair_values(self):
         # unit Wronskian is the pair's contract: Omega computes no Wronskian
         # and never calls the derivative closures

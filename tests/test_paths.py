@@ -167,6 +167,20 @@ class TestQuarticPath:
             harm = qt * math.cosh(t - 0.5 * Theta)
             assert path.position(t) == pytest.approx(harm, rel=1e-7)
 
+    def test_turning_value_where_m1_underflows(self):
+        # m1 = q_t^2 / 2 underflows to 0 below q_t ~ 3e-162, where K(k)
+        # diverged; the k = 1 values give q0 = q_t cosh(u_T) to rounding
+        for Theta in (1.0, 20.0, 700.0):
+            path = quartic_path_from_qt(1e-170, Theta)
+            assert path.m1 == 0.0
+            assert path.q0 / (1e-170 * math.cosh(0.5 * Theta)) == pytest.approx(1.0, rel=1e-15)
+        family = quartic_path_from_qt(np.array([1e-170, 1e-300]), np.array([1.0, 700.0]))
+        assert family.q0[1] / (1e-300 * math.cosh(350.0)) == pytest.approx(1.0, rel=1e-15)
+        # where q_t e^(u_T) passes 6e-8 the dropped O(m1) term would show
+        for q_t in (1e-170, np.array([1e-300, 1e-170])):
+            with pytest.raises(DomainError, match="q_t=1e-170, Theta=780.0: 1 - k"):
+                quartic_path_from_qt(q_t, 780.0)
+
     def test_pole_error(self):
         # K(k(1)) = K(sqrt(3)/2) ~ 2.157, s = sqrt(2): pole at Theta ~ 3.05
         with pytest.raises(PoleError):
@@ -311,6 +325,14 @@ class TestQThetaMax:
         monkeypatch.setattr(sct.paths, "brentq", lambda f, a, b, **kwargs: b)
         with pytest.raises(ConvergenceError, match="past the pole"):
             q_theta_max(1.0)
+
+    @pytest.mark.parametrize("Theta", [1e-155, 1e-160, 1e-300])
+    def test_theta_where_q_t_squared_overflows(self, Theta):
+        # the root ~3.7 / Theta: q_t^2 overflowed to a NaN modulus, and the
+        # error named neither Theta nor the cause
+        with pytest.raises(ConvergenceError,
+                           match=f"Theta={Theta!r}.*q_t\\^2 overflows"):
+            q_theta_max(Theta)
 
     def test_paths_below_are_pole_free(self):
         for Theta in (0.5, 2.0):

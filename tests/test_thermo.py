@@ -48,10 +48,12 @@ from sct.thermo import (
     _log_integrand,
     _phase_integral,
     jacobian_dq0_dqt,
+    ln_z2_quartic,
     ln_z_classical,
     ln_z_harmonic,
     ln_z_wkb,
     specific_heat,
+    stencil_thetas,
     thermo_curve,
     wkb_levels,
     wkb_spectrum,
@@ -163,6 +165,12 @@ class TestHarmonicPartition:
         with pytest.raises(DomainError, match="dimension"):
             ln_z_harmonic(D, 1.0)
 
+    def test_pipeline_past_the_determinant_overflow(self):
+        # 2 pi sinh(Theta) is inf from Theta ~ 708.6, and Z2 came out 0.0
+        for Theta in (700.0, 709.0, 710.0):
+            ratio = z2_harmonic_integral(1, Theta) / z_harmonic(1, Theta)
+            assert ratio == pytest.approx(1.0, rel=1e-8)
+
     def test_pipeline_reproduces_closed_form(self):
         for D in (1, 2, 3):
             for Theta in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -210,9 +218,8 @@ class TestZ2Quartic:
 
     def test_integrand_small_qt_scaling(self):
         # integrand / q_t^(D-1) tends to a finite positive constant
-        params = ReducedParams(0.5, 3, 1.0)
         qt = np.array([1e-3, 1e-4, 1e-5])
-        _, log_f, _ = _log_integrand(params, qt, check_routes=False)
+        _, log_f, _ = _log_integrand(0.5, 3, qt, 1.0, check_routes=False)
         scaled = log_f - 2.0 * np.log(qt)
         assert scaled[0] == pytest.approx(scaled[1], abs=1e-4)
         assert scaled[1] == pytest.approx(scaled[2], abs=1e-4)
@@ -320,8 +327,7 @@ class TestZ2Quartic:
         q_t = 0.99 * q_theta_max(Theta)
         with pytest.raises(QuadratureError,
                            match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
-            _log_integrand(ReducedParams(0.5, 1, Theta), np.array([q_t]),
-                           check_routes)
+            _log_integrand(0.5, 1, np.array([q_t]), Theta, check_routes)
 
     def test_overflow_is_a_quadrature_error(self):
         with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
@@ -401,7 +407,7 @@ class TestZ2Quartic:
 
             def fb(theta):
                 value = pair.fb(theta)
-                return value * (1.0 + 1e-6) if theta == path.Theta else value
+                return value * (1.0 + 1e-6) if np.array_equal(theta, path.Theta) else value
 
             return sct.paths.CanonicalPair(pair.fa, fb, pair.fa_dot, pair.fb_dot)
 
@@ -426,6 +432,12 @@ class TestZ2Quartic:
             40.0, 100.0, 200.0, 400.0, 470.0)
         for Theta in thetas:
             lnz = math.log(z2_quartic(ReducedParams(g, D, Theta)))
+            assert abs(lnz + 0.5 * D * Theta - self.ZERO_T_LIMIT[g, D]) <= 1e-12
+        # past Theta ~ 470 at D = 3, Z2 ~ e^-720 leaves the float range and
+        # only its log has a value; one batch takes every Theta
+        if D == 3:
+            thetas += (480.0, 520.0, 570.0, 620.0, 670.0)
+        for Theta, lnz in zip(thetas, ln_z2_quartic(g, D, thetas)):
             assert abs(lnz + 0.5 * D * Theta - self.ZERO_T_LIMIT[g, D]) <= 1e-12
 
     def test_tail_bound_at_large_dimension(self):
@@ -455,6 +467,70 @@ class TestZ2Quartic:
         assert outcomes["value"] >= 200
 
 
+class TestLnZ2Quartic:
+    @pytest.mark.parametrize("D", [1, 3, 8])
+    @pytest.mark.parametrize("g", [1e-3, 0.2, 0.5, 10.0])
+    def test_stencil_batch_equals_per_theta(self, g, D):
+        # a row's seven stencil Theta in one pass give the one-Theta values,
+        # to 1e-15 relative in Z2 (absolute in ln Z2 where |ln Z2| < 1, as
+        # log(exp(x)) rounds in the last place of x)
+        for T in (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0):
+            thetas = stencil_thetas(1.0 / T)
+            for Theta, lnz in zip(thetas, ln_z2_quartic(g, D, thetas)):
+                per_theta = math.log(z2_quartic(ReducedParams(g, D, Theta)))
+                assert lnz == pytest.approx(per_theta, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("which", [1, 3, 6])
+    def test_route_check_bites_at_one_stencil_theta(self, monkeypatch, which):
+        # a 1e-6 error in the longitudinal f_b(Theta) at the nodes of one
+        # non-central stencil Theta (Theta - h/2, Theta - 2h, Theta + 2h)
+        thetas = stencil_thetas(10.0)
+        target = thetas[which]
+        build = sct.fluctuations.canonical_longitudinal
+
+        def perturbed(path):
+            pair = build(path)
+
+            def fb(theta):
+                return pair.fb(theta) * np.where(np.equal(theta, target), 1.0 + 1e-6, 1.0)
+
+            return sct.paths.CanonicalPair(pair.fa, fb, pair.fa_dot, pair.fb_dot)
+
+        monkeypatch.setattr(sct.fluctuations, "canonical_longitudinal", perturbed)
+        with pytest.raises(RouteMismatchError,
+                           match=rf"det_longitudinal: .*, Theta={target!r}$"):
+            ln_z2_quartic(0.5, 1, thetas)
+        # the other six Theta's nodes carry no error
+        rest = thetas[:which] + thetas[which + 1:]
+        assert all(map(math.isfinite, ln_z2_quartic(0.5, 1, rest)))
+
+    def test_past_the_float_range_of_z2(self):
+        # ln Z2 -> -D Theta/2 + c: the one-loop ground energy is D/2; at
+        # D = 8, g = 0.5, Z2 ~ e^-720 from Theta ~ 177 has no float value
+        lnz_200, lnz_170, lnz_180 = ln_z2_quartic(0.5, 8, [200.0, 170.0, 180.0])
+        assert lnz_200 - lnz_170 == pytest.approx(-120.0, abs=1e-8)
+        assert lnz_180 == pytest.approx(-722.03, abs=5e-3)
+        with pytest.raises(QuadratureError, match="normal float range"):
+            z2_quartic(ReducedParams(0.5, 8, 180.0))
+
+    def test_failing_theta_fails_the_batch(self):
+        # Theta = 1480: the scan grid's first node underflows
+        with pytest.raises(QuadratureError, match="underflows to 0 at Theta=1480.0"):
+            ln_z2_quartic(0.5, 1, [1.0, 1480.0, 2.0])
+
+    def test_empty_and_invalid_arguments(self):
+        assert ln_z2_quartic(0.5, 1, []) == []
+        for g in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="g="):
+                ln_z2_quartic(g, 1, [1.0])
+        with pytest.raises(DomainError, match="dimension"):
+            ln_z2_quartic(0.5, 0, [1.0])
+        with pytest.raises(DomainError, match="tol="):
+            ln_z2_quartic(0.5, 1, [1.0], tol=0.0)
+        with pytest.raises(DomainError, match="Theta=nan"):
+            ln_z2_quartic(0.5, 1, [1.0, math.nan])
+
+
 class TestGaussKronrod:
     def test_rule_degrees(self):
         # Kronrod 21 integrates x^j exactly to j = 31, its Gauss 10 part to 19
@@ -477,7 +553,7 @@ class TestGaussKronrod:
             calls.append(x.size)
             return 1.0 / (a * a + x * x)
 
-        val, err = _gauss_kronrod(f, [0.0, 0.5, 1.0], 1e-12)
+        (val,), (err,) = _gauss_kronrod(lambda x, _: f(x), [[0.0, 0.5, 1.0]], 1e-12)
         exact = math.atan(1.0 / a) / a
         assert val == pytest.approx(exact, rel=1e-12)
         assert abs(val - exact) <= err <= 1e-12 * val
@@ -758,6 +834,16 @@ class TestSpecificHeat:
         # then a bare ZeroDivisionError
         with pytest.raises(ConvergenceError, match="is not finite"):
             specific_heat(lambda th: ln_z_harmonic(3, th), Theta)
+
+    @pytest.mark.parametrize("Theta", [1e-150, 0.37, 1.0, 60.0])
+    def test_stencil_thetas_are_the_evaluated_ones(self, Theta):
+        thetas = []
+        specific_heat(lambda th: thetas.append(th) or ln_z_harmonic(1, th), Theta)
+        assert tuple(thetas) == stencil_thetas(Theta)
+
+    def test_stencil_thetas_where_the_step_collapses(self):
+        with pytest.raises(ConvergenceError, match="is not finite"):
+            stencil_thetas(1e-162)
 
     def test_tiny_theta_with_a_normal_step(self):
         c, err = specific_heat(lambda th: ln_z_harmonic(3, th), 1e-150)
