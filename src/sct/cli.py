@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +61,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
+        for flag, value in (("dim", self.D), ("steps", self.T_steps)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{flag}={value!r} must be an integer")
         if not 0.0 < self.T_min < math.inf:
             raise ConfigError(f"tmin={self.T_min} must be positive and finite")
         if not self.T_min < self.T_max < math.inf:
@@ -116,8 +120,8 @@ def _lnz_of_mode(config: RunConfig):
         scalar = lambda theta: ln_z_classical(
             ReducedParams(config.g, config.D, theta), tol=tol)
     elif config.mode == "quartic-wkb":
-        # the spectrum must cover the hottest probe of the stencil, with margin
-        spectrum = wkb_spectrum(config.g, 0.95 / config.T_max)
+        # the spectrum must cover the hottest probe of the stencil
+        spectrum = wkb_spectrum(config.g, min(stencil_thetas(1.0 / config.T_max)))
         scalar = lambda theta: ln_z_wkb(spectrum, theta)
     else:
         raise ConfigError(f"unknown mode {config.mode!r}")

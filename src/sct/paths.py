@@ -577,6 +577,10 @@ def quartic_well() -> RadialPotential:
                            lambda q: 1.0 + 3.0 * q * q)
 
 
+# the points at which a shooting result samples its trajectory
+_SHOOT_SAMPLES = 256
+
+
 @dataclass(frozen=True)
 class ShootResult:
     """Radial trajectory found by shooting: sample grid, initial slope and
@@ -592,14 +596,14 @@ class ShootResult:
         return float(self._sol.sol(theta)[0])
 
 
-def shoot_radial_path(potential: RadialPotential, r0: float, Theta: float,
-                      n_samples: int = 256) -> ShootResult:
+def shoot_radial_path(potential: RadialPotential, r0: float,
+                      Theta: float) -> ShootResult:
     """Solve d^2r/dt^2 = V'(r) with r(0) = r(Theta) = r0 by shooting on the
     initial slope.  Verification oracle only; the closed forms above are
     the production path."""
     _check_theta(Theta)
     _check_r0(r0)
-    grid = np.linspace(0.0, Theta, n_samples)
+    grid = np.linspace(0.0, Theta, _SHOOT_SAMPLES)
     if r0 == 0.0:
         sol = solve_ivp(lambda t, y: [y[1], 0.0], (0.0, Theta), [0.0, 0.0],
                         dense_output=True, rtol=1e-12, atol=1e-12)

@@ -18,15 +18,19 @@ exactly.  The integrand is carried as its logarithm, -I/g + ln J +
 (D-1) ln q0 - (ln Delta_l + (D-1) ln Delta_t)/2, over an array of q_t
 nodes at a time from one family of paths (one array-kernel call).
 ln_z2_quartic takes a set of Theta (the seven of a specific-heat
-stencil, say) in one pass: the 120-node scans of every Theta are one
-family, with a Theta per node, and so is each round of a batched
-adaptive Gauss-Kronrod 21 rule over all their integrals, every node of
-which gets the dual-route determinant check.  Each Theta's scan gives
-its peak, factored out of its quadrature, and the cut where the
-integrand has dropped ~40 e-folds below it (it vanishes at q_Theta); the
-remainder is controlled by an analytic tail bound read from the scan's
-values at the cut, reported and never silently added.  ln Z2 is the
-primary quantity; z2_quartic is its exp at one Theta.
+stencil, say) in one pass.  Their scans are one (n_Theta, 120) array,
+row i the 40 geometric and 80 linear q_t nodes of Theta i, sorted, and
+one family with a Theta per node; so is each round of a batched adaptive
+Gauss-Kronrod 21 rule over all their integrals, every node of which gets
+the dual-route determinant check.  Each row gives its peak, factored out
+of its quadrature, and the cut where the integrand has dropped ~40
+e-folds below it (it vanishes at q_Theta); the remainder is controlled
+by an analytic tail bound read from the scan's values at the cut,
+reported and never silently added.  Where that bound exceeds tol of the
+scan's peak times q_cut (its prefactor sums D terms: D ~ 1000), the cut
+steps out node by node.  Only the set-up (q_Theta), the ragged panel
+edges and the ordered checks run per Theta.  ln Z2 is the primary
+quantity; z2_quartic is its exp at one Theta.
 
 The classical Z is carried as its log too.  The radius is scaled by
 s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), so that the integrand
@@ -227,14 +231,13 @@ def _gauss_kronrod(f, edges, rtol: float):
     """(integrals, error estimates), as arrays, of f over
     [edges[j][0], edges[j][-1]] for each integral j, split at its inner
     edges, by globally adaptive Gauss-Kronrod 21.  f(x, j) takes nodes x
-    and, per node, the integral j it belongs to (an int where one integral
-    is open).  Each round evaluates f once, on the nodes of every open
-    panel of every open integral.  Per integral, a round bisects only the
-    panels whose error estimate exceeds their share of rtol |integral| (in
-    proportion to width), and the integral closes when its total error is
-    within rtol |integral|, or would need more than _GK_PANEL_LIMIT
-    panels.  An integral's panels and sums are the ones it has when
-    integrated alone."""
+    and, per node, the integral j it belongs to.  Each round evaluates f
+    once, on the nodes of every open panel of every open integral.  Per
+    integral, a round bisects only the panels whose error estimate exceeds
+    their share of rtol |integral| (in proportion to width), and the
+    integral closes when its total error is within rtol |integral|, or
+    would need more than _GK_PANEL_LIMIT panels.  An integral's panels and
+    sums are the ones it has when integrated alone."""
     total, total_err = [0.0] * len(edges), [0.0] * len(edges)
     # per open integral: its index, its open panels [lo, hi], its span,
     # the value and error of its closed panels, and its panel count
@@ -244,11 +247,9 @@ def _gauss_kronrod(f, edges, rtol: float):
     while still_open:
         runs, still_open = still_open, []
         sizes = [run[1].size for run in runs]
-        which = runs[0][0] if len(runs) == 1 else np.repeat(
-            np.array([run[0] for run in runs]), _GK_NODES.size * np.array(sizes))
-        val, err = _gk21_panels(lambda x: f(x, which),
-                                np.concatenate([run[1] for run in runs]),
-                                np.concatenate([run[2] for run in runs]))
+        which = np.repeat([run[0] for run in runs], _GK_NODES.size * np.array(sizes))
+        val, err = _gk21_panels(lambda x: f(x, which), *(
+            np.concatenate([run[k] for run in runs]) for k in (1, 2)))
         for (j, lo, hi, span, closed_val, closed_err, n_panels), stop in zip(
                 runs, itertools.accumulate(sizes)):
             v, e = val[stop - lo.size:stop], err[stop - lo.size:stop]
@@ -296,14 +297,15 @@ def _check_tol(tol: float) -> None:
 
 
 def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
-    """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas,
-    in one pass of each stage: one path family over every Theta's scan
-    nodes (a Theta per node); per Theta its peak, cut and panel edges; one
-    adaptive Gauss-Kronrod loop over all the integrals, each round one
-    family whose every node gets the dual-route check; then per Theta, in
-    the order given, the accuracy check and the tail bound.  ln Z2 has no
-    float range to leave, so a Theta where Z2 would leave it (D = 8,
-    g = 0.5 from Theta ~ 177) has a value."""
+    """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas:
+    per Theta, in the order given, its checks and q_Theta; one
+    (n_Theta, 120) array of scans, row i the sorted q_t nodes of Theta i,
+    evaluated as one path family, whose row-wise argmaxes give the peaks
+    and cuts; per Theta its (ragged) panel edges; one adaptive
+    Gauss-Kronrod loop over all the integrals, each round one family whose
+    every node gets the dual-route check; then per Theta, in the order
+    given, the accuracy check and the tail bound.  ln Z2 has no float range
+    to leave: a Theta where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
     if not 0.0 < g < math.inf:
         raise DomainError(f"g={g!r} must be positive and finite (use z_harmonic at g=0)")
     _check_dimension(D)
@@ -311,7 +313,7 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     thetas = np.array(Thetas, dtype=float).ravel()
     if not thetas.size:
         return []
-    scans = []
+    scales = []
     for Theta in thetas.tolist():
         _check_theta(Theta)
         # the scan grid covers both the weak-coupling scale
@@ -322,52 +324,51 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
             raise QuadratureError(
                 f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
                 f"scale {sigma!r})")
-        q_cap = q_theta_max(Theta)
-        start = min(1e-3 * sigma, 1e-4 * q_cap)
-        scans.append((sigma, np.unique(np.concatenate([
-            np.geomspace(start, min(20.0 * sigma, 0.999 * q_cap), 40),
-            np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80),
-        ]))))
-    sizes = [scan.size for _, scan in scans]
-    # a Theta per node; a lone Theta stays one float, as in the rounds
-    family, logs, front = _log_integrand(
-        g, D, np.concatenate([scan for _, scan in scans]),
-        thetas[0] if thetas.size == 1 else np.repeat(thetas, np.array(sizes)),
-        check_routes=False)
-
-    edges, log_peaks, cuts = [], [], []
-    for (sigma, scan), lo in zip(scans, itertools.accumulate([0] + sizes)):
-        log_scan = logs[lo:lo + scan.size]
-        i_peak = int(np.argmax(log_scan))
-        log_peak = float(log_scan[i_peak])
-        q_peak = float(scan[i_peak])
-        # the last scan node is 0.9995 q_cap, where the cut falls if the
-        # integrand never drops 40 e-folds past the peak
-        above = np.flatnonzero((scan > q_peak) & (log_scan < log_peak - 40.0))
-        i_cut = int(above[0]) if above.size else scan.size - 1
-        q_cut = float(scan[i_cut])
-        inner = [q for q in (q_peak, 0.5 * q_cut, 2.0 * sigma) if 0.0 < q < q_cut]
-        edges.append([0.0] + sorted(set(inner)) + [q_cut])
-        log_peaks.append(log_peak)
-        cuts.append(lo + i_cut)
-    peaks = np.array(log_peaks)
+        scales.append((sigma, q_theta_max(Theta)))
+    sigma, q_cap = np.array(scales).T
+    # a start node the two grids share is in its row twice, moving no peak or cut
+    scan = np.sort(np.concatenate([
+        np.geomspace(np.minimum(1e-3 * sigma, 1e-4 * q_cap),
+                     np.minimum(20.0 * sigma, 0.999 * q_cap), 40, axis=1),
+        np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80, axis=1)], axis=1), axis=1)
+    n = scan.shape[1]
+    family, logs, front = _log_integrand(g, D, scan.ravel(), np.repeat(thetas, n),
+                                         check_routes=False)
+    logs = logs.reshape(scan.shape)
+    i_peak = np.argmax(logs, axis=1)
+    log_peak = logs[np.arange(thetas.size), i_peak]
+    # the cut is the first node past the peak 40 e-folds below it, else the
+    # last node, 0.9995 q_cap
+    above = (np.arange(n) > i_peak[:, None]) & (logs < log_peak[:, None] - 40.0)
+    i_cuts = np.where(above.any(axis=1), np.argmax(above, axis=1), n - 1)
+    edges, tails = [], []
+    for row, (Theta, s, i, log_pk) in enumerate(zip(
+            thetas.tolist(), sigma.tolist(), i_cuts.tolist(), log_peak.tolist())):
+        # the cut steps out while the tail bound (its prefactor sums D terms)
+        # exceeds tol of the scan's upper estimate of the value, peak x q_cut
+        for j in range(row * n + i, (row + 1) * n):
+            q_c = float(family.q_t[j])
+            ln_tail = _ln_tail_bound(ReducedParams(g, D, Theta), float(family.q0[j]),
+                                     q_c, float(front[j]))
+            if ln_tail <= math.log(tol) + log_pk + math.log(q_c):
+                break
+        inner = {q for q in (float(scan[row, i_peak[row]]), 0.5 * q_c, 2.0 * s)
+                 if 0.0 < q < q_c}
+        edges.append([0.0] + sorted(inner) + [q_c])
+        tails.append((Theta, log_pk, q_c, ln_tail))
 
     vals, errs = _gauss_kronrod(
         lambda q, j: np.exp(_log_integrand(g, D, q, thetas[j], check_routes=True)[1]
-                            - peaks[j]),
+                            - log_peak[j]),
         edges, 0.5 * tol)
     ln_z2 = []
-    for Theta, val, err, log_peak, i_cut in zip(
-            thetas.tolist(), vals.tolist(), errs.tolist(), log_peaks, cuts):
+    for (Theta, log_pk, q_cut, ln_tail), val, err in zip(tails, vals.tolist(), errs.tolist()):
         if not val > 0.0 or err > tol * val:
             raise QuadratureError(
                 f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
                 f"(peak scaled to 1), requested relative {tol:.1e} at "
                 f"Theta={Theta!r}")
-        ln_val = math.log(val) + log_peak
-        q_cut = float(family.q_t[i_cut])
-        ln_tail = _ln_tail_bound(ReducedParams(g, D, Theta), float(family.q0[i_cut]),
-                                 q_cut, float(front[i_cut]))
+        ln_val = math.log(val) + log_pk
         if ln_tail > math.log(tol) + ln_val:
             raise QuadratureError(
                 f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "

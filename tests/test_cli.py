@@ -44,6 +44,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="harmonic", T_steps=1).validate()
 
+    @pytest.mark.parametrize("field,flag,value", [
+        ("D", "dim", 2.5), ("D", "dim", True), ("D", "dim", "3"),
+        ("T_steps", "steps", 2.5), ("T_steps", "steps", True)])
+    def test_integer_fields(self, field, flag, value):
+        # a float or bool D or step count is a ConfigError, not a TypeError
+        # from the grid or a DomainError (exit 3) from the first row
+        config = RunConfig(mode="harmonic", **{field: value})
+        with pytest.raises(ConfigError, match=f"{flag}={value!r} must be an integer"):
+            config.validate()
+        with pytest.raises(ConfigError):
+            run(config, io.StringIO())
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="unknown mode"):
             RunConfig(mode="banana").validate()
@@ -343,6 +355,25 @@ class TestMain:
         c, c_err = specific_heat(lnz, 1e-60)
         assert abs(c - 6.0) <= c_err <= 3e-3
 
+    def test_wkb_spectrum_covers_the_hottest_probe(self, monkeypatch, capsys):
+        # at T = 1000 the step h sits at its 1e-4 floor, so the stencil's
+        # Theta - 2h = 0.0008 lies below 0.95 Theta, where the spectrum was
+        # built: "spectrum truncated at n_max=4096 is too short" (exit 3)
+        built = []
+        spectrum = sct.cli.wkb_spectrum
+        monkeypatch.setattr(sct.cli, "wkb_spectrum",
+                            lambda g, theta: built.append(theta) or spectrum(g, theta))
+        code, out, err = run_main(
+            ["run", "--mode=quartic-wkb", "--g=0.2", "--dim=1", "--tmin=500",
+             "--tmax=1000", "--steps=2"], capsys)
+        assert code == 0, err
+        assert built == [min(stencil_thetas(1e-3))]
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [500.0, 1000.0]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        # the classical limit of the quartic well's C is 3/4
+        assert rows[1][2] == pytest.approx(0.75597, abs=1e-5)
+
     @pytest.mark.parametrize("argv", [
         # T = 0.0357 is Theta = 28.01, where dividing Omega by a computed
         # Wronskian failed the route check
@@ -399,6 +430,19 @@ class TestMain:
         for row, want in zip(rows, lnz):
             assert row[1] == pytest.approx(want, rel=1e-14)
             assert row[1] < math.log(sys.float_info.min)
+            assert 0.0 < row[2] and row[3] < 1e-6 * row[2]
+
+    def test_large_dimension_rows_past_the_tail_cut(self, capsys):
+        # g = 10, D = 1000: the tail bound at the 40-e-fold cut exceeded
+        # tol of the value (exit 3) until the cut could step out
+        code, out, err = run_main(
+            ["run", "--mode=quartic-semiclassical", "--g=10", "--dim=1000",
+             "--tmin=0.5", "--tmax=1", "--steps=2"], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [0.5, 1.0]
+        for row in rows:
+            assert all(math.isfinite(v) for v in row)
             assert 0.0 < row[2] and row[3] < 1e-6 * row[2]
 
     def test_failing_stencil_point_fails_its_row(self, monkeypatch, capsys):

@@ -518,6 +518,73 @@ class TestLnZ2Quartic:
         with pytest.raises(QuadratureError, match="underflows to 0 at Theta=1480.0"):
             ln_z2_quartic(0.5, 1, [1.0, 1480.0, 2.0])
 
+    Q_THETA_UNDERFLOWS = ("q_Theta at Theta=750.0, about 4 sqrt(2) e^(-Theta/2), "
+                          "lies where 1 - k^2 = q_t^2 / (2 (1 + q_t^2)) underflows")
+    SCAN_START_UNDERFLOWS = ("scan grid start underflows to 0 at Theta=1480.0 "
+                             "(weak-coupling scale 4.2e-322)")
+
+    @pytest.mark.parametrize("thetas,error,message", [
+        # the set-up checks run Theta by Theta in the order given
+        ([2.0, 750.0, 1480.0], ConvergenceError, Q_THETA_UNDERFLOWS),
+        ([2.0, 1480.0, 750.0], QuadratureError, SCAN_START_UNDERFLOWS),
+        # and all of them before the scan, where Theta = 690 and 700 overflow
+        ([700.0, 1480.0], QuadratureError, SCAN_START_UNDERFLOWS),
+        # the scan's rows are in the order given
+        ([2.0, 700.0, 690.0], QuadratureError,
+         "one-loop integrand overflows at q_t=5.187862555805684e-152 for D=1, "
+         "Theta=700.0 (Delta_l inf, Delta_t "),
+        ([2.0, 690.0, 700.0], QuadratureError,
+         "one-loop integrand overflows at q_t=8.328067197740732e-150 for D=1, "
+         "Theta=690.0 (Delta_l inf, Delta_t "),
+    ])
+    def test_two_failing_thetas_raise_the_first_failure(self, thetas, error, message):
+        with pytest.raises(error) as caught:
+            ln_z2_quartic(0.5, 1, thetas)
+        assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("g,D,Theta,value", [
+        (0.5, 1, 1.0, -0.24531227033887504),
+        (10.0, 3, 0.5, -0.9671434183993763),
+    ])
+    def test_repeated_scan_start_node(self, g, D, Theta, value):
+        # where 1e-4 q_Theta <= 1e-3 sigma both scan grids start at
+        # 1e-4 q_Theta, and the scan holds that node twice; it moves neither
+        # peak nor cut, so ln Z2 is the value of the scan with the node once
+        # (value, from a deduplicated scan), in a batch or alone
+        assert 1e-4 * q_theta_max(Theta) <= 1e-3 * math.sqrt(g / math.sinh(Theta))
+        thetas = stencil_thetas(Theta)
+        for theta, lnz in zip(thetas, ln_z2_quartic(g, D, thetas)):
+            assert lnz == pytest.approx(ln_z2_quartic(g, D, [theta])[0],
+                                        rel=1e-15, abs=0.0)
+        assert ln_z2_quartic(g, D, [Theta])[0] == pytest.approx(value, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("g,Theta", [
+        (0.5, 2.0), (10.0, 1.0), (10.0, 2.0), (1.0, 100.0), (10.0, 100.0), (1e3, 1.0)])
+    def test_large_dimension_tail_cut(self, g, Theta):
+        # at D = 1000 the tail bound at the 40-e-fold cut, whose prefactor
+        # sums D terms, exceeded tol of the value (no value); the cut steps
+        # out until the bound is below tol of the scan's estimate, peak
+        # times window.  The value is the integral over the whole window.
+        D = 1000
+        (lnz,) = ln_z2_quartic(g, D, [Theta])
+        q_cap = q_theta_max(Theta)
+        nodes = np.linspace(1e-6 * q_cap, 0.9995 * q_cap, 4000)
+        logs = _log_integrand(g, D, nodes, Theta, False)[1]
+        peak = float(logs.max())
+        whole, _ = quad(
+            lambda q: math.exp(_log_integrand(g, D, np.array([q]), Theta, False)[1][0]
+                               - peak),
+            1e-12 * q_cap, 0.9995 * q_cap, points=[float(nodes[logs.argmax()])],
+            epsabs=0.0, epsrel=1e-11, limit=400)
+        assert lnz == pytest.approx(
+            _ln_sphere_surface(D) - 0.5 * D * math.log(g) + math.log(whole) + peak,
+            rel=1e-12)
+
+    def test_large_dimension_ground_energy(self):
+        # ln Z2 -> -D Theta/2 + c: the one-loop ground energy is D/2
+        lnz_110, lnz_100 = ln_z2_quartic(1.0, 1000, [110.0, 100.0])
+        assert lnz_110 - lnz_100 == pytest.approx(-5000.0, abs=1e-8)
+
     def test_empty_and_invalid_arguments(self):
         assert ln_z2_quartic(0.5, 1, []) == []
         for g in (0.0, -1.0, math.inf, math.nan):
