@@ -60,7 +60,6 @@ from .thermo import (
     ln_z_wkb,
     specific_heat,
     stencil_thetas,
-    thermo_curve,
     wkb_levels,
     wkb_spectrum,
     z2_harmonic_integral,

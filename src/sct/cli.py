@@ -11,8 +11,13 @@ decimal separator, no locale dependence.  ``--config`` names a plain
 ``key=value`` file, read once per call, whose keys are the flag names;
 flags win over it, and it wins over the ``RunConfig`` defaults.
 
+This is the curve layer (grids, the one C(T) row loop `thermo_curve`, CSV);
+sct.thermo gives ln Z and C at one Theta.  The loop lives here because the
+benchmark's clock stamps columns and rows by wrapping this module's
+`lnz_function` and `specific_heat` globals, which the loop calls.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-offending Theta is reported on stderr).  Failures never emit NaN rows.
+failing row's T and Theta on stderr).  Failures never emit NaN rows.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SctError
+from .errors import DomainError, SctError
 from .paths import ReducedParams
 from .thermo import (
+    ThermoCurve,
     ln_z2_quartic,
     ln_z_classical,
     ln_z_harmonic,
@@ -71,6 +77,9 @@ class RunConfig:
                               f"tmin={self.T_min}")
         if self.T_steps < 2:
             raise ConfigError(f"steps={self.T_steps} must be at least 2")
+        if np.any(np.diff(self.temperature_grid()) <= 0.0):
+            raise ConfigError(f"tmin={self.T_min} and tmax={self.T_max} are too "
+                              f"close for steps={self.T_steps} distinct temperatures")
         if not 0.0 < self.tol < math.inf:
             raise ConfigError(f"tol={self.tol} must be positive and finite")
         if self.D < 1:
@@ -120,8 +129,12 @@ def _lnz_of_mode(config: RunConfig):
         scalar = lambda theta: ln_z_classical(
             ReducedParams(config.g, config.D, theta), tol=tol)
     elif config.mode == "quartic-wkb":
-        # the spectrum must cover the hottest probe of the stencil
-        spectrum = wkb_spectrum(config.g, min(stencil_thetas(1.0 / config.T_max)))
+        # the spectrum must cover the hottest probe of the stencil, so a
+        # failure to build it is the hottest row's
+        try:
+            spectrum = wkb_spectrum(config.g, min(stencil_thetas(1.0 / config.T_max)))
+        except SctError as exc:
+            raise _annotate(exc, config.T_max) from exc
         scalar = lambda theta: ln_z_wkb(spectrum, theta)
     else:
         raise ConfigError(f"unknown mode {config.mode!r}")
@@ -137,14 +150,17 @@ def _annotate(exc: SctError, temperature: float) -> SctError:
                      f"Theta={1.0 / temperature:g}]")
 
 
-def _column(config: RunConfig, grid) -> list:
-    """(T, ln Z, C, C_err) rows of one mode on a temperature grid.  Calls
-    `lnz_function` once and `specific_heat` once per row through this
-    module's globals, so a wrapper installed there sees every column and
-    row."""
-    lnz = lnz_function(config)
+def thermo_curve(lnz, T_grid) -> ThermoCurve:
+    """ln Z, C and C's error estimate on a caller-supplied temperature grid
+    (the library never invents grids).  Per row, ln Z at Theta = 1/T
+    first, then `specific_heat` once, through this module's globals, so a
+    wrapper installed there sees every row.  A failing row raises its
+    error annotated with the row's T and Theta, and so does a row that is
+    not finite."""
     rows = []
-    for temperature in grid:
+    for temperature in T_grid:
+        if not temperature > 0.0:
+            raise DomainError(f"temperature {temperature!r} must be positive")
         theta = 1.0 / temperature
         try:
             value = lnz(theta)
@@ -153,8 +169,8 @@ def _column(config: RunConfig, grid) -> list:
             raise _annotate(exc, temperature) from exc
         if not all(math.isfinite(v) for v in (value, c, c_err)):
             raise _annotate(SctError("non-finite result"), temperature)
-        rows.append((temperature, value, c, c_err))
-    return rows
+        rows.append((float(temperature), value, c, c_err))
+    return ThermoCurve(*(tuple(row[k] for row in rows) for k in range(4)))
 
 
 def _grid(config: RunConfig) -> tuple:
@@ -164,9 +180,10 @@ def _grid(config: RunConfig) -> tuple:
 
 def run(config: RunConfig, stream) -> None:
     """Write the T,lnZ,C,C_err curve for one configuration."""
-    rows = _column(config, _grid(config))
+    grid = _grid(config)
+    curve = thermo_curve(lnz_function(config), grid)
     stream.write("T,lnZ,C,C_err\n")
-    for row in rows:
+    for row in zip(curve.T_grid, curve.lnZ, curve.C, curve.C_err):
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -178,11 +195,11 @@ def compare(configs, stream) -> None:
     if any(g != grids[0] for g in grids[1:]):
         raise ConfigError("compare requires all configurations to share one "
                           "temperature grid")
-    columns = [_column(config, grids[0]) for config in configs]
+    columns = [thermo_curve(lnz_function(config), grids[0]).C for config in configs]
     stream.write("T," + ",".join(f"C_{c.mode}" for c in configs) + "\n")
     for i, temperature in enumerate(grids[0]):
         stream.write(_fmt(temperature) + ","
-                     + ",".join(_fmt(col[i][2]) for col in columns) + "\n")
+                     + ",".join(_fmt(col[i]) for col in columns) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ from .paths import (
 )
 
 _COND_LIMIT = 1e12
+# relative and absolute tolerance of flow_matrices' DOP853 integration
+_FLOW_TOL = 1e-10
 _TWO_PI = 2.0 * math.pi
 
 
@@ -298,8 +300,7 @@ def radial_trajectory(position: Callable[[float], float], D: int) -> RadialTraje
 
 
 def flow_matrices(potential: RadialPotential, trajectory: RadialTrajectory,
-                  Theta: float, *, rtol: float = 1e-10,
-                  atol: float = 1e-10) -> FlowMatrices:
+                  Theta: float) -> FlowMatrices:
     """Integrate the matrix variational equation X'' = Hess V(x_c(t)) X
     along a radial trajectory, for both canonical initial-condition
     slices.
@@ -337,7 +338,7 @@ def flow_matrices(potential: RadialPotential, trajectory: RadialTrajectory,
     zero = np.zeros(D * D)
     y0 = np.concatenate([eye, zero, zero, eye])
     sol = solve_ivp(rhs, (0.0, Theta), y0, method="DOP853",
-                    dense_output=True, rtol=rtol, atol=atol)
+                    dense_output=True, rtol=_FLOW_TOL, atol=_FLOW_TOL)
     if not sol.success:
         raise ConvergenceError(
             f"variational flow integration failed: {sol.message}")

@@ -43,7 +43,8 @@ peak.
 
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step (at the seven
-stencil_thetas); the error estimate rides along with the value.
+stencil_thetas); the error estimate rides along with the value.  All of
+this is at one Theta; the C(T) row loop over a temperature grid is sct.cli's.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def _gauss_kronrod(f, edges, rtol: float):
     return np.array(total), np.array(total_err)
 
 
-def _ln_tail_bound(params: ReducedParams, q0: float, q_cut: float,
+def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
                    front: float) -> float:
     """ln of a bound on the neglected [q_cut, q_Theta) piece, written as a
     q0 integral, from q0 and the q0-form front at the cut.  Along the
@@ -277,7 +278,6 @@ def _ln_tail_bound(params: ReducedParams, q0: float, q_cut: float,
     on the whole tail, and the determinants only grow; the integrand is
     dominated by a decaying exponential with polynomial prefactor (closed
     form below)."""
-    g, D = params.g, params.D
     gap = 0.5 * (q0 * q0 - q_cut * q_cut) + 0.25 * (q0 ** 4 - q_cut ** 4)
     if gap <= 0.0:
         return math.inf
@@ -348,8 +348,7 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
         # exceeds tol of the scan's upper estimate of the value, peak x q_cut
         for j in range(row * n + i, (row + 1) * n):
             q_c = float(family.q_t[j])
-            ln_tail = _ln_tail_bound(ReducedParams(g, D, Theta), float(family.q0[j]),
-                                     q_c, float(front[j]))
+            ln_tail = _ln_tail_bound(g, D, float(family.q0[j]), q_c, float(front[j]))
             if ln_tail <= math.log(tol) + log_pk + math.log(q_c):
                 break
         inner = {q for q in (float(scan[row, i_peak[row]]), 0.5 * q_c, 2.0 * s)
@@ -554,18 +553,19 @@ class WkbSpectrum:
 
     levels: tuple
     g: float
-    n_max: int
     _energies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         energies = np.asarray(self.levels, dtype=float)
-        if energies.size != self.n_max + 1:
-            raise DomainError("level count does not match n_max")
-        if energies[0] <= 0.0:
+        if not energies.size or energies[0] <= 0.0:
             raise DomainError("ground state must be positive")
         if np.any(energies[1:] <= energies[:-1]):
             raise DomainError("levels must be strictly increasing")
         object.__setattr__(self, "_energies", energies)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.levels) - 1
 
 
 def _wkb_level_stream(g: float):
@@ -607,7 +607,7 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
     if n_max < 0:
         raise DomainError(f"n_max={n_max!r} must be >= 0")
     levels = tuple(itertools.islice(_wkb_level_stream(g), n_max + 1))
-    return WkbSpectrum(levels, g, n_max)
+    return WkbSpectrum(levels, g)
 
 
 def ln_z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
@@ -648,7 +648,7 @@ def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
     n_max = 32
     while True:
         levels.extend(itertools.islice(stream, n_max + 1 - len(levels)))
-        spectrum = WkbSpectrum(tuple(levels), g, n_max)
+        spectrum = WkbSpectrum(tuple(levels), g)
         try:
             ln_z_wkb(spectrum, Theta_min)
             return spectrum
@@ -659,7 +659,7 @@ def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Specific heat and temperature curves.
+# Specific heat.
 # ---------------------------------------------------------------------------
 
 def _stencil(Theta: float):
@@ -681,15 +681,14 @@ def stencil_thetas(Theta: float) -> tuple:
     return _stencil(Theta)[1]
 
 
-def specific_heat(lnz, Theta: float, target_err: float | None = None):
+def specific_heat(lnz, Theta: float):
     """C = Theta^2 d^2(ln Z)/dTheta^2 by five-point stencils at steps h
     and h/2, h = max(1e-3 Theta, 1e-4), Richardson-extrapolated once.
     The two stencils share Theta and Theta +- h, so ln Z is evaluated at
     the seven distinct stencil_thetas(Theta), each once, Theta itself
     first.
-    Returns (C, error_estimate); raises ConvergenceError if a requested
-    target error cannot be met (noisy ln Z / collapsed step), or if C or
-    its error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
+    Returns (C, error_estimate); raises ConvergenceError if C or its
+    error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
     float range (Theta below ~1e-154 or above ~1e154)."""
     h, thetas = _stencil(Theta)
     # ln Z at Theta, then below and above it at offsets h/2, h and 2h
@@ -707,10 +706,6 @@ def specific_heat(lnz, Theta: float, target_err: float | None = None):
     value = Theta * Theta * richardson
     if not (math.isfinite(value) and math.isfinite(err)):
         raise _stencil_error(Theta, h)
-    if target_err is not None and err > target_err:
-        raise ConvergenceError(
-            f"specific heat error estimate {err:.3e} exceeds requested "
-            f"{target_err:.3e} at Theta={Theta} (ln Z too noisy for step {h:.1e})")
     return value, err
 
 
@@ -722,7 +717,8 @@ def _stencil_error(Theta: float, h: float) -> ConvergenceError:
 
 @dataclass(frozen=True)
 class ThermoCurve:
-    """Temperature grid with ln Z, specific heat and its error estimate."""
+    """Temperature grid with ln Z, specific heat and its error estimate,
+    as sct.cli.thermo_curve evaluates them."""
 
     T_grid: tuple
     lnZ: tuple
@@ -735,19 +731,3 @@ class ThermoCurve:
             raise DomainError("curve columns must have equal length")
         if any(b <= a for a, b in zip(self.T_grid, self.T_grid[1:])):
             raise DomainError("temperature grid must be strictly increasing")
-
-
-def thermo_curve(lnz, T_grid) -> ThermoCurve:
-    """Evaluate ln Z and C on a caller-supplied temperature grid
-    (the library never invents grids)."""
-    ts, lnzs, cs, errs = [], [], [], []
-    for T in T_grid:
-        if not T > 0.0:
-            raise DomainError(f"temperature {T!r} must be positive")
-        Theta = 1.0 / T
-        c, c_err = specific_heat(lnz, Theta)
-        ts.append(float(T))
-        lnzs.append(lnz(Theta))
-        cs.append(c)
-        errs.append(c_err)
-    return ThermoCurve(tuple(ts), tuple(lnzs), tuple(cs), tuple(errs))

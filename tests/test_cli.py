@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import sct.cli
-from sct.cli import ConfigError, RunConfig, compare, main, run
+from sct.cli import ConfigError, RunConfig, compare, main, run, thermo_curve
 from sct.errors import ConvergenceError
 from sct.paths import ReducedParams
 from sct.thermo import specific_heat, stencil_thetas
@@ -43,6 +43,10 @@ class TestRunConfig:
             RunConfig(mode="harmonic", T_min=2.0, T_max=1.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(mode="harmonic", T_steps=1).validate()
+        # five temperatures on two floats: the curve's grid must increase
+        with pytest.raises(ConfigError, match="too close for steps=5"):
+            RunConfig(mode="harmonic", T_min=1.0, T_max=1.0 + 2.0 ** -52,
+                      T_steps=5).validate()
 
     @pytest.mark.parametrize("field,flag,value", [
         ("D", "dim", 2.5), ("D", "dim", True), ("D", "dim", "3"),
@@ -138,6 +142,45 @@ class TestRun:
         assert [thetas[0] for thetas in batches] == [
             1.0 / float(T) for T in cfg.temperature_grid()]
         assert all(len(thetas) == 7 for thetas in batches)
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(mode="harmonic", D=2, T_min=0.1, T_max=3.0, T_steps=5),
+        RunConfig(mode="quartic-semiclassical", g=0.5, D=3, T_min=0.1,
+                  T_max=5.0, T_steps=4),
+    ])
+    def test_csv_is_the_library_curve(self, cfg):
+        buf = io.StringIO()
+        run(cfg, buf)
+        curve = thermo_curve(sct.cli.lnz_function(cfg), cfg.temperature_grid())
+        rows = zip(curve.T_grid, curve.lnZ, curve.C, curve.C_err)
+        assert buf.getvalue() == "T,lnZ,C,C_err\n" + "".join(
+            ",".join(f"{v:.15g}" for v in row) + "\n" for row in rows)
+
+
+class TestStamping:
+    """The benchmark's clock wraps `sct.cli.lnz_function` (one call a
+    column) and `sct.cli.specific_heat` (one call a row) to stamp rows."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        lnz_function, specific_heat = sct.cli.lnz_function, sct.cli.specific_heat
+        monkeypatch.setattr(sct.cli, "lnz_function",
+                            lambda cfg: calls.append(cfg.mode) or lnz_function(cfg))
+        monkeypatch.setattr(sct.cli, "specific_heat",
+                            lambda lnz, theta: calls.append(theta) or specific_heat(lnz, theta))
+        return calls
+
+    def test_run(self, calls):
+        cfg = RunConfig(mode="quartic-semiclassical", T_min=0.5, T_max=2.5, T_steps=3)
+        run(cfg, io.StringIO())
+        assert calls == ["quartic-semiclassical", 2.0, 1.0 / 1.5, 0.4]
+
+    def test_compare(self, calls):
+        modes = ("harmonic", "quartic-classical", "quartic-wkb")
+        compare([RunConfig(mode=m, g=0.2, T_min=0.5, T_max=2.5, T_steps=3)
+                 for m in modes], io.StringIO())
+        assert calls == [c for m in modes for c in (m, 2.0, 1.0 / 1.5, 0.4)]
 
 
 class TestCompare:
@@ -462,6 +505,19 @@ class TestMain:
              "--steps=2"], capsys)
         assert code == 3
         assert f"injected at Theta={bad!r} [while evaluating T=1, Theta=1]" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode=quartic-wkb"], ["compare", "--modes=harmonic,quartic-wkb"]])
+    def test_set_up_failure_is_reported_by_the_hottest_row(self, argv, capsys):
+        # the WKB spectrum is built for T_max's stencil; past 8192 levels it
+        # fails before any row, and the note names T_max
+        code, out, err = run_main(
+            [*argv, "--g=0.2", "--dim=1", "--tmin=1e5", "--tmax=2e5", "--steps=2"],
+            capsys)
+        assert code == 3
+        assert err.startswith("sct: numerical failure: spectrum truncated at n_max=8192 ")
+        assert err.endswith(" [while evaluating T=200000, Theta=5e-06]\n")
         assert out == ""
 
     def test_large_theta_exit_code(self, capsys):

@@ -259,13 +259,13 @@ class TestFlowMatrices:
             np.testing.assert_allclose(flow.A(t), math.cosh(t) * np.eye(D), rtol=1e-9)
             np.testing.assert_allclose(flow.B(t), math.sinh(t) * np.eye(D), rtol=1e-9)
 
-    def test_columns_solve_variational_equation(self):
+    def test_columns_solve_variational_equation(self, monkeypatch):
         # tight tolerances so the dense-output interpolant survives
         # second differencing at the 1e-7 residual level
+        monkeypatch.setattr(sct.fluctuations, "_FLOW_TOL", 1e-12)
         Theta = 1.0
         path = quartic_path_from_qt(1.0, Theta)
-        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 3), Theta,
-                             rtol=1e-12, atol=1e-12)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 3), Theta)
         u_well = quartic_well()
         h = 1e-3
         for t in (0.3, 0.7):
@@ -652,13 +652,13 @@ class TestGreenTables:
             return True
         return False
 
-    def test_general_table_raises_at_a_conjugate_point_node(self):
+    def test_general_table_raises_at_a_conjugate_point_node(self, monkeypatch):
         # longitudinal channel x'' = -4 x: A(t) = cos 2t is singular at
         # pi/4, the node t_2 of a 4-node grid on [0, 3 pi / 8]; B(Theta) and
         # so J(Theta, 0) are regular, and coarser grids miss the node
+        monkeypatch.setattr(sct.fluctuations, "_FLOW_TOL", 1e-13)
         pot = RadialPotential(lambda r: 0.5 * r * r, lambda r: r, lambda r: -4.0)
-        flow = flow_matrices(pot, radial_trajectory(lambda t: 1.0, 2),
-                             0.375 * math.pi, rtol=1e-13, atol=1e-13)
+        flow = flow_matrices(pot, radial_trajectory(lambda t: 1.0, 2), 0.375 * math.pi)
         for n, expected in ((1, False), (2, False), (4, True)):
             assert self.pointwise_raises(flow, n) is expected
             assert self.table_raises(flow, n) is expected

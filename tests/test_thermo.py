@@ -54,7 +54,6 @@ from sct.thermo import (
     ln_z_wkb,
     specific_heat,
     stencil_thetas,
-    thermo_curve,
     wkb_levels,
     wkb_spectrum,
     z2_harmonic_integral,
@@ -65,6 +64,7 @@ from sct.thermo import (
     ThermoCurve,
     WkbSpectrum,
 )
+from sct.cli import thermo_curve
 
 
 def harmonic_specific_heat(Theta):
@@ -109,8 +109,8 @@ class TestThetaDomain:
                 harmonic_canonical_pair(), Theta, 4),
             "ln_z_harmonic": lambda: ln_z_harmonic(1, Theta),
             "z2_harmonic_integral": lambda: z2_harmonic_integral(1, Theta),
-            "z_wkb": lambda: z_wkb(WkbSpectrum((0.5, 1.5), 0.0, 1), Theta),
-            "ln_z_wkb": lambda: ln_z_wkb(WkbSpectrum((0.5, 1.5), 0.0, 1), Theta),
+            "z_wkb": lambda: z_wkb(WkbSpectrum((0.5, 1.5), 0.0), Theta),
+            "ln_z_wkb": lambda: ln_z_wkb(WkbSpectrum((0.5, 1.5), 0.0), Theta),
             "specific_heat": lambda: specific_heat(lnz, Theta),
         }
         for name, call in calls.items():
@@ -442,11 +442,10 @@ class TestZ2Quartic:
 
     def test_tail_bound_at_large_dimension(self):
         # the linear sum raised OverflowError in decay ** (j + 1) from D = 163
-        params = ReducedParams(0.5, 400, 1.0)
-        assert math.isfinite(_ln_tail_bound(params, 3.0, 2.0, -50.0))
+        assert math.isfinite(_ln_tail_bound(0.5, 400, 3.0, 2.0, -50.0))
         # D = 1: one term, 1 / decay, decay = 2 sqrt(2 gap) / g
         gap = 0.5 * (9.0 - 4.0) + 0.25 * (81.0 - 16.0)
-        assert _ln_tail_bound(ReducedParams(0.5, 1, 1.0), 3.0, 2.0, -50.0) == (
+        assert _ln_tail_bound(0.5, 1, 3.0, 2.0, -50.0) == (
             pytest.approx(-50.0 - math.log(4.0 * math.sqrt(2.0 * gap)), rel=1e-15))
 
     def test_domain_sweep_is_finite_or_an_sct_error(self, deadline):
@@ -817,7 +816,10 @@ class TestWkb:
 
     def test_spectrum_validation(self):
         with pytest.raises(DomainError):
-            WkbSpectrum((0.5, 0.4), 0.1, 1)
+            WkbSpectrum((0.5, 0.4), 0.1)
+        with pytest.raises(DomainError):
+            WkbSpectrum((), 0.1)
+        assert WkbSpectrum((0.5, 1.5, 2.5), 0.0).n_max == 2
 
     def test_z_wkb_harmonic(self):
         spectrum = wkb_levels(0.0, 90)
@@ -889,12 +891,6 @@ class TestSpecificHeat:
         c3, _ = specific_heat(lambda th: ln_z_harmonic(3, th), 1.3)
         assert c3 == pytest.approx(3.0 * c1, rel=1e-9)
 
-    def test_step_collapse_error(self):
-        rng = np.random.default_rng(7)
-        noisy = lambda th: ln_z_harmonic(1, th) + 1e-4 * rng.standard_normal()
-        with pytest.raises(ConvergenceError):
-            specific_heat(noisy, 1.0, target_err=1e-6)
-
     @pytest.mark.parametrize("Theta", [1e-154, 1e-155, 1e-160, 1e-162, 1e-300])
     def test_step_outside_the_float_range(self, Theta):
         # (h/2)^2 subnormal, then 0: C was (inf, inf), then (nan, nan),
@@ -930,3 +926,18 @@ class TestThermoCurve:
             ThermoCurve((1.0, 0.5), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(DomainError):
             ThermoCurve((0.5, 1.0), (0.0,), (0.0, 0.0), (0.0, 0.0))
+
+    def test_a_failing_row_is_reported_by_its_temperature(self):
+        # the second row's Theta - h/2 fails; the error keeps its type and
+        # message and names the row
+        bad = stencil_thetas(0.5)[1]
+
+        def lnz(theta):
+            if theta == bad:
+                raise QuadratureError(f"injected at Theta={theta!r}")
+            return ln_z_harmonic(1, theta)
+
+        with pytest.raises(QuadratureError) as info:
+            thermo_curve(lnz, [1.0, 2.0, 4.0])
+        assert str(info.value) == (
+            f"injected at Theta={bad!r} [while evaluating T=2, Theta=0.5]")
