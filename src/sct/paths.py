@@ -187,15 +187,24 @@ class QuarticPath:
         return np.ndim(self.q_t) == 0 and self.q_t == 0.0
 
     def u_of(self, theta: float):
+        # at theta = 0 and Theta, the path's own -u_T and u_T (the same bits
+        # as the product), which _half_period_sign finds by identity
+        if theta is self.Theta:
+            return self.u_T
+        if isinstance(theta, float) and theta == 0.0:
+            return self._minus_u_T
         return self.s * (theta - 0.5 * self.Theta)
 
+    @functools.cached_property
+    def _minus_u_T(self):
+        return -self.u_T
+
     def _half_period_sign(self, u) -> int:
-        # +1 at u = u_T, -1 at u = -u_T, 0 elsewhere
+        # +1 at u = u_T, -1 at u = -u_T, 0 elsewhere; on a family by identity
+        # with u_of's ends (an equal array takes the kernel: the same bits)
         if np.ndim(self.u_T) == 0:
             return 1 if u == self.u_T else -1 if u == -self.u_T else 0
-        if np.array_equal(u, self.u_T):
-            return 1
-        return -1 if np.array_equal(u, -self.u_T) else 0
+        return 1 if u is self.u_T else -1 if u is self._minus_u_T else 0
 
     def sn_cn_dn_at(self, u):
         """jacobi_sn_cn_dn(u, k, m1), read from the path at u = +-u_T."""
@@ -449,7 +458,7 @@ def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
                               "use the harmonic pair instead")
     k, m1 = path.k, path.m1
     k2 = k * k
-    u0 = -path.u_T
+    u0 = path.u_of(0.0)
 
     def antider_reg(u, sn, cn, dn, eps):
         # int cn^4/(sn dn)^-2 du  minus its singular -cn dn/sn piece
@@ -507,7 +516,7 @@ def canonical_transverse(path: QuarticPath) -> CanonicalPair:
                               "use the harmonic pair instead")
     k, m1 = path.k, path.m1
     k2 = k * k
-    u0 = -path.u_T
+    u0 = path.u_of(0.0)
 
     def psi(u, eps):
         return eps - m1 * u

@@ -16,11 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ellipe, ellipj
+from scipy.special import ellipe, ellipj, ellipkinc
 
 from sct.elliptic import (
     _agm_ladder,
-    _carlson_e,
+    _sn_cn_dn_eps_k,
     complete_K,
     jacobi_epsilon,
     jacobi_sn_cn_dn,
@@ -104,14 +104,14 @@ class TestJacobiFunctions:
 
     def test_near_one_branch_continuity(self):
         # AGM just above the switch must match the hyperbolic expansion
-        # evaluated at the same m1.
-        from sct.elliptic import _sn_cn_dn_near_one
+        # evaluated at the same m1, epsilon included.
+        from sct.elliptic import _sn_cn_dn_eps_near_one
 
         for u in (0.3, 1.7, 4.0):
             m1 = 1.1e-12
             k = math.sqrt(1.0 - m1)
-            agm = jacobi_sn_cn_dn(u, k, m1=m1)
-            hyp = _sn_cn_dn_near_one(u, m1)
+            agm = jacobi_sn_cn_dn(u, k, m1=m1) + (jacobi_epsilon(u, k, m1=m1),)
+            hyp = _sn_cn_dn_eps_near_one(u, m1)
             for a, b in zip(agm, hyp):
                 assert a == pytest.approx(b, rel=1e-11)
 
@@ -165,11 +165,25 @@ class TestJacobiFunctions:
 
     @pytest.mark.parametrize("m1", [math.nan, math.inf, -1e-3])
     def test_m1_must_be_finite_and_nonnegative(self, m1):
-        # a NaN m1 once came back as (nan, nan, nan) and K = nan
-        with pytest.raises(DomainError, match="m1"):
-            jacobi_sn_cn_dn(0.3, 0.5, m1=m1)
-        with pytest.raises(DomainError, match="m1"):
-            complete_K(0.5, m1=m1)
+        # a NaN m1 once came back as (nan, nan, nan) and K = nan, and the
+        # array kernel once spun forever on an infinite one
+        message = f"m1={m1!r} must be finite and nonnegative"
+        for call in (lambda: jacobi_sn_cn_dn(0.3, 0.5, m1=m1),
+                     lambda: complete_K(0.5, m1=m1),
+                     lambda: jacobi_epsilon(0.3, 0.5, m1=m1),
+                     lambda: sn_cn_dn_eps_array(np.array([0.1, 0.3]), 0.5,
+                                                np.array([0.75, m1]))):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_unchecked_kernel_ladder_is_capped(self):
+        # an infinite m1 turns the ladder to NaN, which never meets its
+        # stop; the loop still ends, at _LADDER_MAX steps
+        with np.errstate(invalid="ignore"):
+            sn, cn, dn, eps, _ = _sn_cn_dn_eps_k(np.array([0.1]), np.array([0.9]),
+                                                 np.array([math.inf]))
+        assert np.isnan([sn, cn, dn, eps]).all()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(log_m1=st.floats(-12.0, 0.0, exclude_max=True),
@@ -266,37 +280,46 @@ class TestCompleteK:
 
 
 class TestIncompleteE:
-    """E(phi, k) on [0, pi/2], the Carlson step that epsilon applies."""
+    """E(phi, k) on [0, pi/2) as epsilon at u = F(phi, k), from both
+    kernels, with F from scipy."""
 
     @staticmethod
     def e(phi, k):
-        return float(_carlson_e(math.sin(phi), math.cos(phi), k))
+        u = float(ellipkinc(phi, k * k))
+        m1 = (1.0 - k) * (1.0 + k)
+        return jacobi_epsilon(u, k, m1), float(sn_cn_dn_eps_array(u, k, m1)[3])
 
     def test_zero_modulus_is_identity(self):
         for phi in (0.0, 0.4, 1.1, 1.5):
-            assert self.e(phi, 0.0) == pytest.approx(phi, rel=1e-15, abs=1e-15)
+            for got in self.e(phi, 0.0):
+                assert got == pytest.approx(phi, rel=1e-15, abs=1e-15)
 
     def test_complete_limit(self):
-        assert self.e(math.pi / 2, 0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-        for k in (0.3, 0.8, 0.999):
-            assert float(_carlson_e(1.0, 0.0, k)) == pytest.approx(ellipe(k * k), rel=1e-14)
+        # u -> K: epsilon(K - h) = E(k) - h dn(K)^2 + O(h^3), dn(K)^2 = 1 - k^2
+        for k in (0.0, 0.3, 0.8, 0.999):
+            m1 = (1.0 - k) * (1.0 + k)
+            big_k = complete_K(k, m1=m1)
+            h = 1e-6 * big_k
+            want = ellipe(k * k) - h * m1
+            assert jacobi_epsilon(big_k - h, k, m1) == pytest.approx(want, rel=1e-14)
+            got = sn_cn_dn_eps_array(big_k - h, k, m1)[3]
+            assert float(got) == pytest.approx(want, rel=1e-14)
 
     def test_against_quadrature(self):
-        assert self.e(0.9, 0.95) == pytest.approx(ellipe_mpmath(0.9, 0.95), rel=1e-12)
+        for got in self.e(0.9, 0.95):
+            assert got == pytest.approx(ellipe_mpmath(0.9, 0.95), rel=1e-12)
         for phi in (0.2, 0.7, 1.3):
             for k in (0.1, 0.6, 0.99):
-                assert self.e(phi, k) == pytest.approx(
-                    ellipe_mpmath(phi, k), rel=1e-12, abs=1e-14)
+                for got in self.e(phi, k):
+                    assert got == pytest.approx(ellipe_mpmath(phi, k), rel=1e-12, abs=1e-14)
 
     def test_monotone_in_phi_and_modulus(self):
         phis = np.linspace(0.05, math.pi / 2 - 0.05, 20)
         ks = np.linspace(0.0, 0.99, 12)
-        for k in ks:
-            vals = [self.e(float(p), float(k)) for p in phis]
-            assert all(b > a for a, b in zip(vals, vals[1:]))
-        for phi in phis:
-            vals = [self.e(float(phi), float(k)) for k in ks]
-            assert all(b < a for a, b in zip(vals, vals[1:]))
+        table = np.array([[self.e(float(p), float(k)) for p in phis] for k in ks])
+        for kernel in (0, 1):
+            assert np.all(np.diff(table[:, :, kernel], axis=1) > 0.0)
+            assert np.all(np.diff(table[:, :, kernel], axis=0) < 0.0)
 
 
 class TestAmplitudeAndEpsilon:
@@ -330,17 +353,23 @@ class TestAmplitudeAndEpsilon:
                 assert jacobi_epsilon(-u, k) == pytest.approx(-jacobi_epsilon(u, k), rel=1e-13)
 
     def test_both_kernels_against_mpmath(self):
-        # epsilon = E(arcsin sn(u | m), m), m = 1 - m1 exactly, at 30 digits,
-        # over the ladder (m1 >= 1e-12) and the k -> 1 expansion below it
+        # epsilon = E(arcsin sn(u | m), m), m = 1 - m1 exactly, at 30 digits;
+        # the worst relative error of either kernel, by band of m1: the
+        # k -> 1 expansion below 1e-12, the ladder above
+        bounds = {(1e-16, 1e-12): 1e-13, (1e-12, 1e-6): 1e-14, (1e-6, 0.5): 1e-14}
         rng = np.random.default_rng(20)
-        m1 = 10.0 ** rng.uniform(-15.0, math.log10(0.5), 200)
-        k = np.sqrt(1.0 - m1)
-        big_k = np.array([complete_K(float(a), m1=float(b)) for a, b in zip(k, m1)])
-        u = rng.uniform(-0.99, 0.999, 200) * big_k
-        array_eps = sn_cn_dn_eps_array(u, k, m1)[3]
-        with mpmath.workdps(30):
-            for i, (ui, ki, mi) in enumerate(zip(u.tolist(), k.tolist(), m1.tolist())):
-                m = 1 - mpmath.mpf(mi)
-                want = mpmath.ellipe(mpmath.asin(mpmath.ellipfun("sn", ui, m=m)), m)
-                for got in (jacobi_epsilon(ui, ki, mi), float(array_eps[i])):
-                    assert abs(got - want) <= 1e-13 * abs(want)
+        worst = {}
+        for band in bounds:
+            m1 = 10.0 ** rng.uniform(*np.log10(band), 100)
+            k = np.sqrt(1.0 - m1)
+            big_k = np.array([complete_K(float(a), m1=float(b)) for a, b in zip(k, m1)])
+            u = rng.uniform(-0.999, 0.999, 100) * big_k
+            array_eps = sn_cn_dn_eps_array(u, k, m1)[3]
+            worst[band] = 0.0
+            with mpmath.workdps(30):
+                for i, (ui, ki, mi) in enumerate(zip(u.tolist(), k.tolist(), m1.tolist())):
+                    m = 1 - mpmath.mpf(mi)
+                    want = mpmath.ellipe(mpmath.asin(mpmath.ellipfun("sn", ui, m=m)), m)
+                    for got in (jacobi_epsilon(ui, ki, mi), float(array_eps[i])):
+                        worst[band] = max(worst[band], float(abs((got - want) / want)))
+        assert all(worst[band] <= bound for band, bound in bounds.items()), worst

