@@ -56,8 +56,10 @@ from .thermo import (
     jacobian_dq0_dqt,
     ln_z2_quartic,
     ln_z_classical,
+    ln_z_classical_batch,
     ln_z_harmonic,
     ln_z_wkb,
+    ln_z_wkb_batch,
     specific_heat,
     stencil_thetas,
     wkb_levels,

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SctError
-from .paths import ReducedParams
 from .thermo import (
     ThermoCurve,
     ln_z2_quartic,
-    ln_z_classical,
+    ln_z_classical_batch,
     ln_z_harmonic,
-    ln_z_wkb,
+    ln_z_wkb_batch,
     specific_heat,
     stencil_thetas,
     wkb_spectrum,
@@ -98,10 +97,10 @@ class RunConfig:
 def lnz_function(config: RunConfig):
     """ln Z as a function of Theta for the configured mode.  It holds the
     ln Z of one row: at a Theta it does not hold it evaluates ln Z at the
-    seven stencil_thetas of that Theta together (one ln_z2_quartic call in
-    the semiclassical mode; the mode's scalar function at each, in the
-    stencil's order, in the others), so the row loop's ln Z and the seven
-    that `specific_heat` asks for next read what it holds."""
+    seven stencil_thetas of that Theta in one call of the mode's batch
+    (see _lnz_of_mode), so the row loop's ln Z and the seven that
+    `specific_heat` asks for next read what it holds.  The WKB spectrum is
+    built here, once per column."""
     values_at = _lnz_of_mode(config)
     row = {}
 
@@ -119,26 +118,27 @@ def lnz_function(config: RunConfig):
 
 
 def _lnz_of_mode(config: RunConfig):
-    # ln Z of the configured mode at a sequence of Theta
+    """ln Z of the configured mode at a sequence of Theta, as one call:
+    ln_z2_quartic, ln_z_classical_batch or ln_z_wkb_batch, each of which
+    raises for the first failing Theta in the order given; the harmonic
+    closed form per Theta."""
+    g, D = config.g, config.D
     if config.mode == "quartic-semiclassical":
-        return lambda thetas: ln_z2_quartic(config.g, config.D, thetas, config.tol)
+        return lambda thetas: ln_z2_quartic(g, D, thetas, config.tol)
     if config.mode == "harmonic":
-        scalar = lambda theta: ln_z_harmonic(config.D, theta)
-    elif config.mode == "quartic-classical":
+        return lambda thetas: [ln_z_harmonic(D, theta) for theta in thetas]
+    if config.mode == "quartic-classical":
         tol = min(config.tol, 1e-10)
-        scalar = lambda theta: ln_z_classical(
-            ReducedParams(config.g, config.D, theta), tol=tol)
-    elif config.mode == "quartic-wkb":
+        return lambda thetas: ln_z_classical_batch(g, D, thetas, tol)
+    if config.mode == "quartic-wkb":
         # the spectrum must cover the hottest probe of the stencil, so a
         # failure to build it is the hottest row's
         try:
-            spectrum = wkb_spectrum(config.g, min(stencil_thetas(1.0 / config.T_max)))
+            spectrum = wkb_spectrum(g, min(stencil_thetas(1.0 / config.T_max)))
         except SctError as exc:
             raise _annotate(exc, config.T_max) from exc
-        scalar = lambda theta: ln_z_wkb(spectrum, theta)
-    else:
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    return lambda thetas: [scalar(theta) for theta in thetas]
+        return lambda thetas: ln_z_wkb_batch(spectrum, thetas)
+    raise ConfigError(f"unknown mode {config.mode!r}")
 
 
 def _fmt(x: float) -> str:

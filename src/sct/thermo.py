@@ -39,7 +39,16 @@ bound.  A composite Gauss-Kronrod 21 rule on [0, U(D)], built once per D,
 sums exp(ln f - max ln f) in one array pass; a bound on QUADPACK's error
 estimate plus an analytic Gaussian bound on the tail beyond U must meet
 tol, else the adaptive rule refines the panels, with edges added at the
-peak.
+peak.  ln_z_classical_batch takes a set of Theta in one pass of the fixed
+rule, and only the Theta that fail it go to the adaptive rule.
+
+The Bohr-Sommerfeld levels solve J(E_n) = 2 pi (n + 1/2), a slice of
+levels at a time, as one array Newton iteration on the phase integral J
+and its derivative, the period, both on one Gauss-Legendre rule.
+ln_z_wkb_batch sums the spectrum's Boltzmann weights at a set of Theta as
+one (n_Theta, n_levels) array.  Each batch's values are its one-Theta
+calls' bit for bit (ln_z_classical, ln_z_wkb), and it raises for its first
+failing Theta in the order given.
 
 Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
 a five-point stencil plus one Richardson step (at the seven
@@ -52,11 +61,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -414,8 +423,8 @@ _CL_PEAK_EDGES = (-8.0, -2.0, 0.0, 2.0, 8.0)
 @functools.lru_cache(maxsize=64)
 def _classical_rule(D: int):
     """The classical radial rule for dimension D: its end U, ln of a bound
-    T on the integral beyond U, and the rows (D-1) ln x, -x^2, -x^4, -1 at
-    its nodes x = U t, so that ln f - c = (1, a, b, c) @ rows.
+    T on the integral beyond U, and the columns (D-1) ln x, -x^2, -x^4, -1
+    at its nodes x = U t, so that ln f - c = columns @ (1, a, b, c).
 
     For x >= U >= 1/sqrt(2) the integrand x^(D-1) exp(-(a + b x^2) x^2)
     is at most x^(D-1) e^(-x^2/2) (a = 1/2, or b = 1 and x^4 >= x^2/2),
@@ -434,64 +443,107 @@ def _classical_rule(D: int):
             break
         U *= 1.02
     x = U * _CL_T
-    rows = np.stack([(D - 1) * np.log(x), -x ** 2, -x ** 4, -np.ones_like(x)])
-    rows.flags.writeable = False  # shared by every call at this D
-    return U, ln_tail, rows
+    columns = np.stack([(D - 1) * np.log(x), -x ** 2, -x ** 4, -np.ones_like(x)],
+                       axis=1)
+    columns.flags.writeable = False  # shared by every call at this D
+    return U, ln_tail, columns
 
 
-def _scaled_radial_integral(D: int, a: float, b: float, tol: float):
-    """(ln I, relative error estimate) of I = int_0^inf x^(D-1)
-    exp(-(a + b x^2) x^2) dx for a <= 1/2, b <= 1, one at its bound.
+def _radial_peak(D: int, a: float, b: float):
+    """(ln f_max, its x, its width 1/sqrt(-(ln f)'')) of the scaled radial
+    integrand f = x^(D-1) exp(-(a + b x^2) x^2).  ln f is largest at
+    x^2 = y, the positive root of 4b y^2 + 2a y = D-1 (at x = 0, where
+    ln f = 0, for D = 1, with width ~1: e^(-x^4) for a -> 0)."""
+    if D == 1:
+        return 0.0, 0.0, 1.0
+    y = 2.0 * (D - 1) / (2.0 * a + math.sqrt(4.0 * a * a + 16.0 * b * (D - 1)))
+    return (0.5 * (D - 1) * math.log(y) - (a + b * y) * y, math.sqrt(y),
+            1.0 / math.sqrt((D - 1) / y + 2.0 * a + 12.0 * b * y))
+
+
+def _scaled_radial_integral(D: int, a, b, tol: float, Thetas):
+    """(ln I, relative error estimate), as lists, of I = int_0^inf
+    x^(D-1) exp(-(a_i + b_i x^2) x^2) dx for each pair of the sequences a
+    and b, a_i <= 1/2, b_i <= 1, one of them at its bound; Thetas name the
+    pairs in errors.
 
     The integrand is taken as exp(ln f - ln f_max), ln f_max in closed
-    form.  The precomputed equal panels on [0, U(D)] give it in one pass
-    if a bound on QUADPACK's error estimate there, plus the tail bound
-    beyond U, is within tol of I: a panel's estimate is at most 200 times
-    its Kronrod - Gauss difference d (the largest
-    min(r, (200 d)^1.5 / sqrt(r)) over r is 200 d) plus the 50 eps rounding
-    floor.  Otherwise the adaptive rule, which starts from QUADPACK's own
-    estimate, refines those panels with edges added at the peak and
-    around it, and must meet tol, else QuadratureError.  That is the case
-    where the peak, which narrows as D grows, falls between the nodes:
-    their values then underflow to 0, or the few left are far from smooth
-    and d is of the order of the value (neighbouring nodes alternate
-    between the Gauss and the Kronrod-only sets)."""
-    U, ln_tail, rows = _classical_rule(D)
-    # ln f is largest at x^2 = y, the positive root of 4b y^2 + 2a y = D-1,
-    # with width 1/sqrt(-(ln f)'') there (at x = 0, where ln f = 0, for
-    # D = 1, with width ~1: e^(-x^4) for a -> 0)
-    peak, x_peak, width = 0.0, 0.0, 1.0
-    if D > 1:
-        y = 2.0 * (D - 1) / (2.0 * a + math.sqrt(4.0 * a * a + 16.0 * b * (D - 1)))
-        peak = 0.5 * (D - 1) * math.log(y) - (a + b * y) * y
-        x_peak = math.sqrt(y)
-        width = 1.0 / math.sqrt((D - 1) / y + 2.0 * a + 12.0 * b * y)
+    form.  The precomputed equal panels on [0, U(D)] give every integral
+    in one pass, one matrix-vector product per integral (so its bits are
+    those it has alone).  An integral is done if a bound on QUADPACK's
+    error estimate there, plus the tail bound beyond U, is within tol of
+    I: a panel's estimate is at most 200 times its Kronrod - Gauss
+    difference d (the largest min(r, (200 d)^1.5 / sqrt(r)) over r is
+    200 d) plus the 50 eps rounding floor.  Otherwise, in the order given,
+    the adaptive rule, which starts from QUADPACK's own estimate, refines
+    its panels with edges added at the peak and around it, and must meet
+    tol, else QuadratureError.  That is the case where the peak, which
+    narrows as D grows, falls between the nodes: their values then
+    underflow to 0, or the few left are far from smooth and d is of the
+    order of the value (neighbouring nodes alternate between the Gauss
+    and the Kronrod-only sets)."""
+    U, ln_tail, columns = _classical_rule(D)
+    peaks = [_radial_peak(D, a_i, b_i) for a_i, b_i in zip(a, b)]
+    coefs = np.array([(1.0, a_i, b_i, peak) for a_i, b_i, (peak, _, _) in zip(a, b, peaks)])
+    fx = np.exp(columns @ coefs[:, :, None]).reshape(len(a), _CL_PANELS, -1)
+    kronrod = fx @ _GK_KRONROD
+    half = 0.5 * U / _CL_PANELS
+    vals = half * kronrod.sum(axis=1)
+    errs = (200.0 * half * np.abs(kronrod - fx @ _GK_GAUSS).sum(axis=1)
+            + 50.0 * _EPS * vals)
 
-    def rel_error(val, err):
+    def rel_error(val, err, peak):
         if not val > 0.0:
             return math.inf
         return err / val + math.exp(ln_tail - peak - math.log(val))
 
-    fx = np.exp(np.array([1.0, a, b, peak]) @ rows).reshape(_CL_PANELS, -1)
-    kronrod = fx @ _GK_KRONROD
-    half = 0.5 * U / _CL_PANELS
-    val = half * float(np.add.reduce(kronrod))
-    err = (200.0 * half * float(np.add.reduce(np.abs(kronrod - fx @ _GK_GAUSS)))
-           + 50.0 * _EPS * val)
-    rel = rel_error(val, err)
-    if rel > tol:
-        near = [x_peak + k * width for k in _CL_PEAK_EDGES]
-        vals, errs = _gauss_kronrod(
-            lambda x, _: np.exp((D - 1) * np.log(x) - (a + b * x * x) * x * x - peak),
-            [np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U])],
-            0.5 * tol)
-        val, err = float(vals[0]), float(errs[0])
-        rel = rel_error(val, err)
+    ln_i, rels = [], []
+    for Theta, a_i, b_i, (peak, x_peak, width), val, err in zip(
+            Thetas, a, b, peaks, vals.tolist(), errs.tolist()):
+        rel = rel_error(val, err, peak)
         if rel > tol:
-            raise QuadratureError(
-                f"classical radial integral at D={D}, a={a!r}, b={b!r}: "
-                f"relative error estimate {rel:.3e} above tolerance {tol:.1e}")
-    return math.log(val) + peak, rel
+            near = [x_peak + k * width for k in _CL_PEAK_EDGES]
+            (val,), (err,) = _gauss_kronrod(
+                lambda x, _: np.exp((D - 1) * np.log(x) - (a_i + b_i * x * x) * x * x
+                                    - peak),
+                [np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U])],
+                0.5 * tol)
+            rel = rel_error(val, err, peak)
+            if rel > tol:
+                raise QuadratureError(
+                    f"classical radial integral at D={D}, Theta={Theta!r} "
+                    f"(a={a_i!r}, b={b_i!r}): relative error estimate "
+                    f"{rel:.3e} above tolerance {tol:.1e}")
+        ln_i.append(math.log(val) + peak)
+        rels.append(rel)
+    return ln_i, rels
+
+
+def ln_z_classical_batch(g: float, D: int, Thetas, tol: float = 1e-10) -> list:
+    """ln_z_classical at each Theta of Thetas, as one pass of the fixed
+    rule (see _scaled_radial_integral); each value is bit for bit its
+    one-Theta call's, and a failure raises for the first failing Theta in
+    the order given."""
+    if not 0.0 <= g < math.inf:
+        raise DomainError(f"coupling g={g!r} must be finite and >= 0")
+    _check_dimension(D)
+    _check_tol(tol)
+    thetas = np.array(Thetas, dtype=float).ravel().tolist()
+    if not thetas:
+        return []
+    scalings = []
+    for Theta in thetas:
+        _check_theta(Theta)
+        if g <= 4.0 * Theta:
+            scalings.append((-0.5 * math.log(Theta), 0.5, 0.25 * g / Theta))
+        else:
+            scalings.append((0.25 * (_LN4 - math.log(g) - math.log(Theta)),
+                             math.sqrt(Theta / g), 1.0))
+    ln_s, a, b = zip(*scalings)
+    ln_i, _ = _scaled_radial_integral(D, a, b, tol, thetas)
+    ln_surface = _ln_sphere_surface(D)
+    return [-0.5 * D * math.log(_TWO_PI * Theta) + ln_surface + D * ln_s_i + ln_i_i
+            for Theta, ln_s_i, ln_i_i in zip(thetas, ln_s, ln_i)]
 
 
 def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
@@ -499,17 +551,10 @@ def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
     e^(-Theta V), V(r) = r^2/2 + g r^4/4 in reduced units.  With r = s x,
     s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), it is
     -(D/2) ln(2 pi Theta) + ln S_D + D ln s + ln I, where I is the scaled
-    radial integral (_scaled_radial_integral), so no Theta overflows."""
-    _check_tol(tol)
-    g, D, Theta = params.g, params.D, params.Theta
-    if g <= 4.0 * Theta:
-        ln_s, a, b = -0.5 * math.log(Theta), 0.5, 0.25 * g / Theta
-    else:
-        ln_s = 0.25 * (_LN4 - math.log(g) - math.log(Theta))
-        a, b = math.sqrt(Theta / g), 1.0
-    ln_i, _ = _scaled_radial_integral(D, a, b, tol)
-    return (-0.5 * D * math.log(_TWO_PI * Theta) + _ln_sphere_surface(D)
-            + D * ln_s + ln_i)
+    radial integral (_scaled_radial_integral), so no Theta overflows; the
+    one-Theta call of ln_z_classical_batch."""
+    (ln_z,) = ln_z_classical_batch(params.g, params.D, [params.Theta], tol)
+    return ln_z
 
 
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
@@ -527,22 +572,67 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # mapped once onto [0, pi/2]
 _GL_PHI = 0.25 * math.pi * (_GL_NODES + 1.0)
 _GL_W = 0.25 * math.pi * _GL_WEIGHTS
-_GL_COS2 = np.cos(_GL_PHI) ** 2
+_GL_W_COS2 = _GL_W * np.cos(_GL_PHI) ** 2
 _GL_1PSIN2 = 1.0 + np.sin(_GL_PHI) ** 2
+# a level's Newton solve stops once its step is within 1e-13 + 16 eps E:
+# near the root the step is rounding noise of up to ~4 eps J / period, and
+# J <= (4/3) E period (harmonic 1, quartic 4/3)
+_BS_XTOL, _BS_RTOL = 1e-13, 16.0 * np.finfo(float).eps
+_BS_MAX_STEPS = 100
 
 
-def _phase_integral(energy: float, g: float) -> float:
-    """Closed-orbit phase integral of p = sqrt(2 [E - V(x)]) for
-    V = x^2/2 + g x^4/4.  The substitution x = x_+ sin(phi) removes the
-    turning-point singularity: the integrand becomes
-    4 x_+^2 cos^2(phi) sqrt(1 + g x_+^2 (1 + sin^2 phi)/2), analytic on
-    [0, pi/2], so fixed Gauss-Legendre converges spectrally."""
-    if energy <= 0.0:
-        return 0.0
+def _phase_and_period(energy: np.ndarray, g: float):
+    """Closed-orbit phase integral J(E) of p = sqrt(2 [E - V(x)]) for
+    V = x^2/2 + g x^4/4, and its derivative dJ/dE, the period,
+    elementwise over energies E > 0.  The substitution x = x_+ sin(phi)
+    removes the turning-point singularity: with
+    s = sqrt(1 + g x_+^2 (1 + sin^2 phi)/2) the integrands
+    4 x_+^2 cos^2(phi) s and 4 / s are analytic on [0, pi/2], so fixed
+    Gauss-Legendre converges spectrally.  Each energy's sums run over its
+    own row (numpy's pairwise sum, not a BLAS product), so its bits do not
+    depend on the other energies in the array."""
     # x_+^2 = (sqrt(1+4gE)-1)/g without small-g cancellation
-    xp2 = 4.0 * energy / (1.0 + math.sqrt(1.0 + 4.0 * g * energy))
-    vals = _GL_COS2 * np.sqrt(1.0 + 0.5 * g * xp2 * _GL_1PSIN2)
-    return 4.0 * xp2 * float(np.dot(_GL_W, vals))
+    xp2 = 4.0 * energy / (1.0 + np.sqrt(1.0 + 4.0 * g * energy))
+    s = np.sqrt(1.0 + 0.5 * g * xp2[..., None] * _GL_1PSIN2)
+    return 4.0 * xp2 * (_GL_W_COS2 * s).sum(axis=-1), 4.0 * (_GL_W / s).sum(axis=-1)
+
+
+def _phase_integral(energy, g: float):
+    """J(E), elementwise (see _phase_and_period)."""
+    return _phase_and_period(np.asarray(energy, dtype=float), g)[0]
+
+
+def _bohr_sommerfeld_levels(g: float, first: int, last: int) -> np.ndarray:
+    """Levels E_first..E_last solving J(E_n) = 2 pi (n + 1/2), as one array
+    Newton iteration.  Each starts at n + 1/2, a lower bound as
+    J(E) <= 2 pi E for g >= 0; J increases and is concave (the period falls
+    with E), so each level's iterates climb to its root without a bracket.
+    A level stops on its own step (within 1e-13 + 16 eps E), so its bits do
+    not depend on the levels solved with it.  Raises ConvergenceError for
+    the first level that has not stopped after _BS_MAX_STEPS steps or
+    misses its phase by over 1e-9 (where 4gE overflows, J reads 0)."""
+    n = np.arange(first, last + 1, dtype=float)
+    target = _TWO_PI * (n + 0.5)
+    energy = n + 0.5
+    todo = np.arange(n.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_BS_MAX_STEPS):
+            phase, period = _phase_and_period(energy[todo], g)
+            step = (target[todo] - phase) / period
+            energy[todo] += step
+            todo = todo[~(np.abs(step) <= _BS_XTOL + _BS_RTOL * energy[todo])]
+            if not todo.size:
+                break
+        resid = np.abs(_phase_integral(energy, g) - target)
+    failed = ~(resid <= 1e-9)
+    failed[todo] = True
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        raise ConvergenceError(
+            f"level {first + i}: quantization residual {resid[i]:.3e} above 1e-9 "
+            f"at g={g!r}, E={float(energy[i])!r}, after at most {_BS_MAX_STEPS} Newton "
+            f"steps")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -557,7 +647,9 @@ class WkbSpectrum:
 
     def __post_init__(self):
         energies = np.asarray(self.levels, dtype=float)
-        if not energies.size or energies[0] <= 0.0:
+        if not energies.size or not np.isfinite(energies).all():
+            raise DomainError("levels must be finite, and at least one")
+        if energies[0] <= 0.0:
             raise DomainError("ground state must be positive")
         if np.any(energies[1:] <= energies[:-1]):
             raise DomainError("levels must be strictly increasing")
@@ -568,31 +660,9 @@ class WkbSpectrum:
         return len(self.levels) - 1
 
 
-def _wkb_level_stream(g: float):
-    """Bohr-Sommerfeld levels E_0, E_1, ... in order, each solved once,
-    bracketed from the level below (for g >= 0, which wkb_levels and
-    wkb_spectrum check)."""
-    lo = 1e-12
-    for n in itertools.count():
-        target = _TWO_PI * (n + 0.5)
-        hi = max(2.0 * (n + 1.0), lo * 2.0)
-        for _ in range(200):
-            if _phase_integral(hi, g) > target:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError(
-                f"level {n}: no bracket; phase integral is "
-                f"{_phase_integral(lo, g):.6e} at E={lo:.3e} and "
-                f"{_phase_integral(hi, g):.6e} at E={hi:.3e}")
-        energy = brentq(lambda e: _phase_integral(e, g) - target, lo, hi,
-                        xtol=1e-13, rtol=8.9e-16)
-        resid = abs(_phase_integral(energy, g) - target)
-        if resid > 1e-9:
-            raise ConvergenceError(
-                f"level {n}: quantization residual {resid:.3e} above 1e-9")
-        yield energy
-        lo = energy
+def _check_wkb_coupling(g: float) -> None:
+    if not 0.0 <= g < math.inf:
+        raise DomainError(f"g={g!r} must be finite and >= 0")
 
 
 def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
@@ -602,32 +672,43 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
     E(I) = I + (3g/8) I^2 - (17g^2/64) I^3 + ... at action I = n + 1/2,
     so at small g the ground state is E_0 ~ 1/2 + 3g/32, not the quantum
     first-order 1/2 + 3g/16 (that shift needs higher-order WKB terms)."""
-    if g < 0.0:
-        raise DomainError(f"g={g!r} must be >= 0")
-    if n_max < 0:
-        raise DomainError(f"n_max={n_max!r} must be >= 0")
-    levels = tuple(itertools.islice(_wkb_level_stream(g), n_max + 1))
-    return WkbSpectrum(levels, g)
+    _check_wkb_coupling(g)
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise DomainError(f"n_max={n_max!r} must be an integer >= 0")
+    return WkbSpectrum(tuple(_bohr_sommerfeld_levels(g, 0, n_max).tolist()), g)
+
+
+def ln_z_wkb_batch(spectrum: WkbSpectrum, Thetas) -> list:
+    """ln_z_wkb at each Theta of Thetas, as one (n_Theta, n_max + 1)
+    exp-sum; each value is bit for bit its one-Theta call's, and a
+    truncation raises for the first truncated Theta in the order given."""
+    thetas = np.array(Thetas, dtype=float).ravel()
+    for Theta in thetas.tolist():
+        _check_theta(Theta)
+    energies = spectrum._energies
+    e0 = float(energies[0])
+    e_next = (2.0 * float(energies[-1]) - float(energies[-2]) if len(energies) >= 2
+              else float(energies[-1]) + 1.0)
+    partials = np.exp(-thetas[:, None] * (energies - e0)).sum(axis=1)
+    ln_z = []
+    for Theta, partial in zip(thetas.tolist(), partials.tolist()):
+        if math.exp(-Theta * (e_next - e0)) >= 1e-16 * partial:
+            raise TruncationError(
+                f"spectrum truncated at n_max={spectrum.n_max} is too short at "
+                f"Theta={Theta}: next level ~{e_next:.4g} still contributes")
+        ln_z.append(-Theta * e0 + math.log(partial))
+    return ln_z
 
 
 def ln_z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
     """ln of the partition sum over the Bohr-Sommerfeld spectrum,
     -Theta E_0 + ln sum_n e^(-Theta (E_n - E_0)), in log space so large
-    Theta cannot underflow.  Raises TruncationError unless the first
-    omitted level (bounded below by linear extrapolation; level spacing
-    never decreases for this well) would contribute less than 1e-16 of
-    the partial sum."""
-    _check_theta(Theta)
-    energies = spectrum._energies
-    e0 = energies[0]
-    partial = float(np.exp(-Theta * (energies - e0)).sum())
-    e_next = (2.0 * energies[-1] - energies[-2] if len(energies) >= 2
-              else energies[-1] + 1.0)
-    if math.exp(-Theta * (e_next - e0)) >= 1e-16 * partial:
-        raise TruncationError(
-            f"spectrum truncated at n_max={spectrum.n_max} is too short at "
-            f"Theta={Theta}: next level ~{e_next:.4g} still contributes")
-    return -Theta * float(e0) + math.log(partial)
+    Theta cannot underflow; the one-Theta call of ln_z_wkb_batch.  Raises
+    TruncationError unless the first omitted level (bounded below by
+    linear extrapolation; level spacing never decreases for this well)
+    would contribute less than 1e-16 of the partial sum."""
+    (ln_z,) = ln_z_wkb_batch(spectrum, [Theta])
+    return ln_z
 
 
 def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
@@ -638,17 +719,16 @@ def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
 def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
     """The Bohr-Sommerfeld spectrum whose partition sum is not truncated
     at Theta_min, nor at any larger Theta: n_max doubles from 32 (to at
-    most 8192, else TruncationError), and each doubling solves only the
-    levels it adds, so the result is wkb_levels(g, n_max)."""
-    if g < 0.0:
-        raise DomainError(f"g={g!r} must be >= 0")
+    most 8192, else TruncationError), and each doubling passes the levels
+    it adds to one Newton solve, so the result is wkb_levels(g, n_max)."""
+    _check_wkb_coupling(g)
     _check_theta(Theta_min)
-    stream = _wkb_level_stream(g)
-    levels = []
+    energies = np.empty(0)
     n_max = 32
     while True:
-        levels.extend(itertools.islice(stream, n_max + 1 - len(levels)))
-        spectrum = WkbSpectrum(tuple(levels), g)
+        energies = np.concatenate(
+            [energies, _bohr_sommerfeld_levels(g, energies.size, n_max)])
+        spectrum = WkbSpectrum(tuple(energies.tolist()), g)
         try:
             ln_z_wkb(spectrum, Theta_min)
             return spectrum

@@ -394,7 +394,7 @@ class TestMain:
         # g = 0.5, D = 8, Theta = 1e-60, where the classical C is 3D/4 to
         # ~1e-30: the integral's error estimate was 3e77; the stencil's own
         # step (a quarter of Theta here) limits C
-        lnz = lambda th: sct.cli.ln_z_classical(ReducedParams(0.5, 8, th))
+        lnz = lambda th: sct.thermo.ln_z_classical(ReducedParams(0.5, 8, th))
         c, c_err = specific_heat(lnz, 1e-60)
         assert abs(c - 6.0) <= c_err <= 3e-3
 

@@ -50,8 +50,10 @@ from sct.thermo import (
     jacobian_dq0_dqt,
     ln_z2_quartic,
     ln_z_classical,
+    ln_z_classical_batch,
     ln_z_harmonic,
     ln_z_wkb,
+    ln_z_wkb_batch,
     specific_heat,
     stencil_thetas,
     wkb_levels,
@@ -658,9 +660,10 @@ class TestZClassical:
         seen = []
         radial = sct.thermo._scaled_radial_integral
 
-        def recorded(D, a, b, tol):
-            result = radial(D, a, b, tol)
-            seen.append((D, a, b, tol) + result)
+        def recorded(D, a, b, tol, thetas):
+            result = radial(D, a, b, tol, thetas)
+            seen.extend((D, *pair, tol, *value) for pair, value in zip(
+                zip(a, b), zip(*result)))
             return result
 
         monkeypatch.setattr(sct.thermo, "_scaled_radial_integral", recorded)
@@ -762,17 +765,18 @@ class TestWkb:
     def test_spectrum_solves_each_level_once(self, monkeypatch):
         # Theta_min = 0.95 / 30 needs 512 levels; doubling 32 -> 512 once
         # re-solved every level at each size, 33 + 65 + ... + 513 = 992 root
-        # finds
+        # finds; each doubling now passes only the levels it adds to one solve
         solves = []
-        brentq = sct.thermo.brentq
+        solve = sct.thermo._bohr_sommerfeld_levels
 
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return brentq(*args, **kwargs)
+        def recorded(g, first, last):
+            solves.append((first, last))
+            return solve(g, first, last)
 
-        monkeypatch.setattr(sct.thermo, "brentq", counted)
+        monkeypatch.setattr(sct.thermo, "_bohr_sommerfeld_levels", recorded)
         spectrum = wkb_spectrum(0.2, 0.95 / 30.0)
-        assert (spectrum.n_max, len(solves)) == (512, 513)
+        assert spectrum.n_max == 512
+        assert solves == [(0, 32), (33, 64), (65, 128), (129, 256), (257, 512)]
         monkeypatch.undo()
         assert spectrum == wkb_levels(0.2, 512)
         # 512 is the first size whose partition sum is not truncated at
@@ -781,6 +785,32 @@ class TestWkb:
             ln_z_wkb(spectrum, Theta)
         with pytest.raises(TruncationError):
             ln_z_wkb(wkb_levels(0.2, 256), 0.95 / 30.0)
+
+    def test_a_level_does_not_depend_on_its_batch(self):
+        # each level stops on its own Newton step: the levels of a short
+        # solve are the leading levels of a long one, bit for bit
+        assert wkb_levels(0.2, 512).levels[:33] == wkb_levels(0.2, 32).levels
+        assert tuple(sct.thermo._bohr_sommerfeld_levels(10.0, 7, 7).tolist()) == \
+            wkb_levels(10.0, 40).levels[7:8]
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling(self, g):
+        # a NaN g raised "level 0: no bracket; phase integral is nan"
+        with pytest.raises(DomainError, match=f"g={g!r}"):
+            wkb_levels(g, 4)
+        with pytest.raises(DomainError, match=f"g={g!r}"):
+            wkb_spectrum(g, 1.0)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, "3", True, -1])
+    def test_level_count_must_be_an_integer(self, n_max):
+        # 2.5 raised a bare ValueError from itertools.islice
+        with pytest.raises(DomainError, match="n_max="):
+            wkb_levels(0.2, n_max)
+
+    def test_overflowing_coupling_fails_cleanly(self):
+        # 4 g E overflows, the phase integral reads 0 and no level converges
+        with pytest.raises(ConvergenceError, match="level 0: quantization residual"):
+            wkb_levels(1e300, 2)
 
     def test_spectrum_domain(self):
         with pytest.raises(DomainError, match="g="):
@@ -804,13 +834,29 @@ class TestWkb:
             assert _phase_integral(e, 0.2) == pytest.approx(
                 2.0 * math.pi * (n + 0.5), abs=1e-9)
 
+    @pytest.mark.parametrize("g", [0.0, 0.2, 10.0])
+    def test_period_is_the_phase_integral_derivative(self, g):
+        # the Newton solve's derivative against a central difference of
+        # the independent quadrature of J
+        energies = np.array([0.5, 3.0, 140.0, 2100.0])
+        _, period = sct.thermo._phase_and_period(energies, g)
+        for energy, got in zip(energies.tolist(), period.tolist()):
+            h = 1e-4 * energy
+            want = (phase_integral_oracle(energy + h, g)
+                    - phase_integral_oracle(energy - h, g)) / (2.0 * h)
+            assert got == pytest.approx(want, rel=1e-7), energy
+
     def test_ground_state_against_independent_quadrature(self):
-        # independent oracle: invert the quadrature-evaluated phase integral
+        # independent oracle: invert the quadrature-evaluated phase integral;
+        # J(E) <= 2 pi E brackets each level from below by n + 1/2
         g = 0.2
-        oracle = brentq(lambda e: phase_integral_oracle(e, g) - math.pi,
-                        0.3, 1.0, xtol=1e-12)
-        got = wkb_levels(g, 0).levels[0]
-        assert got == pytest.approx(oracle, abs=5e-9)
+        levels = wkb_levels(g, 512).levels
+        for n in (0, 64, 512):
+            oracle = brentq(
+                lambda e: phase_integral_oracle(e, g) - 2.0 * math.pi * (n + 0.5),
+                n + 0.5, 10.0 * (n + 1), xtol=1e-12)
+            assert levels[n] == pytest.approx(oracle, rel=5e-12, abs=2e-12), n
+        got = levels[0]
         # note: the lowest-order quantization shift for n = 0 is ~3g/32,
         # about half of the first-order perturbative 3g/16
         assert got == pytest.approx(0.5 + 3.0 * g / 32.0, abs=2e-3)
@@ -820,6 +866,10 @@ class TestWkb:
             WkbSpectrum((0.5, 0.4), 0.1)
         with pytest.raises(DomainError):
             WkbSpectrum((), 0.1)
+        # a non-finite level once made ln_z_wkb of (1, inf) at Theta = 1 -1.0
+        for levels in ((math.nan,), (1.0, math.inf), (0.5, math.nan, 2.5)):
+            with pytest.raises(DomainError, match="finite"):
+                WkbSpectrum(levels, 0.2)
         assert WkbSpectrum((0.5, 1.5, 2.5), 0.0).n_max == 2
 
     def test_z_wkb_harmonic(self):
@@ -852,6 +902,71 @@ class TestWkb:
         a = z_wkb(wkb_levels(g, 16), Theta)
         b = z_wkb(wkb_levels(g, 32), Theta)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestReferenceBatches:
+    """A reference mode's batch (the seven stencil Theta of a row, say) is
+    its one-Theta calls, bit for bit, and fails at the first failing Theta
+    in the order given."""
+
+    @pytest.mark.parametrize("g,D,Theta", [
+        (0.2, 1, 0.05), (0.5, 2, 0.3), (0.5, 3, 1.0), (0.2, 8, 0.5), (1e3, 8, 1e-5)])
+    def test_classical_batch_is_its_one_theta_calls(self, g, D, Theta):
+        thetas = stencil_thetas(Theta)
+        if Theta == 0.05:
+            # T = 20 at g = 0.2: the stencil straddles the scaling switch
+            # g = 4 Theta
+            assert min(thetas) < g / 4.0 < max(thetas)
+        assert ln_z_classical_batch(g, D, thetas) == [
+            ln_z_classical(ReducedParams(g, D, theta)) for theta in thetas]
+
+    def test_classical_batch_through_the_adaptive_rule(self, monkeypatch):
+        # g = 10, D = 120000: every Theta's fixed pass misses tol, and each
+        # goes to the adaptive rule alone
+        rounds = []
+        adaptive = sct.thermo._gauss_kronrod
+        monkeypatch.setattr(sct.thermo, "_gauss_kronrod",
+                            lambda *args: rounds.append(args) or adaptive(*args))
+        thetas = stencil_thetas(1.0)
+        batch = ln_z_classical_batch(10.0, 120000, thetas)
+        assert len(rounds) == 7
+        assert batch == [ln_z_classical(ReducedParams(10.0, 120000, theta))
+                         for theta in thetas]
+
+    @pytest.mark.parametrize("thetas", [(2.0, 0.5, 10.0), (0.5, 2.0, 10.0)])
+    def test_classical_batch_names_the_first_failure(self, monkeypatch, thetas):
+        # below the rule's rounding floor (50 eps) every fixed pass misses
+        # tol; the adaptive rule, stubbed, meets it for the first Theta it
+        # is given and reports its error as the value's for the next one
+        rounds = []
+
+        def adaptive(f, edges, rtol):
+            rounds.append(edges)
+            return np.ones(1), np.array([0.0 if len(rounds) == 1 else 1.0])
+
+        monkeypatch.setattr(sct.thermo, "_gauss_kronrod", adaptive)
+        with pytest.raises(QuadratureError) as caught:
+            ln_z_classical_batch(0.2, 3, thetas, tol=1e-15)
+        assert str(caught.value).startswith(
+            f"classical radial integral at D=3, Theta={thetas[1]!r} ")
+        assert len(rounds) == 2
+
+    @pytest.mark.parametrize("Theta", [0.05, 1.0, 40.0])
+    def test_wkb_batch_is_its_one_theta_calls(self, Theta):
+        spectrum = wkb_spectrum(0.2, 0.03)
+        thetas = stencil_thetas(Theta)
+        assert ln_z_wkb_batch(spectrum, thetas) == [
+            ln_z_wkb(spectrum, theta) for theta in thetas]
+
+    def test_wkb_batch_names_the_first_truncation(self):
+        spectrum = wkb_levels(0.2, 20)
+        ln_z_wkb_batch(spectrum, (40.0, 2.0))
+        with pytest.raises(TruncationError, match=r"too short at Theta=1\.0:"):
+            ln_z_wkb_batch(spectrum, (40.0, 1.0, 2.0, 0.5))
+
+    def test_empty_batches(self):
+        assert ln_z_classical_batch(0.2, 1, []) == []
+        assert ln_z_wkb_batch(wkb_levels(0.2, 3), []) == []
 
 
 class TestSpecificHeat:
