@@ -1,28 +1,29 @@
 """Jacobi elliptic functions and the Jacobi epsilon function on the real line.
 
-Two kernels.  The scalar routines (jacobi_sn_cn_dn, complete_K,
-jacobi_epsilon) serve scalar callers such as the variational flow's
-right-hand side, where a numpy call per step would cost more than the
-work; jacobi_sn_cn_dn and jacobi_epsilon memoize their AGM ladder on
-m1 = 1 - k^2, since the flow evaluates one modulus at every step of its
-path.
-sn_cn_dn_eps_array evaluates sn, cn, dn and epsilon elementwise over
-arrays, with the same branches per element; the one-loop quadrature
-builds its paths with it.
+Two kernels, one per argument shape, each returning sn, cn, dn, epsilon
+and K(k) from one climb of the AGM ladder.  The scalar kernel serves
+single paths and the variational flow's right-hand side, where a numpy
+call per step would cost more than the work; it memoizes its ladder
+record on m1 = 1 - k^2, since the flow evaluates one modulus at every
+step of its path.  jacobi_sn_cn_dn and jacobi_epsilon are its checked
+wrappers.  The array kernel, behind sn_cn_dn_eps_array, takes the same
+branches per element; the one-loop quadrature builds its paths with it.
 
 * ``sn, cn, dn``: descending Landen / AGM ladder (DLMF 22.20(ii)), for
   any real u.  For 1 - k^2 < 1e-12 the ladder stalls and the hyperbolic
   expansion around k = 1 (A&S 16.15), where the quartic well's physics
   clusters, takes over; it is first order in 1 - k^2 and holds only on
-  the half period |u| < K(k), past which both kernels raise DomainError.
+  the half period |u| < K(k), past which the checked routines raise
+  DomainError.
 * ``K(k)``: AGM, K = pi / (2 agm(1, k')), on the same ladder.
 * ``epsilon(u, k) = E(am(u, k), k)`` (DLMF 22.16(ii)) on the first half
   period |u| < K(k) only (any u at k = 1), from the same ladder:
   epsilon = (E/K) u + Z(u), with E/K = 1 - (1/2) sum_(j>=0) 2^j c_j^2 and
   Jacobi's zeta Z = sum_(j>=1) c_j sin(phi_j) on the amplitudes of the
   backward recursion (A&S 17.6, DLMF 22.16(iii)); below 1 - k^2 = 1e-12,
-  the first order of the k = 1 expansion.  Both kernels raise DomainError
-  past the half period.  The closed orbits need u in [-u_T, u_T], u_T < K.
+  the first order of the k = 1 expansion.  jacobi_epsilon and
+  sn_cn_dn_eps_array raise DomainError past the half period.  The closed
+  orbits need u in [-u_T, u_T], u_T < K.
 
 Forming 1 - k^2 from k loses precision as k -> 1.  Callers that know
 1 - k^2 exactly (the quartic path does) can pass it as the ``m1`` keyword;
@@ -65,28 +66,62 @@ def _m1_error(m1: float) -> DomainError:
     return DomainError(f"m1={m1!r} must be finite and nonnegative")
 
 
-def _agm_ladder(m1: float) -> tuple[tuple, tuple]:
-    """Descending ladder from (a, b) = (1, sqrt(m1)), m1 > 0: a_j and
-    c_j = (a_(j-1) - b_(j-1))/2 for j = 0..n (c_0 is unused), stopping
-    once c_n is at the rounding level of a_n; a_n is then agm(1, k')."""
+def _agm_ladder(m1: float) -> tuple:
+    """The descending ladder from (a, b) = (1, sqrt(m1)), m1 > 0, stopped
+    once c_n = (a_(n-1) - b_(n-1))/2 is at the rounding level of a_n, as
+    the backward recursion reads it: ((z_j, c_j / a_j) for j = n..1, E/K,
+    the phase scale 2^n a_n, K = pi / (2 a_n)).  z_j and E/K are formed as
+    in the array kernel (see _sn_cn_dn_eps_k), with E/K's tail summed from
+    j = n down."""
     a, b = 1.0, math.sqrt(m1)
-    a_seq = [a]
-    c_seq = [0.0]
+    a1 = 0.5 * (a + b)
+    c2 = 1.0 - m1  # c_(j-1)^2
+    levels = []
     for _ in range(_LADDER_MAX):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_seq.append(a)
-        c_seq.append(c)
+        levels.append((c2 / (4.0 * a), c / a))
+        c2 = c ** 2
         if abs(c) <= _AGM_TOL * a:
             break
-    return tuple(a_seq), tuple(c_seq)
+    levels.reverse()
+    e_tail = 0.0
+    for j, (z, _) in zip(range(len(levels), 1, -1), levels):
+        e_tail += 2.0 ** (j - 1) * z * z
+    scale = (2.0 ** len(levels)) * a
+    return tuple(levels), a1 ** 2 - e_tail, scale, math.pi / (2.0 * a)
 
 
-# jacobi_sn_cn_dn meets one modulus at many u (the variational flow calls
-# it at every step of one path), so its ladders (and jacobi_epsilon's)
-# are memoized on m1, which _m1_of has checked finite.  complete_K keeps
-# the plain ladder: its callers, q_theta_max's root search above all,
-# rarely repeat a modulus, and a cache miss costs more than the ladder saves.
-_memo_agm_ladder = functools.lru_cache(maxsize=256)(_agm_ladder)
+# The scalar kernel meets one modulus at many u (the variational flow calls
+# it at every step of one path), so its ladders are memoized on m1, which
+# the callers have checked finite.  complete_K climbs its own: its callers,
+# q_theta_max's root search above all, rarely repeat a modulus, and a
+# cache miss costs more than the ladder saves.
+_ladder_record = functools.lru_cache(maxsize=256)(_agm_ladder)
+
+
+def _scalar_sn_cn_dn_eps_k(u: float, m1: float) -> tuple:
+    """sn, cn, dn, epsilon and K (inf at m1 = 0) at one real u, from one
+    climb: the scalar twin of _sn_cn_dn_eps_k, unchecked.  Outside
+    |u| < K epsilon (and below m1 = 1e-12 every value) is not the
+    function's; where the ladder's phase 2^n a_n u overflows, the four
+    values are NaN."""
+    if m1 < _M1_SWITCH:
+        big_k = _ladder_record(m1)[3] if m1 > 0.0 else math.inf
+        return _sn_cn_dn_eps_near_one(u, m1) + (big_k,)
+    levels, e_over_k, scale, big_k = _ladder_record(m1)
+    # Backward amplitude recursion, summing Z = sum_j z_j sin(phi_j) on
+    # the way; c_j / a_j < 1, so no clamp is needed.
+    phi = scale * u
+    if not math.isfinite(phi):
+        return math.nan, math.nan, math.nan, math.nan, big_k
+    zeta = 0.0
+    for z, r in levels:
+        phi_prev = phi
+        sin_phi = math.sin(phi)
+        zeta += z * sin_phi
+        phi = 0.5 * (phi + math.asin(r * sin_phi))
+    cn = math.cos(phi)
+    return math.sin(phi), cn, cn / math.cos(phi_prev - phi), e_over_k * u + zeta, big_k
 
 
 def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float, float, float]:
@@ -96,22 +131,11 @@ def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float,
     of cn; sn^2 + cn^2 = 1 holds exactly by construction.  Raises
     DomainError for 0 < 1 - k^2 < 1e-12 and |u| >= K(k), and past |u| ~ 1e305."""
     m1 = _checked_m1(u, k, m1)
-    if m1 < _M1_SWITCH:
-        return _sn_cn_dn_eps_near_one(u, m1)[:3]
-
-    a_seq, c_seq = _memo_agm_ladder(m1)
-    n = len(a_seq) - 1
-
-    # Backward amplitude recursion; c_j / a_j < 1, so no clamp is needed.
-    phi = (2.0 ** n) * a_seq[n] * u
-    if not math.isfinite(phi):
+    sn, cn, dn, _, big_k = _scalar_sn_cn_dn_eps_k(u, m1)
+    if m1 < _M1_SWITCH and abs(u) >= big_k:
+        raise _past_half_period(u, m1, big_k)
+    if sn != sn:  # NaN: the phase overflowed
         raise DomainError(f"argument u={u!r} overflows the ladder's phase 2^n a_n u")
-    for j in range(n, 0, -1):
-        phi_prev = phi
-        phi = 0.5 * (phi + math.asin(c_seq[j] / a_seq[j] * math.sin(phi)))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = cn / math.cos(phi_prev - phi)
     return sn, cn, dn
 
 
@@ -122,12 +146,10 @@ def _checked_m1(u: float, k: float, m1: float | None) -> float:
     return m1
 
 
-def _k_of_m1(m1: float) -> float:
-    # K(k) = pi / (2 agm(1, k')), from m1 = k'^2 > 0
-    return math.pi / (2.0 * _agm_ladder(m1)[0][-1])
-
-
 def _past_half_period(u: float, m1: float, big_k: float) -> DomainError:
+    # the error for a u outside the half period, or not finite
+    if not math.isfinite(u):
+        return DomainError(f"argument u={u!r} is not finite")
     return DomainError(f"u={u!r} with m1={m1!r}: outside the half period "
                        f"|u| < K={big_k:.6g}")
 
@@ -135,13 +157,11 @@ def _past_half_period(u: float, m1: float, big_k: float) -> DomainError:
 def _sn_cn_dn_eps_near_one(u: float, m1: float) -> tuple[float, float, float, float]:
     # sn, cn, dn and epsilon = int dn^2 by A&S 16.15, first order in
     # m1 = 1 - k^2.  (sinh u cosh u - u) sech^2 u is written as
-    # tanh u - u sech^2 u to stay bounded for large |u|.  Past the half
-    # period the O(m1) terms grow like m1 e^(2|u|) and the expansion breaks
-    # down (at m1 = 1e-13, u = 40 it gave cn = -2942); K(k) < 373 whenever
-    # m1 > 0, so this also covers the overflow of cosh and sinh past
-    # |u| ~ 710.5.
-    if m1 > 0.0 and abs(u) >= (big_k := _k_of_m1(m1)):
-        raise _past_half_period(u, m1, big_k)
+    # tanh u - u sech^2 u to stay bounded for large |u|.  It holds on the
+    # half period only: past it the O(m1) terms grow like m1 e^(2|u|) (at
+    # m1 = 1e-13, u = 40 it gave cn = -2942), and the callers raise there.
+    # K(k) < 373 whenever m1 > 0, so the k = 1 values past |u| = 710,
+    # where cosh and sinh overflow, serve m1 = 0 only.
     t = math.tanh(u)
     if abs(u) >= 710.0:
         # k = 1: sech u = 2 e^-|u| where cosh overflows
@@ -160,7 +180,7 @@ def complete_K(k: float, m1: float | None = None) -> float:
     m1 = _m1_of(k, m1)
     if m1 == 0.0:
         raise DomainError("K(k) diverges at k = 1")
-    return _k_of_m1(m1)
+    return _agm_ladder(m1)[3]
 
 
 def jacobi_epsilon(u: float, k: float, m1: float | None = None) -> float:
@@ -177,24 +197,10 @@ def jacobi_epsilon(u: float, k: float, m1: float | None = None) -> float:
     solutions need (the bare arccos(cn) amplitude is even in u and would
     break the odd symmetry for u < 0)."""
     m1 = _checked_m1(u, k, m1)
-    if m1 < _M1_SWITCH:
-        return _sn_cn_dn_eps_near_one(u, m1)[3]
-    a_seq, c_seq = _memo_agm_ladder(m1)
-    n = len(a_seq) - 1
-    if abs(u) >= (big_k := math.pi / (2.0 * a_seq[n])):
+    eps, big_k = _scalar_sn_cn_dn_eps_k(u, m1)[3:]
+    if not abs(u) < big_k:
         raise _past_half_period(u, m1, big_k)
-
-    # jacobi_sn_cn_dn's backward recursion, summing Z on its sin(phi_j);
-    # z_j = c_j and E/K = a_1^2 - e_tail are formed as in the array kernel
-    phi = (2.0 ** n) * a_seq[n] * u
-    zeta = e_tail = 0.0
-    for j in range(n, 0, -1):
-        z = (c_seq[j - 1] ** 2 if j > 1 else 1.0 - m1) / (4.0 * a_seq[j])
-        e_tail += 2.0 ** (j - 1) * z * z if j > 1 else 0.0
-        sin_phi = math.sin(phi)
-        zeta += z * sin_phi
-        phi = 0.5 * (phi + math.asin(c_seq[j] / a_seq[j] * sin_phi))
-    return (a_seq[1] ** 2 - e_tail) * u + zeta
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ def sn_cn_dn_eps_array(u, k, m1):
     bad = ~((0.0 <= m1) & (m1 < math.inf))
     if bad.any():
         raise _m1_error(float(m1.flat[np.flatnonzero(bad)[0]]))
-    sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u, k, m1)
+    sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u, m1)
     past = ~(np.abs(u) < big_k)
     if past.any():
         i = np.flatnonzero(past)[0]
@@ -232,10 +238,9 @@ def sn_cn_dn_eps_array(u, k, m1):
     return sn, cn, dn, eps
 
 
-def _sn_cn_dn_eps_k(u, k, m1):
+def _sn_cn_dn_eps_k(u, m1):
     """sn, cn, dn, epsilon and K(k) (inf at m1 = 0) for arrays of one shape,
-    unchecked: outside |u| < K the epsilon values are not E(am(u, k), k).
-    The modulus is read from m1 alone; k is not used."""
+    unchecked: outside |u| < K the epsilon values are not E(am(u, k), k)."""
     shape = u.shape
     u, m1 = u.ravel(), m1.ravel()
     near = m1 < _M1_SWITCH
@@ -266,7 +271,7 @@ def _sn_cn_dn_eps_k(u, k, m1):
         big_k = np.where(m1 > 0.0, math.pi / (2.0 * a), math.inf)
 
     # Backward amplitude recursion, summing Z = sum_j z_j sin(phi_j) on the
-    # way, as jacobi_epsilon does.
+    # way, as the scalar kernel does.
     phi = (2.0 ** len(steps)) * a * u
     zeta = np.zeros_like(u)
     for z, r in reversed(steps):

@@ -430,6 +430,8 @@ class GreenTable:
 
 def _table_grid(Theta: float, n: int) -> np.ndarray:
     _check_theta(Theta)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"table size n={n!r} must be an integer")
     if n < 0:
         raise DomainError(f"table size n={n!r} must be >= 0")
     return np.linspace(0.0, Theta, n)
@@ -509,7 +511,8 @@ def wick_moment(green: GreenTable, legs) -> float:
             return float(val) if i == j else 0.0
         D = val.shape[-1]
         for c in (i, j):
-            if not (isinstance(c, numbers.Integral) and 0 <= c < D):
+            if (isinstance(c, bool) or not isinstance(c, numbers.Integral)
+                    or not 0 <= c < D):
                 raise DomainError(f"leg channel {c!r} outside [0, {D})")
         return float(val[i, j])
 

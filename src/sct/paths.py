@@ -29,11 +29,12 @@ f_a vanishes needs no series expansion.
 The action, both closed-form determinants, the q0 Jacobian and the
 canonical pairs at the endpoints t = 0, Theta all need the elliptic
 functions at the half period u = -u_T, +u_T only.  Each QuarticPath
-therefore evaluates sn, cn, dn and epsilon once, at u_T, when it is
-built, and hands them out by parity at -u_T (sn and epsilon are odd, cn
-and dn even; the kernel honours these identities bit for bit).  Every
-other argument still goes to the kernel, so the values read from a path
-are exactly the ones the kernel returns.
+therefore takes sn, cn, dn and epsilon at u_T from the one kernel climb
+that builds it (with K, for the pole check), and `QuarticPath.at` hands
+them out by parity at t = 0 (sn and epsilon are odd, cn and dn even; the
+kernel honours these identities bit for bit).  Any other time costs one
+climb, so the values read from a path are exactly the ones the kernel
+returns.
 
 A QuarticPath is one path (float fields, built with the scalar kernel)
 or a family of paths, one per element of an array of q_t, at one Theta
@@ -58,9 +59,10 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .elliptic import (
+    _past_half_period,
+    _scalar_sn_cn_dn_eps_k,
     _sn_cn_dn_eps_k,
     complete_K,
-    jacobi_epsilon,
     jacobi_sn_cn_dn,
     sn_cn_dn_eps_array,
 )
@@ -79,7 +81,8 @@ def _check_theta(Theta: float) -> None:
 
 def _check_dimension(D: int) -> None:
     # the exact type first: the ABC check alone costs ~3 us a call
-    if not (type(D) is int or isinstance(D, numbers.Integral)) or D < 1:
+    if not (type(D) is int or isinstance(D, numbers.Integral)
+            and not isinstance(D, bool)) or D < 1:
         raise DomainError(f"dimension D={D!r} must be an integer >= 1")
 
 
@@ -155,18 +158,17 @@ class QuarticPath:
     argument u_T = s Theta / 2 and the endpoint q0 = q_t nc(u_T, k).
 
     Also carries sn, cn, dn and epsilon at u_T (sn_T, cn_T, dn_T, eps_T),
-    computed once by the kernel when the path is built; at q_t = 0 they
-    are the k = 1 values (tanh, sech, sech, tanh) of u_T.  `sn_cn_dn_at`
-    and `epsilon_at` return them at u = u_T, return them by parity at
-    u = -u_T (sn and epsilon odd, cn and dn even), and call the kernel
-    at any other u; either way the result equals the kernel's bit for
-    bit.
+    from the kernel climb that built the path; at q_t = 0 they are the
+    k = 1 values (tanh, sech, sech, tanh) of u_T.  `at(theta)` returns
+    (u, sn, cn, dn, epsilon) at u = s (theta - Theta/2): these values at
+    theta = Theta, the same by parity at theta = 0 (sn and epsilon odd, cn
+    and dn even), and one kernel climb at any other time; either way the
+    result equals the kernel's bit for bit.
 
     The fields are floats, or for a family of paths arrays of one shape,
-    elementwise (sn_cn_dn_eps_array is then the kernel and u an array of
-    that shape).  A family's Theta is one float, or an array of that
-    shape: one period per node, so one family can hold the nodes of
-    several Theta."""
+    elementwise (sn_cn_dn_eps_array is then the kernel).  A family's
+    Theta is one float, or an array of that shape: one period per node, so
+    one family can hold the nodes of several Theta."""
 
     q_t: float
     Theta: float
@@ -186,43 +188,22 @@ class QuarticPath:
         (a family of paths has q_t > 0 throughout)."""
         return np.ndim(self.q_t) == 0 and self.q_t == 0.0
 
-    def u_of(self, theta: float):
-        # at theta = 0 and Theta, the path's own -u_T and u_T (the same bits
-        # as the product), which _half_period_sign finds by identity
+    def at(self, theta):
+        """(u, sn, cn, dn, epsilon) at time theta.  theta = 0 and Theta
+        (found by identity with self.Theta, and as a float 0.0) read the
+        path's own values; any other time climbs the kernel once, and
+        raises DomainError outside the half period |u| < K."""
         if theta is self.Theta:
-            return self.u_T
+            return self.u_T, self.sn_T, self.cn_T, self.dn_T, self.eps_T
         if isinstance(theta, float) and theta == 0.0:
-            return self._minus_u_T
-        return self.s * (theta - 0.5 * self.Theta)
-
-    @functools.cached_property
-    def _minus_u_T(self):
-        return -self.u_T
-
-    def _half_period_sign(self, u) -> int:
-        # +1 at u = u_T, -1 at u = -u_T, 0 elsewhere; on a family by identity
-        # with u_of's ends (an equal array takes the kernel: the same bits)
-        if np.ndim(self.u_T) == 0:
-            return 1 if u == self.u_T else -1 if u == -self.u_T else 0
-        return 1 if u is self.u_T else -1 if u is self._minus_u_T else 0
-
-    def sn_cn_dn_at(self, u):
-        """jacobi_sn_cn_dn(u, k, m1), read from the path at u = +-u_T."""
-        sign = self._half_period_sign(u)
-        if sign:
-            return sign * self.sn_T, self.cn_T, self.dn_T
+            return -self.u_T, -self.sn_T, self.cn_T, self.dn_T, -self.eps_T
+        u = self.s * (theta - 0.5 * self.Theta)
         if np.ndim(self.q_t):
-            return sn_cn_dn_eps_array(u, self.k, self.m1)[:3]
-        return jacobi_sn_cn_dn(u, self.k, self.m1)
-
-    def epsilon_at(self, u):
-        """jacobi_epsilon(u, k, m1), read from the path at u = +-u_T."""
-        sign = self._half_period_sign(u)
-        if sign:
-            return sign * self.eps_T
-        if np.ndim(self.q_t):
-            return sn_cn_dn_eps_array(u, self.k, self.m1)[3]
-        return jacobi_epsilon(u, self.k, self.m1)
+            return (u, *sn_cn_dn_eps_array(u, self.k, self.m1))
+        sn, cn, dn, eps, big_k = _scalar_sn_cn_dn_eps_k(u, self.m1)
+        if not abs(u) < big_k:
+            raise _past_half_period(u, self.m1, big_k)
+        return u, sn, cn, dn, eps
 
     def position(self, theta: float):
         """q_c(theta) = q_t nc(u, k).  One path makes at most one scalar
@@ -231,11 +212,10 @@ class QuarticPath:
         theta = _check_time(theta, self.Theta)
         u_T = self.u_T
         if isinstance(u_T, np.ndarray):  # a family of paths
-            _, cn, _ = self.sn_cn_dn_at(self.u_of(theta))
-            return self.q_t / cn
+            return self.q_t / self.at(theta)[2]
         if self.q_t == 0.0:
             return 0.0
-        u = self.u_of(theta)
+        u = self.s * (theta - 0.5 * self.Theta)
         if u == u_T or u == -u_T:
             return self.q_t / self.cn_T
         return self.q_t / jacobi_sn_cn_dn(u, self.k, self.m1)[1]
@@ -244,7 +224,7 @@ class QuarticPath:
         theta = _check_time(theta, self.Theta)
         if self.at_rest:
             return 0.0
-        sn, cn, dn = self.sn_cn_dn_at(self.u_of(theta))
+        _, sn, cn, dn, _ = self.at(theta)
         return self.q_t * self.s * sn * dn / (cn * cn)
 
 
@@ -268,17 +248,13 @@ def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
         raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
     m1, k, s = _modulus_and_scale(q_t)
     u_T = 0.5 * s * Theta
-    if q_t == 0.0:
-        sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
-        eps = jacobi_epsilon(u_T, k, m1)
-        return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
-    if m1 == 0.0:
-        if math.log(q_t) + u_T > _LN_FLAT_LIMIT:
-            raise _flat_error(q_t, Theta, u_T)
-    elif u_T >= (big_k := complete_K(k, m1=m1)):
+    sn, cn, dn, eps, big_k = _scalar_sn_cn_dn_eps_k(u_T, m1)
+    if u_T >= big_k:
         raise _pole_error(q_t, Theta, u_T, big_k)
-    sn, cn, dn = jacobi_sn_cn_dn(u_T, k, m1)
-    eps = jacobi_epsilon(u_T, k, m1)
+    if q_t == 0.0:  # at rest; cn underflows to 0 from u_T ~ 745
+        return QuarticPath(0.0, Theta, k, s, 0.0, m1, u_T, sn, cn, dn, eps)
+    if m1 == 0.0 and math.log(q_t) + u_T > _LN_FLAT_LIMIT:
+        raise _flat_error(q_t, Theta, u_T)
     return QuarticPath(q_t, Theta, k, s, q_t / cn, m1, u_T, sn, cn, dn, eps)
 
 
@@ -292,7 +268,7 @@ def _quartic_paths(q_t: np.ndarray, Theta) -> QuarticPath:
         raise DomainError("every Theta of a family must be positive and finite")
     m1, k, s = _modulus_and_scale(q_t, np.sqrt)
     u_T = 0.5 * s * Theta
-    sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u_T, k, m1)
+    sn, cn, dn, eps, big_k = _sn_cn_dn_eps_k(u_T, m1)
     past = u_T >= big_k
     if not m1.all():
         past |= (m1 == 0.0) & (np.log(q_t) + u_T > _LN_FLAT_LIMIT)
@@ -458,51 +434,44 @@ def canonical_longitudinal(path: QuarticPath) -> CanonicalPair:
                               "use the harmonic pair instead")
     k, m1 = path.k, path.m1
     k2 = k * k
-    u0 = path.u_of(0.0)
 
     def antider_reg(u, sn, cn, dn, eps):
         # int cn^4/(sn dn)^-2 du  minus its singular -cn dn/sn piece
         return (-m1 * u + (2.0 * m1 - 1.0) * eps) / k2 - m1 * sn * cn / dn
 
-    sn0, cn0, dn0 = path.sn_cn_dn_at(u0)
-    eps0 = path.epsilon_at(u0)
+    u0, sn0, cn0, dn0, eps0 = path.at(0.0)
     f_const = antider_reg(u0, sn0, cn0, dn0, eps0) - cn0 * dn0 / sn0
 
-    def slope(u, sn, cn, dn):
+    def slope(sn, cn, dn):
         return sn * dn / (cn * cn)
 
-    def slope_prime(u, cn):
-        nc = 1.0 / cn
-        return (2.0 * k2 - 1.0) * nc + 2.0 * m1 * nc ** 3
+    def accel(cn):
+        # d^2 q_c/dt^2 = U'(q_c) = q_t s^2 ((2 k^2 - 1) nc + 2 m1 nc^3),
+        # formed from q_c = q_t nc: nc^3 overflows from Theta ~ 470
+        q_c = qt / cn
+        return q_c * (1.0 + q_c * q_c)
 
     def fa(theta: float) -> float:
-        u = path.u_of(theta)
-        sn, cn, dn = path.sn_cn_dn_at(u)
-        return qt * s * slope(u, sn, cn, dn)
+        _, sn, cn, dn, _ = path.at(theta)
+        return qt * s * slope(sn, cn, dn)
 
     def fa_dot(theta: float) -> float:
-        u = path.u_of(theta)
-        _, cn, _ = path.sn_cn_dn_at(u)
-        return qt * s * s * slope_prime(u, cn)
+        return accel(path.at(theta)[2])
 
     def fb(theta: float) -> float:
-        u = path.u_of(theta)
-        sn, cn, dn = path.sn_cn_dn_at(u)
-        eps = path.epsilon_at(u)
+        u, sn, cn, dn, eps = path.at(theta)
         g = antider_reg(u, sn, cn, dn, eps)
-        return (slope(u, sn, cn, dn) * (g - f_const) - dn * dn / cn) / (qt * s * s)
+        return (slope(sn, cn, dn) * (g - f_const) - dn * dn / cn) / (qt * s * s)
 
     def fb_dot(theta: float) -> float:
-        u = path.u_of(theta)
-        sn, cn, dn = path.sn_cn_dn_at(u)
-        eps = path.epsilon_at(u)
+        u, sn, cn, dn, eps = path.at(theta)
         g = antider_reg(u, sn, cn, dn, eps)
         # G' - dn^2 + 2 k^2 cn^2 collapses to an explicit O(m1) factor;
         # the raw three-term form cancels catastrophically deep in the
         # k -> 1 tail where cn^2 ~ dn^2 ~ e^{-2u}
-        cross = -slope(u, sn, cn, dn) * m1 * (cn * cn * (1.0 + 2.0 * k2)
-                                              + 2.0 * m1) / (dn * dn)
-        return (slope_prime(u, cn) * (g - f_const) + cross) / (qt * s)
+        cross = -slope(sn, cn, dn) * m1 * (cn * cn * (1.0 + 2.0 * k2)
+                                           + 2.0 * m1) / (dn * dn)
+        return (accel(cn) / (qt * s * s) * (g - f_const) + cross) / (qt * s)
 
     return CanonicalPair(fa, fb, fa_dot, fb_dot)
 
@@ -514,37 +483,25 @@ def canonical_transverse(path: QuarticPath) -> CanonicalPair:
     if path.at_rest:
         raise DegenerateError("q_t = 0: transverse pair degenerates; "
                               "use the harmonic pair instead")
-    k, m1 = path.k, path.m1
-    k2 = k * k
-    u0 = path.u_of(0.0)
-
-    def psi(u, eps):
-        return eps - m1 * u
-
-    psi0 = psi(u0, path.epsilon_at(u0))
+    k2 = path.k * path.k
+    m1 = path.m1
+    u0, _, _, _, eps0 = path.at(0.0)
+    psi0 = eps0 - m1 * u0
 
     def fa(theta: float) -> float:
-        u = path.u_of(theta)
-        _, cn, _ = path.sn_cn_dn_at(u)
-        return qt / cn
+        return qt / path.at(theta)[2]
 
     def fa_dot(theta: float) -> float:
-        u = path.u_of(theta)
-        sn, cn, dn = path.sn_cn_dn_at(u)
+        _, sn, cn, dn, _ = path.at(theta)
         return qt * s * sn * dn / (cn * cn)
 
     def fb(theta: float) -> float:
-        u = path.u_of(theta)
-        _, cn, _ = path.sn_cn_dn_at(u)
-        eps = path.epsilon_at(u)
-        return (psi(u, eps) - psi0) / (cn * k2 * qt * s)
+        u, _, cn, _, eps = path.at(theta)
+        return (eps - m1 * u - psi0) / (cn * k2 * qt * s)
 
     def fb_dot(theta: float) -> float:
-        u = path.u_of(theta)
-        sn, cn, dn = path.sn_cn_dn_at(u)
-        eps = path.epsilon_at(u)
-        slope = sn * dn / (cn * cn)
-        return (slope * (psi(u, eps) - psi0) + k2 * cn) / (k2 * qt)
+        u, sn, cn, dn, eps = path.at(theta)
+        return (sn * dn / (cn * cn) * (eps - m1 * u - psi0) + k2 * cn) / (k2 * qt)
 
     return CanonicalPair(fa, fb, fa_dot, fb_dot)
 

@@ -148,8 +148,12 @@ def jacobian_dq0_dqt(path: QuarticPath):
     for a path family).  The factored form divides out U'(q_t) ~ q_t
     against sqrt(U(q0) - U(q_t)), so q_t = 0 returns the harmonic limit
     cosh(Theta/2) exactly."""
+    return _jacobian(path, _det_longitudinal_closed(path))
+
+
+def _jacobian(path: QuarticPath, det_l):
+    # jacobian_dq0_dqt from the path's closed-form Delta_l
     qt = path.q_t
-    det_l = _det_longitudinal_closed(path)
     sn, cn = path.sn_T, path.cn_T
     nc2 = 1.0 / (cn * cn)
     # sqrt(2 [U(q0)-U(q_t)]) = q_t (sn/cn) sqrt(1 + q_t^2 (nc^2 + 1) / 2)
@@ -163,7 +167,8 @@ def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
     over an array of turning values q_t > 0 at Theta (one value, or one
     per node), from one path family, where
     front = -I/g - (ln Delta_l + (D-1) ln Delta_t)/2 is the integrand's
-    q0-form factor.  Returns (family, ln f, front).  A non-finite ln f
+    q0-form factor; the Jacobian takes the closed-form Delta_l computed
+    for front.  Returns (family, ln f, front).  A non-finite ln f
     (the closed forms overflow at Theta ~ 680) is reported as such before
     check_routes re-derives every node's determinants from the canonical
     pairs, so an overflow is never read as a route mismatch."""
@@ -173,7 +178,7 @@ def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
         det_t = _det_transverse_closed(path)
         front = -quartic_action(path) / g - 0.5 * (np.log(det_l)
                                                    + (D - 1) * np.log(det_t))
-        log_f = np.log(jacobian_dq0_dqt(path)) + (D - 1) * np.log(path.q0) + front
+        log_f = np.log(_jacobian(path, det_l)) + (D - 1) * np.log(path.q0) + front
     bad = ~np.isfinite(log_f)
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -591,8 +596,13 @@ def _phase_and_period(energy: np.ndarray, g: float):
     Gauss-Legendre converges spectrally.  Each energy's sums run over its
     own row (numpy's pairwise sum, not a BLAS product), so its bits do not
     depend on the other energies in the array."""
-    # x_+^2 = (sqrt(1+4gE)-1)/g without small-g cancellation
-    xp2 = 4.0 * energy / (1.0 + np.sqrt(1.0 + 4.0 * g * energy))
+    # x_+^2 = (sqrt(1+4gE)-1)/g without small-g cancellation, and its
+    # limit 2 sqrt(E/g) where 4gE overflows (g > 0 there)
+    four_ge = 4.0 * g * energy
+    xp2 = 4.0 * energy / (1.0 + np.sqrt(1.0 + four_ge))
+    huge = np.isinf(four_ge)
+    if huge.any():
+        xp2 = np.where(huge, 2.0 * np.sqrt(energy / g), xp2)
     s = np.sqrt(1.0 + 0.5 * g * xp2[..., None] * _GL_1PSIN2)
     return 4.0 * xp2 * (_GL_W_COS2 * s).sum(axis=-1), 4.0 * (_GL_W / s).sum(axis=-1)
 

@@ -460,6 +460,18 @@ class TestMain:
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
 
+    def test_wkb_at_an_overflowing_coupling_has_rows(self, capsys, deadline):
+        # 4 g E overflowed in the phase integral and the run exited 3.  The
+        # C of its rows is stencil noise on |ln Z| ~ 1e100, and C_err says so
+        code, out, err = run_main(
+            ["run", "--mode=quartic-wkb", "--g=1e300", "--tmin=0.5", "--tmax=1",
+             "--steps=2"], capsys)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == [0.5, 1.0]
+        for _, lnz, c, c_err in rows:
+            assert lnz < -1e99 and c_err >= abs(c)
+
     def test_dimension_past_the_float_range_has_rows(self, capsys):
         # ln Z2 = -1695 at D = 1000, T = 1: exit 3 while the column read
         # ln z2_quartic; the rows are the library's ln Z2

@@ -20,6 +20,7 @@ from scipy.special import ellipe, ellipj, ellipkinc
 
 from sct.elliptic import (
     _agm_ladder,
+    _scalar_sn_cn_dn_eps_k,
     _sn_cn_dn_eps_k,
     complete_K,
     jacobi_epsilon,
@@ -103,17 +104,17 @@ class TestJacobiFunctions:
             assert dn == pytest.approx(d2, abs=5e-13)
 
     def test_near_one_branch_continuity(self):
-        # AGM just above the switch must match the hyperbolic expansion
-        # evaluated at the same m1, epsilon included.
+        # the ladder just above the switch must match the hyperbolic
+        # expansion evaluated at the same m1, epsilon and K included
         from sct.elliptic import _sn_cn_dn_eps_near_one
 
+        m1 = 1.1e-12
         for u in (0.3, 1.7, 4.0):
-            m1 = 1.1e-12
-            k = math.sqrt(1.0 - m1)
-            agm = jacobi_sn_cn_dn(u, k, m1=m1) + (jacobi_epsilon(u, k, m1=m1),)
+            agm = _scalar_sn_cn_dn_eps_k(u, m1)
             hyp = _sn_cn_dn_eps_near_one(u, m1)
             for a, b in zip(agm, hyp):
                 assert a == pytest.approx(b, rel=1e-11)
+            assert agm[4] == _agm_ladder(m1)[3]
 
     def test_k_one_at_large_argument(self):
         # 1 / cosh u up to |u| = 710, then sech u = 2 e^-|u| (cosh overflows)
@@ -147,9 +148,10 @@ class TestJacobiFunctions:
         # a and b can settle one ulp apart; a stop test below that level is
         # never met and the ladder runs all its steps
         for m1 in np.geomspace(1e-12, 0.5, 200):
-            a_seq, c_seq = _agm_ladder(float(m1))
-            assert len(a_seq) - 1 <= 10
-            assert abs(c_seq[-1]) <= 2.3e-16 * a_seq[-1]
+            levels, _, _, _ = _agm_ladder(float(m1))
+            # (z_j, c_j / a_j) from j = n down
+            assert len(levels) <= 10
+            assert abs(levels[0][1]) <= 2.3e-16
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -181,9 +183,15 @@ class TestJacobiFunctions:
         # an infinite m1 turns the ladder to NaN, which never meets its
         # stop; the loop still ends, at _LADDER_MAX steps
         with np.errstate(invalid="ignore"):
-            sn, cn, dn, eps, _ = _sn_cn_dn_eps_k(np.array([0.1]), np.array([0.9]),
-                                                 np.array([math.inf]))
+            sn, cn, dn, eps, _ = _sn_cn_dn_eps_k(np.array([0.1]), np.array([math.inf]))
         assert np.isnan([sn, cn, dn, eps]).all()
+
+    def test_unchecked_scalar_kernel_ladder_is_capped(self, deadline):
+        # the scalar twin: a NaN m1 never meets the ladder's stop either
+        from sct.elliptic import _LADDER_MAX
+
+        assert len(_agm_ladder(math.nan)[0]) == _LADDER_MAX
+        assert all(math.isnan(x) for x in _scalar_sn_cn_dn_eps_k(0.1, math.nan))
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(log_m1=st.floats(-12.0, 0.0, exclude_max=True),

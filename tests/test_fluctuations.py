@@ -549,9 +549,10 @@ class TestWickMoments:
         with pytest.raises(DomainError):
             wick_moment(table, [(0, 0.4), (0, 2.5)])
 
-    @pytest.mark.parametrize("channel", [-1, 2, 5, 0.5])
+    @pytest.mark.parametrize("channel", [-1, 2, 5, 0.5, True])
     def test_matrix_table_channel_validation(self, channel):
-        # channel -1 once read channel D - 1 and 5 raised a bare IndexError
+        # channel -1 once read channel D - 1, 5 raised a bare IndexError and
+        # True a bare TypeError
         path = quartic_path_from_qt(1.0, 1.0)
         flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), 1.0)
         table = green_table_general(flow, n=4)
@@ -583,6 +584,16 @@ class TestGreenTables:
             green_table_central(harmonic_canonical_pair(), 1.0, n=-1)
         with pytest.raises(DomainError, match="n=-1"):
             green_table_general(flow, n=-1)
+
+    @pytest.mark.parametrize("n", [2.5, "3", True, None])
+    def test_size_must_be_an_integer(self, n):
+        # 2.5 and "3" raised a bare TypeError, and True built a one-node table
+        path = quartic_path_from_qt(1.0, 1.0)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), 1.0)
+        with pytest.raises(DomainError, match=f"table size n={n!r}"):
+            green_table_central(harmonic_canonical_pair(), 1.0, n=n)
+        with pytest.raises(DomainError, match=f"table size n={n!r}"):
+            green_table_general(flow, n=n)
 
     def test_central_table_grid_matches_evaluator(self):
         pair = harmonic_canonical_pair()

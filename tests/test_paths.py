@@ -1,6 +1,7 @@
 """Tests for classical trajectories, actions and canonical solutions."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import sct.paths
-from sct.elliptic import jacobi_epsilon, jacobi_sn_cn_dn
+from sct.elliptic import _scalar_sn_cn_dn_eps_k, _sn_cn_dn_eps_k, jacobi_sn_cn_dn
 from sct.errors import ConvergenceError, DegenerateError, DomainError, PoleError
 from sct.paths import (
     CanonicalPair,
@@ -54,9 +55,10 @@ class TestReducedParams:
         with pytest.raises(DomainError):
             ReducedParams(0.5, 1, 0.0)
 
-    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1, True])
     def test_dimension_is_an_integer_at_least_one(self, D):
-        # D = 0.5 once passed here and failed with TypeError in z2_quartic
+        # D = 0.5 once passed here and failed with TypeError in z2_quartic;
+        # D = True passed as D = 1
         with pytest.raises(DomainError, match="dimension"):
             ReducedParams(0.5, D, 1.0)
 
@@ -202,6 +204,24 @@ class TestHalfPeriodValues:
                 except PoleError:
                     continue
 
+    @staticmethod
+    def _families():
+        # k = 1 (m1 underflows to 0), the exact-m1 branch and the ladder
+        for Theta in (0.1, 1.0, 2.0, 10.0):
+            qt = np.array([1e-170, 1e-7, 1.0, 0.999 * q_theta_max(Theta)])
+            yield quartic_path_from_qt(qt[qt < q_theta_max(Theta)], Theta)
+
+    @pytest.fixture()
+    def climbs(self, monkeypatch):
+        # scalar kernel climbs, complete_K and jacobi_sn_cn_dn calls in paths
+        counts = Counter()
+        for name in ("_scalar_sn_cn_dn_eps_k", "complete_K", "jacobi_sn_cn_dn"):
+            def counted(*args, _f=getattr(sct.paths, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(sct.paths, name, counted)
+        return counts
+
     def test_lookup_equals_kernel_at_both_ends(self):
         paths = list(self._cases())
         # k = 1, the exact-m1 branch (m1 < 1e-12) and the AGM ladder
@@ -209,19 +229,60 @@ class TestHalfPeriodValues:
         assert min(m1s) == 0.0 and any(0.0 < m1 < 1e-12 for m1 in m1s)
         assert any(m1 > 1e-12 for m1 in m1s)
         for path in paths:
-            k, m1 = path.k, path.m1
-            for u in (path.u_T, -path.u_T):
-                assert path.sn_cn_dn_at(u) == jacobi_sn_cn_dn(u, k, m1)
-                assert path.epsilon_at(u) == jacobi_epsilon(u, k, m1)
-            # the ends of the time window land on -u_T and +u_T exactly
-            assert path.u_of(0.0) == -path.u_T
-            assert path.u_of(path.Theta) == path.u_T
+            for theta, u in ((0.0, -path.u_T), (path.Theta, path.u_T)):
+                assert path.at(theta) == (u, *_scalar_sn_cn_dn_eps_k(u, path.m1)[:4])
 
-    def test_lookup_calls_kernel_elsewhere(self):
+    def test_family_lookup_equals_kernel_at_both_ends(self):
+        families = list(self._families())
+        m1 = np.concatenate([family.m1 for family in families])
+        assert (m1 == 0.0).any() and ((0.0 < m1) & (m1 < 1e-12)).any()
+        assert (m1 > 1e-12).any()
+        for family in families:
+            for theta, u in ((0.0, -family.u_T), (family.Theta, family.u_T)):
+                got = family.at(theta)
+                want = (u, *_sn_cn_dn_eps_k(u, family.m1)[:4])
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_lookup_calls_kernel_elsewhere(self, climbs):
+        for path in self._cases():
+            theta = 0.3 * path.Theta
+            u = path.s * (theta - 0.5 * path.Theta)
+            want = (u, *_scalar_sn_cn_dn_eps_k(u, path.m1)[:4])
+            climbs.clear()
+            assert path.at(theta) == want
+            assert climbs["_scalar_sn_cn_dn_eps_k"] == 1
+
+    def test_scalar_build_climbs_once(self, climbs):
+        for qt in (0.0, 1e-170, 1e-7, 1.0):
+            climbs.clear()
+            quartic_path_from_qt(qt, 1.0)
+            assert climbs == {"_scalar_sn_cn_dn_eps_k": 1}
+
+    @pytest.mark.parametrize("builder", [canonical_longitudinal, canonical_transverse])
+    def test_pair_climbs_once_inside_and_never_at_the_ends(self, climbs, builder):
         path = quartic_path_from_qt(1.0, 1.0)
-        u = 0.3 * path.u_T
-        assert path.sn_cn_dn_at(u) == jacobi_sn_cn_dn(u, path.k, path.m1)
-        assert path.epsilon_at(u) == jacobi_epsilon(u, path.k, path.m1)
+        pair = builder(path)
+        for f in (pair.fa, pair.fb, pair.fa_dot, pair.fb_dot):
+            for theta, want in ((0.0, 0), (path.Theta, 0), (0.3, 1)):
+                climbs.clear()
+                f(theta)
+                assert climbs["_scalar_sn_cn_dn_eps_k"] == want
+                assert climbs["jacobi_sn_cn_dn"] == 0
+
+    def test_position_calls_the_checked_kernel_once(self, climbs):
+        path = quartic_path_from_qt(1.0, 1.0)
+        for theta, want in ((0.0, 0), (path.Theta, 0), (0.3, 1)):
+            climbs.clear()
+            path.position(theta)
+            assert climbs == ({"jacobi_sn_cn_dn": 1} if want else {})
+
+    def test_lookup_raises_past_the_half_period(self):
+        # a pair evaluated outside its window, at |u| >= K
+        path = quartic_path_from_qt(0.999 * q_theta_max(1.0), 1.0)
+        with pytest.raises(DomainError, match="outside the half period"):
+            path.at(3.0)
+        with pytest.raises(DomainError, match="outside the half period"):
+            canonical_longitudinal(path).fb(3.0)
 
 
 class TestPathFamily:
@@ -475,6 +536,18 @@ class TestCanonicalPairs:
         freq = lambda t: u_well.dv(path.position(t)) / path.position(t)
         for frac in (0.1, 0.33, 0.61, 0.9):
             assert operator_residual(pair, freq, frac * Theta) < 1e-8
+
+    @pytest.mark.parametrize("Theta", [1.0, 300.0, 480.0, 700.0])
+    @pytest.mark.parametrize("frac", [0.5, 1e-13])
+    def test_longitudinal_fa_dot_is_the_force_at_the_ends(self, Theta, frac):
+        # f_a' = d^2 q_c/dt^2 = U'(q0) at both ends; the form with nc^3
+        # raised a bare OverflowError from Theta ~ 470
+        path = quartic_path_from_qt(frac * q_theta_max(Theta), Theta)
+        pair = canonical_longitudinal(path)
+        q0 = path.q0
+        for theta in (0.0, Theta):
+            assert pair.fa_dot(theta) == pytest.approx(q0 + q0 ** 3, rel=1e-12)
+            pair.wronskian(theta)  # f_b f_a' may overflow to inf, never raise
 
     def test_degenerate_at_zero_turning_value(self):
         path = quartic_path_from_qt(0.0, 1.0)

@@ -162,8 +162,9 @@ class TestHarmonicPartition:
             want = float(-3 * mpmath.log(2 * mpmath.sinh(mpmath.mpf(Theta) / 2)))
         assert ln_z_harmonic(3, Theta) == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1, True])
     def test_dimension_is_an_integer_at_least_one(self, D):
+        # D = True returned the D = 1 value
         with pytest.raises(DomainError, match="dimension"):
             ln_z_harmonic(D, 1.0)
 
@@ -270,29 +271,36 @@ class TestZ2Quartic:
     def test_path_builds_and_kernel_calls_per_call(self, monkeypatch, point):
         # the scan and each quadrature round are one array-kernel call each;
         # the tail bound reads the scan's family, so no scalar path is built
+        # and the scalar kernel is never climbed
         counts = Counter()
         build = sct.thermo.quartic_path_from_qt
         kernel = sct.paths._sn_cn_dn_eps_k
         scalar_kernel = sct.paths.jacobi_sn_cn_dn
+        scalar_climb = sct.paths._scalar_sn_cn_dn_eps_k
 
         def counted_build(q_t, Theta):
             counts["array" if np.ndim(q_t) else "scalar"] += 1
             return build(q_t, Theta)
 
-        def counted_kernel(u, k, m1):
+        def counted_kernel(u, m1):
             counts["kernel"] += 1
-            return kernel(u, k, m1)
+            return kernel(u, m1)
 
         def counted_scalar_kernel(*args):
             counts["scalar kernel"] += 1
             return scalar_kernel(*args)
 
+        def counted_scalar_climb(u, m1):
+            counts["scalar climb"] += 1
+            return scalar_climb(u, m1)
+
         monkeypatch.setattr(sct.thermo, "quartic_path_from_qt", counted_build)
         monkeypatch.setattr(sct.paths, "_sn_cn_dn_eps_k", counted_kernel)
         monkeypatch.setattr(sct.paths, "jacobi_sn_cn_dn", counted_scalar_kernel)
+        monkeypatch.setattr(sct.paths, "_scalar_sn_cn_dn_eps_k", counted_scalar_climb)
         z2_quartic(ReducedParams(*point))
         assert counts["scalar"] == 0
-        assert counts["scalar kernel"] == 0
+        assert counts["scalar kernel"] == counts["scalar climb"] == 0
         assert 2 <= counts["kernel"] == counts["array"] <= 6
 
     @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
@@ -807,10 +815,17 @@ class TestWkb:
         with pytest.raises(DomainError, match="n_max="):
             wkb_levels(0.2, n_max)
 
-    def test_overflowing_coupling_fails_cleanly(self):
-        # 4 g E overflows, the phase integral reads 0 and no level converges
-        with pytest.raises(ConvergenceError, match="level 0: quantization residual"):
-            wkb_levels(1e300, 2)
+    @pytest.mark.parametrize("g", [1e240, 1e300, 1.7e308])
+    def test_overflowing_coupling_meets_the_pure_quartic_levels(self, g, deadline):
+        # where 4 g E overflows, x_+^2 = 2 sqrt(E/g) (the phase integral
+        # read 0 and no level converged).  The quartic term then rules, and
+        # the levels are the pure quartic's Bohr-Sommerfeld ones,
+        # E_n = (pi (n + 1/2) / (4 B))^(4/3) g^(1/3), with
+        # B = int_0^1 sqrt(1 - y^4) dy = Gamma(1/4)^2 / (6 sqrt(2 pi))
+        b = math.gamma(0.25) ** 2 / (6.0 * math.sqrt(2.0 * math.pi))
+        for n, level in enumerate(wkb_levels(g, 64).levels):
+            want = (math.pi * (n + 0.5) / (4.0 * b)) ** (4.0 / 3.0) * g ** (1.0 / 3.0)
+            assert level == pytest.approx(want, rel=1e-13)
 
     def test_spectrum_domain(self):
         with pytest.raises(DomainError, match="g="):
