@@ -42,9 +42,7 @@ from .thermo import (
     stencil_thetas,
     wkb_spectrum,
 )
-# bound here only so that perfbench's tracer test finds an import site to
-# patch; the semiclassical column reads ln_z2_quartic
-from .thermo import z2_quartic  # noqa: F401
+from .thermo import z2_quartic  # noqa: F401  (kept for perfbench's tracer test)
 
 MODES = ("harmonic", "quartic-semiclassical", "quartic-classical", "quartic-wkb")
 

@@ -59,9 +59,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-# bound here only so that perfbench's tracer test finds an import site to
-# patch; the closed forms below read the path's half-period values
-from .elliptic import jacobi_sn_cn_dn  # noqa: F401
+from .elliptic import jacobi_sn_cn_dn  # noqa: F401  (kept for perfbench's tracer test)
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -75,6 +73,8 @@ from .paths import (
     RadialPotential,
     _check_dimension,
     _check_theta,
+    _finite,
+    _path_at,
     canonical_longitudinal,
     canonical_transverse,
 )
@@ -115,9 +115,8 @@ class OmegaKernel:
         Raises DomainError where it is not finite: a product of canonical
         solutions overflows (for the harmonic pair cosh(t) sinh(t') is inf
         - inf once t + t' passes ~710) or a solution itself does."""
-        fa, fb = self.pair.fa, self.pair.fb
         try:
-            value = fa(theta) * fb(theta_p) - fa(theta_p) * fb(theta)
+            value = self.pair.omega(theta, theta_p)
         except OverflowError as exc:  # math.cosh / math.sinh past ~710
             raise DomainError(
                 f"Omega({theta!r}, {theta_p!r}): a canonical solution "
@@ -143,7 +142,7 @@ def _harmonic_det(Theta: float) -> float:
     # product is inf from Theta ~ 708.6, and math.sinh raises from ~710.5
     det = _TWO_PI * math.sinh(Theta) if Theta <= 710.0 else math.inf
     if det == math.inf:
-        raise DomainError(f"Theta={Theta!r}: the harmonic determinant "
+        raise DomainError(f"q_t=0.0, Theta={Theta!r}: the harmonic determinant "
                           "2 pi sinh(Theta) overflows the float range")
     return det
 
@@ -174,19 +173,18 @@ def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
     if path.at_rest:
         # the canonical pairs degenerate here; the closed form is exact
         return closed
-    with np.errstate(all="ignore"):
-        via_pair = _TWO_PI * omega_kernel(pair_builder(path)).eval(0.0, path.Theta)
-    # a closed form that fails to a non-finite value counts as a mismatch
-    # (Omega raises where the pair route is not finite); not
-    # `~`, which maps a scalar path's Python bool to -1 or -2, both truthy
-    off = np.logical_not(abs(via_pair - closed) <= 1e-8 * abs(closed))
+    via_pair = _finite(path, f"{label}: the canonical-pair route",
+                       lambda: _TWO_PI * pair_builder(path).omega(0.0, path.Theta))
+    # a closed form that fails to a non-finite value counts as a mismatch;
+    # not `~`, which maps a scalar path's Python bool to -1 or -2, both truthy
+    off = np.logical_not((abs(via_pair - closed) <= 1e-8 * abs(closed))
+                         & np.isfinite(closed))
     if np.any(off):
         i = np.flatnonzero(off)[0]
         raise RouteMismatchError(
             f"{label}: closed form {float(np.ravel(closed)[i])!r} vs "
             f"canonical-pair route {float(np.ravel(via_pair)[i])!r} disagree "
-            f"beyond 1e-8 at q_t={float(np.ravel(path.q_t)[i])!r}, Theta="
-            f"{float(np.ravel(np.broadcast_to(path.Theta, np.shape(closed)))[i])!r}")
+            f"beyond 1e-8 at {_path_at(path, i)}")
     return closed
 
 
@@ -195,16 +193,18 @@ def det_longitudinal(path: QuarticPath):
     from the elliptic closed form and re-derived from the canonical pair
     as 2 pi Omega(0, Theta); both must agree to 1e-8 (elementwise for a
     path family).  At q_t = 0 both determinants are the harmonic
-    2 pi sinh(Theta)."""
-    return _dual_route_det(path, _det_longitudinal_closed(path),
-                           canonical_longitudinal, "det_longitudinal")
+    2 pi sinh(Theta).  Raises DomainError where a route overflows."""
+    closed = _finite(path, "det_longitudinal: the closed form",
+                     lambda: _det_longitudinal_closed(path))
+    return _dual_route_det(path, closed, canonical_longitudinal, "det_longitudinal")
 
 
 def det_transverse(path: QuarticPath):
     """Transverse fluctuation determinant of a quartic path (dual-route,
     as det_longitudinal)."""
-    return _dual_route_det(path, _det_transverse_closed(path),
-                           canonical_transverse, "det_transverse")
+    closed = _finite(path, "det_transverse: the closed form",
+                     lambda: _det_transverse_closed(path))
+    return _dual_route_det(path, closed, canonical_transverse, "det_transverse")
 
 
 def green_central(pair: CanonicalPair, Theta: float,
@@ -260,18 +260,6 @@ class FlowMatrices:
         # so a stacked product equals the product of one pair bit for bit
         y = np.ascontiguousarray(y.T).reshape(np.shape(theta) + (4, self.D, self.D))
         return FlowBlocks(*np.swapaxes(y, 0, -3))
-
-    def A(self, theta: float) -> np.ndarray:
-        return self.at(theta).A
-
-    def Adot(self, theta: float) -> np.ndarray:
-        return self.at(theta).Adot
-
-    def B(self, theta: float) -> np.ndarray:
-        return self.at(theta).B
-
-    def Bdot(self, theta: float) -> np.ndarray:
-        return self.at(theta).Bdot
 
 
 @dataclass(frozen=True)
@@ -396,8 +384,7 @@ def green_general(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarra
 def det_general(flow: FlowMatrices) -> float:
     """Fluctuation determinant (2 pi)^D det[-J(Theta, 0)] from the flow;
     equals det_longitudinal * det_transverse^(D-1) on central paths."""
-    minus_j = flow.B(flow.Theta)  # -J(Theta, 0) = B(Theta)
-    det = float(np.linalg.det(minus_j))
+    det = float(np.linalg.det(flow.at(flow.Theta).B))  # -J(Theta, 0) = B(Theta)
     if det <= 0.0:
         raise SingularMatrixError(
             f"det[-J(Theta, 0)] = {det!r} is not positive: conjugate point")

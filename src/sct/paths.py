@@ -33,8 +33,8 @@ therefore takes sn, cn, dn and epsilon at u_T from the one kernel climb
 that builds it (with K, for the pole check), and `QuarticPath.at` hands
 them out by parity at t = 0 (sn and epsilon are odd, cn and dn even; the
 kernel honours these identities bit for bit).  Any other time costs one
-climb, so the values read from a path are exactly the ones the kernel
-returns.
+climb, so the values read from a path, `position` included, are exactly
+the kernel's: the builder and `at` are its only callers.
 
 A QuarticPath is one path (float fields, built with the scalar kernel)
 or a family of paths, one per element of an array of q_t, at one Theta
@@ -63,7 +63,7 @@ from .elliptic import (
     _scalar_sn_cn_dn_eps_k,
     _sn_cn_dn_eps_k,
     complete_K,
-    jacobi_sn_cn_dn,
+    jacobi_sn_cn_dn,  # noqa: F401  (kept for perfbench's tracer test)
     sn_cn_dn_eps_array,
 )
 from .errors import ConvergenceError, DegenerateError, DomainError, PoleError
@@ -86,6 +86,11 @@ def _check_dimension(D: int) -> None:
         raise DomainError(f"dimension D={D!r} must be an integer >= 1")
 
 
+def _check_coupling(g: float) -> None:
+    if not 0.0 <= g < math.inf:
+        raise DomainError(f"coupling g={g!r} must be finite and >= 0")
+
+
 def _check_r0(r0: float) -> None:
     if not 0.0 <= r0 < math.inf:
         raise DomainError(f"r0={r0!r} must be finite and >= 0")
@@ -101,8 +106,7 @@ class ReducedParams:
     Theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.g < math.inf:
-            raise DomainError(f"coupling g={self.g!r} must be finite and >= 0")
+        _check_coupling(self.g)
         _check_dimension(self.D)
         _check_theta(self.Theta)
 
@@ -157,18 +161,12 @@ class QuarticPath:
     q_t), the frequency scale s = sqrt(1 + q_t^2), the half-period
     argument u_T = s Theta / 2 and the endpoint q0 = q_t nc(u_T, k).
 
-    Also carries sn, cn, dn and epsilon at u_T (sn_T, cn_T, dn_T, eps_T),
-    from the kernel climb that built the path; at q_t = 0 they are the
-    k = 1 values (tanh, sech, sech, tanh) of u_T.  `at(theta)` returns
-    (u, sn, cn, dn, epsilon) at u = s (theta - Theta/2): these values at
-    theta = Theta, the same by parity at theta = 0 (sn and epsilon odd, cn
-    and dn even), and one kernel climb at any other time; either way the
-    result equals the kernel's bit for bit.
+    Also carries sn, cn, dn and epsilon at u_T (sn_T, cn_T, dn_T, eps_T)
+    from the kernel climb that built the path (at q_t = 0 the k = 1
+    values tanh, sech, sech, tanh), which `at` hands out.
 
-    The fields are floats, or for a family of paths arrays of one shape,
-    elementwise (sn_cn_dn_eps_array is then the kernel).  A family's
-    Theta is one float, or an array of that shape: one period per node, so
-    one family can hold the nodes of several Theta."""
+    The fields are floats, or for a family of paths arrays of one shape
+    (Theta may also stay one float for the whole family)."""
 
     q_t: float
     Theta: float
@@ -186,19 +184,20 @@ class QuarticPath:
     def at_rest(self) -> bool:
         """Whether this is the q_t = 0 path, which rests at the origin
         (a family of paths has q_t > 0 throughout)."""
-        return np.ndim(self.q_t) == 0 and self.q_t == 0.0
+        return not isinstance(self.q_t, np.ndarray) and self.q_t == 0.0
 
     def at(self, theta):
-        """(u, sn, cn, dn, epsilon) at time theta.  theta = 0 and Theta
-        (found by identity with self.Theta, and as a float 0.0) read the
-        path's own values; any other time climbs the kernel once, and
-        raises DomainError outside the half period |u| < K."""
+        """(u, sn, cn, dn, epsilon) at time theta, u = s (theta - Theta/2),
+        bit for bit the kernel's.  theta = Theta (by identity with
+        self.Theta) and a float 0.0 read the path's own values, by parity at
+        0 (sn and epsilon odd, cn and dn even); any other time climbs the
+        kernel once, and raises DomainError outside the half period |u| < K."""
         if theta is self.Theta:
             return self.u_T, self.sn_T, self.cn_T, self.dn_T, self.eps_T
         if isinstance(theta, float) and theta == 0.0:
             return -self.u_T, -self.sn_T, self.cn_T, self.dn_T, -self.eps_T
         u = self.s * (theta - 0.5 * self.Theta)
-        if np.ndim(self.q_t):
+        if isinstance(self.q_t, np.ndarray):
             return (u, *sn_cn_dn_eps_array(u, self.k, self.m1))
         sn, cn, dn, eps, big_k = _scalar_sn_cn_dn_eps_k(u, self.m1)
         if not abs(u) < big_k:
@@ -206,19 +205,10 @@ class QuarticPath:
         return u, sn, cn, dn, eps
 
     def position(self, theta: float):
-        """q_c(theta) = q_t nc(u, k).  One path makes at most one scalar
-        kernel call (none at u = +-u_T), as the variational flow's
-        right-hand side calls it at every step."""
+        """q_c(theta) = q_t nc(u, k), with cn from `at`: one kernel climb,
+        none at theta = 0 and Theta (the variational flow calls it per step)."""
         theta = _check_time(theta, self.Theta)
-        u_T = self.u_T
-        if isinstance(u_T, np.ndarray):  # a family of paths
-            return self.q_t / self.at(theta)[2]
-        if self.q_t == 0.0:
-            return 0.0
-        u = self.s * (theta - 0.5 * self.Theta)
-        if u == u_T or u == -u_T:
-            return self.q_t / self.cn_T
-        return self.q_t / jacobi_sn_cn_dn(u, self.k, self.m1)[1]
+        return 0.0 if self.at_rest else self.q_t / self.at(theta)[2]
 
     def velocity(self, theta: float):
         theta = _check_time(theta, self.Theta)
@@ -243,6 +233,8 @@ def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
     beyond (the pole lies ~18 further in u)."""
     if np.ndim(q_t):
         return _quartic_paths(np.asarray(q_t, dtype=float), Theta)
+    if isinstance(q_t, np.ndarray):  # 0-d: one path, with float fields
+        q_t = float(q_t)
     _check_theta(Theta)
     if q_t < 0.0 or not math.isfinite(q_t):
         raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
@@ -379,9 +371,34 @@ def invert_endpoint(q0: float, Theta: float) -> float:
     return q_t
 
 
+def _path_at(path: QuarticPath, i: int) -> str:
+    # "q_t=..., Theta=..." of a path, or of element i of a family
+    theta = np.ravel(np.broadcast_to(path.Theta, np.shape(path.q_t)))[i]
+    return f"q_t={float(np.ravel(path.q_t)[i])!r}, Theta={float(theta)!r}"
+
+
+def _finite(path: QuarticPath, what: str, value_of: Callable[[], float]):
+    """value_of() with numpy's warnings off, or DomainError naming the path
+    (a family's first such element) where it is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            value = value_of()
+    except ArithmeticError:  # Python floats raise where numpy gives inf
+        value = math.inf
+    if not np.isfinite(value).all():
+        i = np.flatnonzero(~np.isfinite(value))[0]
+        raise DomainError(f"{what} overflows the float range at {_path_at(path, i)}")
+    return value
+
+
 def quartic_action(path: QuarticPath) -> float:
     """Dimensionless Euclidean action I[q_c] of a quartic path (the
-    physical action is (m^2 w^3 / lambda) I); elementwise for a family."""
+    physical action is (m^2 w^3 / lambda) I); elementwise for a family.
+    Raises DomainError where it overflows the float range."""
+    return _finite(path, "the action", lambda: _quartic_action(path))
+
+
+def _quartic_action(path: QuarticPath):
     qt = path.q_t
     if path.at_rest:
         return 0.0
@@ -408,6 +425,10 @@ class CanonicalPair:
     fb: Callable[[float], float]
     fa_dot: Callable[[float], float]
     fb_dot: Callable[[float], float]
+
+    def omega(self, theta: float, theta_p: float):
+        """Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t), unchecked."""
+        return self.fa(theta) * self.fb(theta_p) - self.fa(theta_p) * self.fb(theta)
 
     def wronskian(self, theta: float) -> float:
         """f_a f_b' - f_a' f_b at one time, 1 by the pair's contract; a

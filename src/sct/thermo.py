@@ -83,17 +83,17 @@ from .fluctuations import (
 from .paths import (
     QuarticPath,
     ReducedParams,
+    _check_coupling,
     _check_dimension,
     _check_theta,
+    _finite,
+    _quartic_action,
     harmonic_action,
     harmonic_canonical_pair,
     q_theta_max,
-    quartic_action,
     quartic_path_from_qt,
 )
-# bound here only so that perfbench's tracer test finds an import site to
-# patch; jacobian_dq0_dqt reads the path's half-period values
-from .elliptic import jacobi_sn_cn_dn  # noqa: F401
+from .elliptic import jacobi_sn_cn_dn  # noqa: F401  (kept for perfbench's tracer test)
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -147,8 +147,9 @@ def jacobian_dq0_dqt(path: QuarticPath):
     """dq0/dq_t at fixed Theta from the determinant identity (elementwise
     for a path family).  The factored form divides out U'(q_t) ~ q_t
     against sqrt(U(q0) - U(q_t)), so q_t = 0 returns the harmonic limit
-    cosh(Theta/2) exactly."""
-    return _jacobian(path, _det_longitudinal_closed(path))
+    cosh(Theta/2) exactly.  Raises DomainError where it overflows."""
+    return _finite(path, "dq0/dq_t",
+                   lambda: _jacobian(path, _det_longitudinal_closed(path)))
 
 
 def _jacobian(path: QuarticPath, det_l):
@@ -176,8 +177,8 @@ def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
     with np.errstate(all="ignore"):
         det_l = _det_longitudinal_closed(path)
         det_t = _det_transverse_closed(path)
-        front = -quartic_action(path) / g - 0.5 * (np.log(det_l)
-                                                   + (D - 1) * np.log(det_t))
+        front = -_quartic_action(path) / g - 0.5 * (np.log(det_l)
+                                                    + (D - 1) * np.log(det_t))
         log_f = np.log(_jacobian(path, det_l)) + (D - 1) * np.log(path.q0) + front
     bad = ~np.isfinite(log_f)
     if bad.any():
@@ -529,8 +530,7 @@ def ln_z_classical_batch(g: float, D: int, Thetas, tol: float = 1e-10) -> list:
     rule (see _scaled_radial_integral); each value is bit for bit its
     one-Theta call's, and a failure raises for the first failing Theta in
     the order given."""
-    if not 0.0 <= g < math.inf:
-        raise DomainError(f"coupling g={g!r} must be finite and >= 0")
+    _check_coupling(g)
     _check_dimension(D)
     _check_tol(tol)
     thetas = np.array(Thetas, dtype=float).ravel().tolist()
@@ -558,8 +558,7 @@ def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
     -(D/2) ln(2 pi Theta) + ln S_D + D ln s + ln I, where I is the scaled
     radial integral (_scaled_radial_integral), so no Theta overflows; the
     one-Theta call of ln_z_classical_batch."""
-    (ln_z,) = ln_z_classical_batch(params.g, params.D, [params.Theta], tol)
-    return ln_z
+    return ln_z_classical_batch(params.g, params.D, [params.Theta], tol)[0]
 
 
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
@@ -670,11 +669,6 @@ class WkbSpectrum:
         return len(self.levels) - 1
 
 
-def _check_wkb_coupling(g: float) -> None:
-    if not 0.0 <= g < math.inf:
-        raise DomainError(f"g={g!r} must be finite and >= 0")
-
-
 def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
     """Solve the Bohr-Sommerfeld condition for levels 0..n_max (D = 1).
 
@@ -682,7 +676,7 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
     E(I) = I + (3g/8) I^2 - (17g^2/64) I^3 + ... at action I = n + 1/2,
     so at small g the ground state is E_0 ~ 1/2 + 3g/32, not the quantum
     first-order 1/2 + 3g/16 (that shift needs higher-order WKB terms)."""
-    _check_wkb_coupling(g)
+    _check_coupling(g)
     if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
         raise DomainError(f"n_max={n_max!r} must be an integer >= 0")
     return WkbSpectrum(tuple(_bohr_sommerfeld_levels(g, 0, n_max).tolist()), g)
@@ -717,8 +711,7 @@ def ln_z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
     TruncationError unless the first omitted level (bounded below by
     linear extrapolation; level spacing never decreases for this well)
     would contribute less than 1e-16 of the partial sum."""
-    (ln_z,) = ln_z_wkb_batch(spectrum, [Theta])
-    return ln_z
+    return ln_z_wkb_batch(spectrum, [Theta])[0]
 
 
 def z_wkb(spectrum: WkbSpectrum, Theta: float) -> float:
@@ -731,7 +724,7 @@ def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
     at Theta_min, nor at any larger Theta: n_max doubles from 32 (to at
     most 8192, else TruncationError), and each doubling passes the levels
     it adds to one Newton solve, so the result is wkb_levels(g, n_max)."""
-    _check_wkb_coupling(g)
+    _check_coupling(g)
     _check_theta(Theta_min)
     energies = np.empty(0)
     n_max = 32

@@ -8,13 +8,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import sct.fluctuations
-from sct.errors import DegenerateError, DomainError, SingularMatrixError
+from sct.errors import DegenerateError, DomainError, RouteMismatchError, SingularMatrixError
 from sct.fluctuations import (
     FlowMatrices,
     OmegaKernel,
     RadialTrajectory,
     _det_longitudinal_closed,
     _det_transverse_closed,
+    _dual_route_det,
     _guarded_inv,
     det_general,
     det_longitudinal,
@@ -174,6 +175,17 @@ class TestChannelDeterminants:
         assert det_longitudinal(path) > base
         assert det_transverse(path) > base
 
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", ["path", "family"])
+    def test_route_check_refuses_an_infinite_closed_form(self, inf, shape):
+        # |via_pair - inf| <= 1e-8 |inf| holds, so an inf closed form passed
+        path = quartic_path_from_qt(0.7 if shape == "path" else np.array([0.5, 0.7, 0.9]), 1.3)
+        closed = inf if shape == "path" else np.where(
+            [False, True, False], inf, _det_transverse_closed(path))
+        with pytest.raises(RouteMismatchError,
+                           match=rf"closed form {inf!r} vs .* at q_t=0.7, Theta=1.3$"):
+            _dual_route_det(path, closed, canonical_transverse, "det_transverse")
+
 
 class TestGreenCentral:
     def harmonic_green(self, t, tp, Theta):
@@ -238,26 +250,27 @@ class TestGreenCentral:
 class TestFlowMatrices:
     def test_initial_conditions(self):
         flow = flow_matrices(harmonic_well(), radial_trajectory(lambda t: 1.0, 2), 1.0)
-        np.testing.assert_allclose(flow.A(0.0), np.eye(2), atol=1e-13)
-        np.testing.assert_allclose(flow.Adot(0.0), np.zeros((2, 2)), atol=1e-13)
-        np.testing.assert_allclose(flow.B(0.0), np.zeros((2, 2)), atol=1e-13)
-        np.testing.assert_allclose(flow.Bdot(0.0), np.eye(2), atol=1e-13)
+        a, adot, b, bdot = flow.at(0.0)
+        np.testing.assert_allclose(a, np.eye(2), atol=1e-13)
+        np.testing.assert_allclose(adot, np.zeros((2, 2)), atol=1e-13)
+        np.testing.assert_allclose(b, np.zeros((2, 2)), atol=1e-13)
+        np.testing.assert_allclose(bdot, np.eye(2), atol=1e-13)
 
     def test_free_particle(self):
         free = harmonic_well()
         free = free.__class__(lambda r: 0.0, lambda r: 0.0, lambda r: 0.0)
         flow = flow_matrices(free, radial_trajectory(lambda t: 0.3, 2), 1.5)
         for t in (0.4, 1.5):
-            np.testing.assert_allclose(flow.A(t), np.eye(2), atol=1e-10)
-            np.testing.assert_allclose(flow.B(t), t * np.eye(2), atol=1e-10)
+            np.testing.assert_allclose(flow.at(t).A, np.eye(2), atol=1e-10)
+            np.testing.assert_allclose(flow.at(t).B, t * np.eye(2), atol=1e-10)
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_harmonic_flow(self, D):
         traj = radial_trajectory(lambda t: harmonic_trajectory_ref(1.0, 2.0, t), D)
         flow = flow_matrices(harmonic_well(), traj, 2.0)
         for t in (0.5, 1.3, 2.0):
-            np.testing.assert_allclose(flow.A(t), math.cosh(t) * np.eye(D), rtol=1e-9)
-            np.testing.assert_allclose(flow.B(t), math.sinh(t) * np.eye(D), rtol=1e-9)
+            np.testing.assert_allclose(flow.at(t).A, math.cosh(t) * np.eye(D), rtol=1e-9)
+            np.testing.assert_allclose(flow.at(t).B, math.sinh(t) * np.eye(D), rtol=1e-9)
 
     def test_columns_solve_variational_equation(self, monkeypatch):
         # tight tolerances so the dense-output interpolant survives
@@ -270,7 +283,7 @@ class TestFlowMatrices:
         h = 1e-3
         for t in (0.3, 0.7):
             hess = u_well.hessian(np.array([path.position(t), 0.0, 0.0]))
-            for block in (flow.A, flow.B):
+            for block in (lambda s: flow.at(s).A, lambda s: flow.at(s).B):
                 second = (-block(t - 2 * h) + 16 * block(t - h) - 30 * block(t)
                           + 16 * block(t + h) - block(t + 2 * h)) / (12 * h * h)
                 rhs = hess @ block(t)
@@ -282,7 +295,7 @@ class TestFlowMatrices:
         path = quartic_path_from_qt(1.0, Theta)
         flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 3), Theta)
         for t in (0.4, 1.0):
-            for mat in (flow.A(t), flow.B(t)):
+            for mat in (flow.at(t).A, flow.at(t).B):
                 off = mat - np.diag(np.diag(mat))
                 np.testing.assert_allclose(off, np.zeros((3, 3)), atol=1e-9)
                 # the two transverse channels are identical

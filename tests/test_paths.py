@@ -269,12 +269,64 @@ class TestHalfPeriodValues:
                 assert climbs["_scalar_sn_cn_dn_eps_k"] == want
                 assert climbs["jacobi_sn_cn_dn"] == 0
 
-    def test_position_calls_the_checked_kernel_once(self, climbs):
+    def test_position_climbs_once_inside_and_never_at_the_ends(self, climbs):
         path = quartic_path_from_qt(1.0, 1.0)
         for theta, want in ((0.0, 0), (path.Theta, 0), (0.3, 1)):
             climbs.clear()
             path.position(theta)
-            assert climbs == ({"jacobi_sn_cn_dn": 1} if want else {})
+            assert climbs == ({"_scalar_sn_cn_dn_eps_k": 1} if want else {})
+
+    def test_zero_dimensional_turning_value_builds_a_single_path(self, climbs):
+        path, single = quartic_path_from_qt(np.array(0.5), 1.0), quartic_path_from_qt(0.5, 1.0)
+        assert type(path.q_t) is float and path == single
+        want = single.at(0.3)
+        climbs.clear()
+        assert path.at(0.3) == want
+        assert climbs == {"_scalar_sn_cn_dn_eps_k": 1}
+        rest = quartic_path_from_qt(np.array(0.0), 1.0)
+        assert rest.at_rest and rest.position(0.3) == rest.velocity(0.3) == 0.0
+
+    @staticmethod
+    def _sweep(seed, n=40):
+        # (path, times) draws: q_t from 1e-300 to 0.9999 of q_Theta (and 0),
+        # Theta from 0.01 to 700; times at both ends (the path's own Theta,
+        # a copy, an np.float64 and the int 0), the midpoint and at random
+        rng = np.random.default_rng(seed)
+        for Theta in (10.0 ** rng.uniform(-2.0, math.log10(700.0), n)).tolist():
+            fracs = 10.0 ** rng.uniform(-300.0, math.log10(0.9999), 4)
+            for q_t in [0.0, *(q_theta_max(Theta) * fracs).tolist()]:
+                try:
+                    path = quartic_path_from_qt(q_t, Theta)
+                except DomainError:  # m1 underflows where the k = 1 values are not exact
+                    continue
+                ends = [path.Theta, float(repr(Theta)), np.float64(Theta), 0, 0.0]
+                yield path, ends + [0.5 * Theta, *rng.uniform(0.0, Theta, 4).tolist()]
+
+    def test_position_and_velocity_read_the_scalar_kernel(self):
+        draws = 0
+        for path, times in self._sweep(seed=7):
+            for theta in times:
+                if path.at_rest:
+                    assert path.position(theta) == path.velocity(theta) == 0.0
+                    continue
+                u = path.s * (theta - 0.5 * path.Theta)
+                sn, cn, dn = _scalar_sn_cn_dn_eps_k(u, path.m1)[:3]
+                assert path.position(theta) == path.q_t / cn
+                assert path.velocity(theta) == path.q_t * path.s * sn * dn / (cn * cn)
+                draws += 1
+        assert draws > 1000
+
+    def test_family_position_and_velocity_read_the_array_kernel(self):
+        for path, times in self._sweep(seed=8, n=10):
+            if path.at_rest:
+                continue
+            family = quartic_path_from_qt(np.array([path.q_t, 0.5 * path.q_t]), path.Theta)
+            for theta in times:
+                u = family.s * (theta - 0.5 * family.Theta)
+                sn, cn, dn = _sn_cn_dn_eps_k(u, family.m1)[:3]
+                assert np.array_equal(family.position(theta), family.q_t / cn)
+                assert np.array_equal(family.velocity(theta),
+                                      family.q_t * family.s * sn * dn / (cn * cn))
 
     def test_lookup_raises_past_the_half_period(self):
         # a pair evaluated outside its window, at |u| >= K

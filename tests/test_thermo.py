@@ -1,7 +1,7 @@
 """Tests for partition functions, WKB levels and specific heat."""
 
 import math
-import types
+import warnings
 from collections import Counter
 
 import mpmath
@@ -37,6 +37,7 @@ from sct.paths import (
     harmonic_canonical_pair,
     harmonic_trajectory,
     q_theta_max,
+    quartic_action,
     quartic_path_from_qt,
     quartic_well,
     shoot_radial_path,
@@ -143,6 +144,62 @@ class TestThetaDomain:
     def test_overflow_is_an_sct_error(self, name, Theta):
         with pytest.raises(SctError, match="overflows the float range"):
             self.OVERFLOW_CALLS[name](Theta)
+
+
+class TestPathFunctionsAtTheFloatRange:
+    # each returns a finite value or raises an SctError naming q_t and
+    # Theta, for one path and for a family; no warning escapes
+    FUNCTIONS = (quartic_action, det_longitudinal, det_transverse, jacobian_dq0_dqt)
+
+    @classmethod
+    def _check(cls, path):
+        """The functions that raised, after checking every outcome."""
+        raised = set()
+        for f in cls.FUNCTIONS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = f(path)
+                except SctError as exc:
+                    raised.add(f.__name__)
+                    assert any(f"q_t={q!r}, Theta={float(th)!r}" in str(exc) for q, th in
+                               zip(np.ravel(path.q_t).tolist(),
+                                   np.ravel(np.broadcast_to(path.Theta, np.shape(path.q_t)))))
+                else:
+                    assert np.isfinite(value).all()
+        return raised
+
+    # a bare OverflowError from (sn dn / cn^2) ** 2, an action of inf; and a
+    # bare ZeroDivisionError from f_b's divisor cn k^2 q_t s, which underflows
+    @pytest.mark.parametrize("q_t,Theta,raised", [
+        (4.432577713516292e-160, 734.8016170776125,
+         {"quartic_action", "det_longitudinal", "det_transverse", "jacobian_dq0_dqt"}),
+        (7.14855862536624e-254, 683.2447413799182, {"det_longitudinal", "det_transverse"}),
+    ])
+    @pytest.mark.parametrize("shape", ["path", "family"])
+    def test_overflow_inputs(self, q_t, Theta, raised, shape):
+        path = quartic_path_from_qt(q_t if shape == "path" else np.array([q_t]), Theta)
+        assert self._check(path) == raised
+
+    def test_sweep(self):
+        rng = np.random.default_rng(2)
+        draws = 0
+        for Theta in (10.0 ** rng.uniform(-2.0, math.log10(740.0), 40)).tolist():
+            fracs = 10.0 ** rng.uniform(-300.0, math.log10(0.9999), 50)
+            self._check(quartic_path_from_qt(0.0, 1.05 * Theta))
+            built = []
+            for q in (q_theta_max(Theta) * fracs).tolist():
+                try:
+                    path = quartic_path_from_qt(q, Theta)
+                except DomainError:  # the k = 1 values are not exact there
+                    continue
+                self._check(path)
+                built.append(q)
+            draws += len(built)
+            built = np.array([q for q in built if q > 0.0])
+            if built.size:
+                self._check(quartic_path_from_qt(built, Theta))
+        assert draws > 1500
 
 
 class TestHarmonicPartition:
@@ -307,24 +364,19 @@ class TestZ2Quartic:
     def test_route_check_covers_every_node(self, monkeypatch, where):
         # perturb the canonical-pair route at a single node of the first
         # quadrature round: the first, a middle or the last node
-        original = sct.fluctuations.omega_kernel
+        original = sct.paths.CanonicalPair.omega
         perturbed = []
 
-        def omega_kernel(pair):
-            kernel = original(pair)
+        def omega(pair, theta, theta_p):
+            value = original(pair, theta, theta_p)
+            if np.ndim(value) and not perturbed:
+                i = round(where * (value.size - 1))
+                perturbed.append(i)
+                value = value.copy()
+                value[i] *= 1.0 + 1e-6
+            return value
 
-            def eval_(theta, theta_p):
-                value = kernel.eval(theta, theta_p)
-                if np.ndim(value) and not perturbed:
-                    i = round(where * (value.size - 1))
-                    perturbed.append(i)
-                    value = value.copy()
-                    value[i] *= 1.0 + 1e-6
-                return value
-
-            return types.SimpleNamespace(eval=eval_)
-
-        monkeypatch.setattr(sct.fluctuations, "omega_kernel", omega_kernel)
+        monkeypatch.setattr(sct.paths.CanonicalPair, "omega", omega)
         with pytest.raises(RouteMismatchError, match="det_longitudinal"):
             z2_quartic(ReducedParams(0.5, 2, 1.0))
         assert perturbed
