@@ -26,7 +26,13 @@ Two independent constructions are implemented and cross-checked:
                   [Adot(t') A(t')^-1 - Bdot(t') B(t')^-1]^-1,
 
   whose t' -> 0 limit is J(t, 0) = -B(t), and from it the matrix Green's
-  function and the determinant (2 pi)^D det[-J(Theta, 0)].
+  function and the determinant (2 pi)^D det[-J(Theta, 0)].  The flow's
+  right-hand side is a gather of the 4 D^2 state and one product with
+  a factor vector (ones on the copied blocks, the Hessian's row factors on
+  A and B), bit for bit the copy and row scaling, and so the dense
+  Hessian product.  A flow or determinant that leaves the float range
+  raises DomainError naming Theta and D, and the flow refuses times
+  outside [0, Theta].
 
 Both Green's functions are separable: G(t, t') is a factor in
 min(t, t') times a factor in max(t, t').  The tables on a time grid are
@@ -254,7 +260,13 @@ class FlowMatrices:
 
     def at(self, theta) -> FlowBlocks:
         """All four blocks at a time, or at a 1-D array of times, from one
-        dense-output evaluation."""
+        dense-output evaluation.  Raises DomainError for a time outside
+        [0, Theta] (NaN included), where the dense output would
+        extrapolate."""
+        inside = np.greater_equal(theta, 0.0) & np.less_equal(theta, self.Theta)
+        if not inside.all():
+            bad = np.ravel(theta)[np.argmin(inside)]  # the first time outside
+            raise DomainError(f"time {float(bad)!r} outside [0, {self.Theta}]")
         y = self._sol.sol(theta)  # (4 D^2,) or (4 D^2, n)
         # contiguous D x D blocks multiply through the same BLAS kernel,
         # so a stacked product equals the product of one pair bit for bit
@@ -297,36 +309,49 @@ def flow_matrices(potential: RadialPotential, trajectory: RadialTrajectory,
     r = |r(t)| (every entry V''(0) below r = 1e-14), so it acts on A and B
     as a row scaling.  Row 0's factor is written radial + (V'' - radial),
     the rounding of the dense Hessian radial 1 + (V'' - radial) n n^T, so
-    the flow equals the one driven by the dense matrix bit for bit.
-    Raises DomainError for a Theta that is not positive and finite, or
-    where r(t) is not finite."""
+    the flow equals the one driven by the dense matrix bit for bit.  The
+    right-hand side is one gather of the state in the block order (Adot,
+    A, Bdot, B) times a factor vector, one on the copied blocks and the
+    row factors on A and B: a product by 1.0 is exact, so every
+    derivative has the bits of the copy and the row scaling it stands for.
+    Raises DomainError for a Theta that is not positive and finite, where
+    r(t) is not finite, or where the flow leaves the float range (naming
+    Theta and D)."""
     _check_theta(Theta)
     position, D = trajectory.position, trajectory.D
     dv, d2v = potential.dv, potential.d2v
-    rows = np.empty((D, 1))
-    out = np.empty((4, D, D))
+    # (A, Adot, B, Bdot)' = (Adot, Hess A, Bdot, Hess B): y gathered in
+    # the order (Adot, A, Bdot, B), times the factor
+    block = np.arange(4 * D * D).reshape(4, D * D)
+    perm = block[[1, 0, 3, 2]].ravel()
+    factor = np.ones(4 * D * D)
+    row0, rest = block[1::2, :D].ravel(), block[1::2, D:].ravel()
 
     def rhs(t, y):
+        # scipy passes np.float64 times; a float halves the cost of the
+        # time check and the kernel climb in position, with the same bits
+        t = float(t)
         r = abs(position(t))
         if not r < math.inf:
             raise DomainError(f"trajectory r(t)={r!r} is not finite at t={t!r}")
         if r < 1e-14:
-            rows[:] = d2v(0.0)
+            factor[row0] = factor[rest] = d2v(0.0)
         else:
             radial = dv(r) / r
-            rows[:] = radial
-            rows[0] = radial + (d2v(r) - radial)
-        y = y.reshape(4, D, D)
-        # (A, Adot, B, Bdot)' = (Adot, Hess A, Bdot, Hess B)
-        out[0::2] = y[1::2]
-        np.multiply(rows, y[0::2], out=out[1::2])
-        return out.ravel().copy()
+            factor[rest] = radial
+            factor[row0] = radial + (d2v(r) - radial)
+        return y[perm] * factor
 
     eye = np.eye(D).ravel()
     zero = np.zeros(D * D)
     y0 = np.concatenate([eye, zero, zero, eye])
-    sol = solve_ivp(rhs, (0.0, Theta), y0, method="DOP853",
-                    dense_output=True, rtol=_FLOW_TOL, atol=_FLOW_TOL)
+    try:
+        with np.errstate(over="raise"):
+            sol = solve_ivp(rhs, (0.0, Theta), y0, method="DOP853",
+                            dense_output=True, rtol=_FLOW_TOL, atol=_FLOW_TOL)
+    except FloatingPointError as exc:
+        raise DomainError(f"Theta={Theta!r}, D={D}: the variational flow "
+                          f"leaves the float range ({exc})") from exc
     if not sol.success:
         raise ConvergenceError(
             f"variational flow integration failed: {sol.message}")
@@ -384,11 +409,23 @@ def green_general(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarra
 def det_general(flow: FlowMatrices) -> float:
     """Fluctuation determinant (2 pi)^D det[-J(Theta, 0)] from the flow;
     equals det_longitudinal * det_transverse^(D-1) on central paths."""
-    det = float(np.linalg.det(flow.at(flow.Theta).B))  # -J(Theta, 0) = B(Theta)
+    Th, D = flow.Theta, flow.D
+    with np.errstate(over="ignore"):  # an inf is refused below, naming Theta and D
+        det = float(np.linalg.det(flow.at(Th).B))  # -J(Theta, 0) = B(Theta)
     if det <= 0.0:
         raise SingularMatrixError(
             f"det[-J(Theta, 0)] = {det!r} is not positive: conjugate point")
-    return _TWO_PI ** flow.D * det
+    try:
+        value = _TWO_PI ** D * det
+    except OverflowError:
+        # (2 pi)^D alone leaves the float range from D = 387, while the
+        # product need not; exp overflows from ln(max float) = 709.7827...
+        ln_value = D * math.log(_TWO_PI) + math.log(det)
+        value = math.exp(ln_value) if ln_value < 709.78 else math.inf
+    if not value < math.inf:
+        raise DomainError(f"Theta={Th!r}, D={D}: the determinant (2 pi)^D "
+                          f"det[-J(Theta, 0)] overflows the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +488,9 @@ def green_table_general(flow: FlowMatrices, n: int = 64) -> GreenTable:
     values = np.empty((n, n, D, D))
     if n == 0:
         return GreenTable(Th, grid, values, evaluator)
-    # the grid, then Theta (already the last node unless n = 1)
-    a, adot, b, bdot = flow.at(np.append(grid, Th))
-    a_T, b_T = a[n], b[n]
+    # the grid, and Theta after it unless the grid ends there (n = 1)
+    a, adot, b, bdot = flow.at(grid if grid[-1] == Th else np.append(grid, Th))
+    a_T, b_T = a[-1], b[-1]
     m_0T = -_guarded_inv(-b_T, "J(Theta, 0)")
     # A^-1, B^-1, X2^-1 at t_1 .. t_(n-1); J(t, 0) = -B(t) needs none
     inv = _inverses(a[1:n], adot[1:n], b[1:n], bdot[1:n])

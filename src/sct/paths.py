@@ -116,11 +116,19 @@ class ReducedParams:
 
 
 def _check_time(theta: float, Theta: float) -> float:
-    # tolerate roundoff-level overshoot from adaptive steppers
-    slack = 1e-9 * max(1.0, Theta)
-    if not (-slack <= theta <= Theta + slack):
-        raise DomainError(f"theta={theta!r} outside [0, {Theta}]")
-    return min(max(theta, 0.0), Theta)
+    """theta itself inside [0, Theta]; within a roundoff-level overshoot
+    of an adaptive stepper, 1e-9 max(1, Theta), the nearer end: 0.0 below,
+    the Theta object itself above (so `QuarticPath.at` knows it by
+    identity).  Plain comparisons, not max / min: the variational flow
+    checks a time per step."""
+    if 0.0 <= theta <= Theta:
+        return theta
+    slack = 1e-9 * Theta if Theta > 1.0 else 1e-9
+    if -slack <= theta < 0.0:
+        return 0.0
+    if Theta < theta <= Theta + slack:
+        return Theta
+    raise DomainError(f"theta={theta!r} outside [0, {Theta}]")
 
 
 def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
@@ -208,7 +216,11 @@ class QuarticPath:
         """q_c(theta) = q_t nc(u, k), with cn from `at`: one kernel climb,
         none at theta = 0 and Theta (the variational flow calls it per step)."""
         theta = _check_time(theta, self.Theta)
-        return 0.0 if self.at_rest else self.q_t / self.at(theta)[2]
+        q_t = self.q_t
+        # at_rest inlined; isinstance first, so a family never meets == 0.0
+        if not isinstance(q_t, np.ndarray) and q_t == 0.0:
+            return 0.0
+        return q_t / self.at(theta)[2]
 
     def velocity(self, theta: float):
         theta = _check_time(theta, self.Theta)

@@ -1,6 +1,7 @@
 """Tests for determinants, Green's functions, flow matrices and Wick moments."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import sct.fluctuations
+import sct.paths
 from sct.errors import DegenerateError, DomainError, RouteMismatchError, SingularMatrixError
 from sct.fluctuations import (
     FlowMatrices,
@@ -302,7 +304,7 @@ class TestFlowMatrices:
                 assert mat[1, 1] == pytest.approx(mat[2, 2], rel=1e-10)
 
 
-    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("D", [1, 2, 3, 5])
     @pytest.mark.parametrize("profile", ["quartic", "zero", "negative"])
     def test_row_scaling_equals_the_dense_hessian_flow(self, D, profile):
         # the production right-hand side against the dense Hess V(x) @ X,
@@ -344,6 +346,53 @@ class TestFlowMatrices:
         for profile in (lambda t: bad, lambda t: bad if t > 0.5 else 0.3):
             with pytest.raises(DomainError, match=r"not finite at t="):
                 flow_matrices(quartic_well(), radial_trajectory(profile, 2), 1.0)
+
+    @pytest.mark.parametrize("D", [1, 3])
+    def test_quartic_flow_climbs_once_per_evaluation(self, D, monkeypatch):
+        # position costs one scalar kernel climb per right-hand-side
+        # evaluation, except the first, at t = 0.0, which reads the path's
+        # own values by parity
+        Theta = 1.3
+        path = quartic_path_from_qt(1.0, Theta)
+        climbs = []
+        kernel = sct.paths._scalar_sn_cn_dn_eps_k
+        monkeypatch.setattr(sct.paths, "_scalar_sn_cn_dn_eps_k",
+                            lambda u, m1: climbs.append(u) or kernel(u, m1))
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, D), Theta)
+        assert len(climbs) == flow._sol.nfev - 1
+
+    @pytest.mark.parametrize("D, Theta", [(3, 720.0), (1, 1000.0)])
+    def test_harmonic_flow_past_the_float_range(self, D, Theta):
+        # cosh(Theta) passes the float range from Theta ~ 710.5: scipy's
+        # step overflowed (a RuntimeWarning, then ConvergenceError)
+        traj = radial_trajectory(lambda t: 1.0, D)
+        with pytest.raises(DomainError, match=rf"Theta={Theta!r}, D={D}: the "
+                                              r"variational flow leaves the float range"):
+            flow_matrices(harmonic_well(), traj, Theta)
+
+    def test_quartic_flow_past_the_float_range(self):
+        path = quartic_path_from_qt(1e-200, 720.0)
+        with pytest.raises(DomainError, match=r"Theta=720.0, D=1: the variational flow"):
+            flow_matrices(quartic_well(), radial_trajectory(path.position, 1), 720.0)
+
+    @pytest.mark.parametrize("bad", [5.0, -1.0, math.nan, math.inf, -1e-300,
+                                     math.nextafter(1.0, 2.0)])
+    def test_at_refuses_a_time_outside_the_flow(self, bad):
+        # the dense output extrapolates: at(5.0).A[0, 0] read 361756.9
+        flow = flow_matrices(harmonic_well(), radial_trajectory(lambda t: 1.0, 2), 1.0)
+        match = rf"time {re.escape(repr(bad))} outside \[0, 1.0\]"
+        with pytest.raises(DomainError, match=match):
+            flow.at(bad)
+        with pytest.raises(DomainError, match=match):
+            flow.at(np.array([0.0, 0.5, bad, 1.0]))
+        with pytest.raises(DomainError, match=match):
+            jacobi_commutator(flow, bad, 0.5)
+        with pytest.raises(DomainError, match=match):
+            jacobi_commutator(flow, 0.5, bad)
+        grid = np.linspace(0.0, 1.0, 7)
+        assert flow.at(grid).A.shape == (7, 2, 2)
+        for t in (0.0, 1.0, *grid.tolist()):
+            assert flow.at(t).A.shape == (2, 2)
 
     @pytest.mark.parametrize("D", [0, -1, 2.0, "2", None])
     def test_radial_trajectory_dimension(self, D):
@@ -496,6 +545,49 @@ class TestDetGeneral:
         flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), Theta)
         assert det_general(flow) == pytest.approx(
             det_longitudinal(path) * det_transverse(path), rel=1e-6)
+
+    @pytest.mark.parametrize("D, Theta", [(3, 300.0), (2, 400.0)])
+    def test_harmonic_determinant_past_the_float_range(self, D, Theta):
+        # (2 pi sinh Theta)^D ~ 2e392 at (3, 300): np.linalg.det overflowed
+        # with a RuntimeWarning and det_general returned inf
+        traj = radial_trajectory(lambda t: 1.0, D)
+        flow = flow_matrices(harmonic_well(), traj, Theta)
+        with pytest.raises(DomainError, match=rf"Theta={Theta!r}, D={D}: the "
+                                              r"determinant .* overflows the float range"):
+            det_general(flow)
+
+    def test_two_pi_to_the_d_past_the_float_range(self):
+        # (2 pi)^400 ~ e^735 raised a bare OverflowError.  Synthetic blocks,
+        # seed 1: det B(Theta) > 0 at both Theta, with (2 pi)^D det B
+        # ~ e^633 at Theta = 0.25 and ~ e^775 at Theta = 0.3
+        D = 400
+        flow = synthetic_flow(D, 0.25, seed=1)
+        det_b = np.linalg.det(flow.at(0.25).B)
+        assert det_general(flow) == pytest.approx(
+            TWO_PI ** (D // 2) * det_b * TWO_PI ** (D // 2), rel=1e-12)
+        with pytest.raises(DomainError, match=r"Theta=0.3, D=400: the determinant"):
+            det_general(synthetic_flow(D, 0.3, seed=1))
+
+
+class TestGeneralRoutePins:
+    """det_general, the 4-leg Wick moment on an 8-node table and the
+    flow's right-hand-side count at the benchmark's three gate cases: a
+    change that moves the flow's bits or steps shows here."""
+
+    @pytest.mark.parametrize("q_t, Theta, D, det, wick4, nfev", [
+        (0.5, 1.0, 1, 8.346298887783266, 0.039279599016869664, 107),
+        (1.0, 0.5, 2, 12.641472304953108, 0.0031336428273863828, 77),
+        (2.0, 1.0, 3, 12344.886070979688, 0.0025471472839848014, 287),
+    ])
+    def test_gate_cases(self, q_t, Theta, D, det, wick4, nfev):
+        path = quartic_path_from_qt(q_t, Theta)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, D), Theta)
+        assert flow._sol.nfev == nfev
+        assert det_general(flow) == pytest.approx(det, rel=1e-14)
+        table = green_table_general(flow, n=8)
+        legs = [(c, float(table.grid[j]))
+                for c, j in ((0, 2), (D - 1, 3), (0, 4), (D - 1, 5))]
+        assert wick_moment(table, legs) == pytest.approx(wick4, rel=1e-14)
 
 
 class TestWickMoments:
@@ -746,6 +838,8 @@ class TestGreenTables:
             calls.clear()
             green_table_general(flow, n=n)
             assert len(calls) == 1
+            # the grid ends at Theta from n = 2; the lone node 0 needs it added
+            assert calls[0] == (2 if n == 1 else n)
         # off the grid: one evaluation per distinct time (Theta, t, t' and,
         # below the diagonal, 0)
         calls.clear()

@@ -14,6 +14,7 @@ from sct.errors import ConvergenceError, DegenerateError, DomainError, PoleError
 from sct.paths import (
     CanonicalPair,
     ReducedParams,
+    _check_time,
     _pole_gap,
     canonical_longitudinal,
     canonical_transverse,
@@ -192,6 +193,39 @@ class TestQuarticPath:
         path = quartic_path_from_qt(1.0, 1.0)
         with pytest.raises(DomainError):
             path.position(1.4)
+
+
+class TestCheckTime:
+    @pytest.mark.parametrize("Theta", [0.5, 1.0, 1.3, 2000.0])
+    def test_each_branch_returns_its_object(self, Theta):
+        # inside: theta itself (-0.0, an int 0 and an np.float64 included);
+        # below: the float 0.0; above: the Theta object, which
+        # QuarticPath.at recognises by identity
+        slack = 1e-9 * max(1.0, Theta)
+        for theta in (0.3 * Theta, -0.0, 0, np.float64(0.7 * Theta),
+                      float(repr(Theta))):
+            assert _check_time(theta, Theta) is theta
+        for theta in (-0.5 * slack, -slack, -1e-300):
+            got = _check_time(theta, Theta)
+            assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == 1.0
+        for theta in (math.nextafter(Theta, math.inf), Theta + 0.5 * slack, Theta + slack):
+            assert _check_time(theta, Theta) is Theta
+
+    @pytest.mark.parametrize("Theta, slack", [(0.5, 1e-9), (1.0, 1e-9),
+                                              (1.3, 1e-9 * 1.3),
+                                              (2000.0, 1e-9 * 2000.0)])
+    def test_slack_is_1e_9_of_max_1_theta(self, Theta, slack):
+        for theta in (-slack, Theta + slack):
+            _check_time(theta, Theta)
+        for theta in (math.nextafter(-slack, -math.inf),
+                      math.nextafter(Theta + slack, math.inf)):
+            with pytest.raises(DomainError, match="outside"):
+                _check_time(theta, Theta)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_raises(self, theta):
+        with pytest.raises(DomainError, match="outside"):
+            _check_time(theta, 1.0)
 
 
 class TestHalfPeriodValues:
