@@ -393,10 +393,9 @@ def green_general(flow: FlowMatrices, theta: float, theta_p: float) -> np.ndarra
         G(t, t') = J(t, 0) M(0, Th) J(Th, t')        for t <= t'
                  = -J(t, Th) M(Th, 0) J(0, t')       for t > t',
 
-    with M(t, t') = -J(t', t)^-1."""
+    with M(t, t') = -J(t', t)^-1.  A time outside [0, Theta] raises
+    DomainError (from FlowMatrices.at)."""
     Th = flow.Theta
-    if not (0.0 <= theta <= Th and 0.0 <= theta_p <= Th):
-        raise DomainError(f"times ({theta}, {theta_p}) outside [0, {Th}]")
     at_t, at_p, at_T = flow.at(theta), flow.at(theta_p), flow.at(Th)
     if theta <= theta_p:
         m_0T = -_guarded_inv(-at_T.B, "J(Theta, 0)")

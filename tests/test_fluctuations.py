@@ -389,6 +389,9 @@ class TestFlowMatrices:
             jacobi_commutator(flow, bad, 0.5)
         with pytest.raises(DomainError, match=match):
             jacobi_commutator(flow, 0.5, bad)
+        for t, tp in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(DomainError, match=match):
+                green_general(flow, t, tp)
         grid = np.linspace(0.0, 1.0, 7)
         assert flow.at(grid).A.shape == (7, 2, 2)
         for t in (0.0, 1.0, *grid.tolist()):
