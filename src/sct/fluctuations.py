@@ -11,9 +11,9 @@ Two independent constructions are implemented and cross-checked:
   is the antisymmetric kernel of the pair (its unit Wronskian is a
   contract of the construction, never a computed divisor).  For the
   quartic well the determinants also have explicit elliptic closed
-  forms; both evaluations are carried out on every call and must agree
-  to 1e-8.  Both take a family of paths (array fields) as
-  well as one path, elementwise.
+  forms: det_longitudinal and det_transverse return them once both
+  routes agree to 1e-8, and the one-loop quadrature sums those values.
+  Both take one path or, elementwise, a family (array fields).
 
 * the general-D route: integrate the D x D variational flow A(t), B(t)
   of the equation of motion (columns solve the linearized equation, with

@@ -131,6 +131,29 @@ def _check_time(theta: float, Theta: float) -> float:
     raise DomainError(f"theta={theta!r} outside [0, {Theta}]")
 
 
+def _check_times(path: QuarticPath, theta):
+    """_check_time for a family of paths, elementwise: theta is one time or
+    an array of the family's shape, each held against its path's Theta.
+    One time at one Theta is _check_time's; otherwise theta itself where
+    every time lies inside, else the times within the slack moved to the
+    nearer end, or DomainError naming the first path whose time is outside."""
+    Theta, shape = path.Theta, path.q_t.shape
+    if not (np.ndim(theta) or np.ndim(Theta)):
+        return _check_time(theta, Theta)
+    if np.shape(theta) not in ((), shape):
+        raise DomainError(f"times of shape {np.shape(theta)} for a family of "
+                          f"shape {shape}: give one time or one per path")
+    if np.all((0.0 <= theta) & (theta <= Theta)):
+        return theta
+    slack = np.where(Theta > 1.0, 1e-9 * Theta, 1e-9)
+    outside = np.broadcast_to(~((-slack <= theta) & (theta <= Theta + slack)), shape)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise DomainError(f"theta={float(np.broadcast_to(theta, shape).flat[i])!r} "
+                          f"outside [0, Theta] at {_path_at(path, i)}")
+    return np.where(theta < 0.0, 0.0, np.minimum(theta, Theta))
+
+
 def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
     """r0 cosh(theta - Theta/2)/cosh(Theta/2), the closed harmonic path."""
     _check_theta(Theta)
@@ -214,16 +237,19 @@ class QuarticPath:
 
     def position(self, theta: float):
         """q_c(theta) = q_t nc(u, k), with cn from `at`: one kernel climb,
-        none at theta = 0 and Theta (the variational flow calls it per step)."""
-        theta = _check_time(theta, self.Theta)
+        none at theta = 0 and Theta (the variational flow calls it per step).
+        A family takes one time or one per path (see _check_times)."""
         q_t = self.q_t
-        # at_rest inlined; isinstance first, so a family never meets == 0.0
-        if not isinstance(q_t, np.ndarray) and q_t == 0.0:
+        if isinstance(q_t, np.ndarray):
+            return q_t / self.at(_check_times(self, theta))[2]
+        theta = _check_time(theta, self.Theta)
+        if q_t == 0.0:  # at_rest, inlined
             return 0.0
         return q_t / self.at(theta)[2]
 
     def velocity(self, theta: float):
-        theta = _check_time(theta, self.Theta)
+        theta = (_check_times(self, theta) if isinstance(self.q_t, np.ndarray)
+                 else _check_time(theta, self.Theta))
         if self.at_rest:
             return 0.0
         _, sn, cn, dn, _ = self.at(theta)

@@ -21,8 +21,8 @@ ln_z2_quartic takes a set of Theta (the seven of a specific-heat
 stencil, say) in one pass.  Their scans are one (n_Theta, 120) array,
 row i the 40 geometric and 80 linear q_t nodes of Theta i, sorted, and
 one family with a Theta per node; so is each round of a batched adaptive
-Gauss-Kronrod 21 rule over all their integrals, every node of which gets
-the dual-route determinant check.  Each row gives its peak, factored out
+Gauss-Kronrod 21 rule over all their integrals, which sums the determinants
+that passed the dual-route check.  Each row gives its peak, factored out
 of its quadrature, and the cut where the integrand has dropped ~40
 e-folds below it (it vanishes at q_Theta); the remainder is controlled
 by an analytic tail bound read from the scan's values at the cut,
@@ -163,20 +163,15 @@ def _jacobian(path: QuarticPath, det_l):
     return (1.0 + qt * qt) * det_l / (2.0 * _TWO_PI * slope_factor)
 
 
-def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
+def _log_integrand(g: float, D: int, path: QuarticPath, det_l, det_t):
     """ln f = ln J + (D-1) ln q0 + front of the one-loop q_t integrand f
-    over an array of turning values q_t > 0 at Theta (one value, or one
-    per node), from one path family, where
+    over a family of paths (one Theta, or one per node), from the
+    determinants Delta_l, Delta_t that the caller hands in, where
     front = -I/g - (ln Delta_l + (D-1) ln Delta_t)/2 is the integrand's
-    q0-form factor; the Jacobian takes the closed-form Delta_l computed
-    for front.  Returns (family, ln f, front).  A non-finite ln f
-    (the closed forms overflow at Theta ~ 680) is reported as such before
-    check_routes re-derives every node's determinants from the canonical
-    pairs, so an overflow is never read as a route mismatch."""
-    path = quartic_path_from_qt(qt, Theta)
+    q0-form factor; the Jacobian takes the same Delta_l.  Returns
+    (ln f, front).  A non-finite ln f (the closed forms overflow at
+    Theta ~ 680) raises QuadratureError naming the node."""
     with np.errstate(all="ignore"):
-        det_l = _det_longitudinal_closed(path)
-        det_t = _det_transverse_closed(path)
         front = -_quartic_action(path) / g - 0.5 * (np.log(det_l)
                                                     + (D - 1) * np.log(det_t))
         log_f = np.log(_jacobian(path, det_l)) + (D - 1) * np.log(path.q0) + front
@@ -185,13 +180,10 @@ def _log_integrand(g: float, D: int, qt: np.ndarray, Theta, check_routes: bool):
         i = np.flatnonzero(bad)[0]
         raise QuadratureError(
             f"one-loop integrand overflows at q_t={float(path.q_t[i])!r} for "
-            f"D={D}, Theta={float(np.broadcast_to(Theta, qt.shape)[i])!r} "
+            f"D={D}, Theta={float(np.broadcast_to(path.Theta, path.q_t.shape)[i])!r} "
             f"(Delta_l {float(det_l[i])!r}, "
             f"Delta_t {float(det_t[i])!r}, ln integrand {float(log_f[i])!r})")
-    if check_routes:
-        det_longitudinal(path)
-        det_transverse(path)
-    return path, log_f, front
+    return log_f, front
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK's qk21; Piessens et
@@ -318,7 +310,7 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     evaluated as one path family, whose row-wise argmaxes give the peaks
     and cuts; per Theta its (ragged) panel edges; one adaptive
     Gauss-Kronrod loop over all the integrals, each round one family whose
-    every node gets the dual-route check; then per Theta, in the order
+    route-checked determinants it sums; then per Theta, in the order
     given, the accuracy check and the tail bound.  ln Z2 has no float range
     to leave: a Theta where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
     if not 0.0 < g < math.inf:
@@ -347,8 +339,10 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
                      np.minimum(20.0 * sigma, 0.999 * q_cap), 40, axis=1),
         np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80, axis=1)], axis=1), axis=1)
     n = scan.shape[1]
-    family, logs, front = _log_integrand(g, D, scan.ravel(), np.repeat(thetas, n),
-                                         check_routes=False)
+    family = quartic_path_from_qt(scan.ravel(), np.repeat(thetas, n))
+    with np.errstate(all="ignore"):
+        logs, front = _log_integrand(g, D, family, _det_longitudinal_closed(family),
+                                     _det_transverse_closed(family))
     logs = logs.reshape(scan.shape)
     i_peak = np.argmax(logs, axis=1)
     log_peak = logs[np.arange(thetas.size), i_peak]
@@ -371,10 +365,13 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
         edges.append([0.0] + sorted(inner) + [q_c])
         tails.append((Theta, log_pk, q_c, ln_tail))
 
-    vals, errs = _gauss_kronrod(
-        lambda q, j: np.exp(_log_integrand(g, D, q, thetas[j], check_routes=True)[1]
-                            - log_peak[j]),
-        edges, 0.5 * tol)
+    def integrand(q, j):
+        # the closed forms, each evaluated once, after the pair-route check
+        nodes = quartic_path_from_qt(q, thetas[j])
+        return np.exp(_log_integrand(g, D, nodes, det_longitudinal(nodes),
+                                     det_transverse(nodes))[0] - log_peak[j])
+
+    vals, errs = _gauss_kronrod(integrand, edges, 0.5 * tol)
     ln_z2 = []
     for (Theta, log_pk, q_cut, ln_tail), val, err in zip(tails, vals.tolist(), errs.tolist()):
         if not val > 0.0 or err > tol * val:

@@ -228,6 +228,47 @@ class TestCheckTime:
             _check_time(theta, 1.0)
 
 
+class TestFamilyTimes:
+    # a family with a Theta per path at one time, and a family at one Theta
+    # at a time per path: elementwise, bit for bit q_t / cn and the
+    # velocity from `at`, with no warning
+    @staticmethod
+    def _cases():
+        yield quartic_path_from_qt(np.array([0.5, 1.0]), np.array([1.0, 1.2])), 0.3
+        yield quartic_path_from_qt(np.array([0.5, 1.0]), 1.0), np.array([0.3, 0.4])
+        yield quartic_path_from_qt(np.array([1e-7, 0.5, 2.0]),
+                                   np.array([2.0, 1.0, 0.5])), np.array([1.9, 0.0, 0.25])
+
+    def test_elementwise_values(self):
+        for family, theta in self._cases():
+            _, sn, cn, dn, _ = family.at(theta)
+            assert np.array_equal(family.position(theta), family.q_t / cn)
+            assert np.array_equal(family.velocity(theta),
+                                  family.q_t * family.s * sn * dn / (cn * cn))
+
+    def test_the_familys_own_theta_reads_its_endpoints(self):
+        family = quartic_path_from_qt(np.array([0.5, 1.0]), np.array([1.0, 1.2]))
+        assert np.array_equal(family.position(family.Theta), family.q0)
+
+    def test_times_within_the_slack_move_to_the_ends(self):
+        family = quartic_path_from_qt(np.array([0.5, 1.0]), np.array([1.0, 1.2]))
+        ends = np.array([0.0, 1.2])
+        for read in (family.position, family.velocity):
+            assert np.array_equal(read(np.array([-1e-12, 1.2 + 1e-10])), read(ends))
+
+    @pytest.mark.parametrize("theta,match", [
+        (1.1, r"theta=1\.1 outside \[0, Theta\] at q_t=0\.5, Theta=1\.0$"),
+        (np.array([0.3, 1.3]), r"theta=1\.3 outside .* at q_t=1\.0, Theta=1\.2$"),
+        (np.array([math.nan, 0.3]), r"theta=nan outside .* at q_t=0\.5, Theta=1\.0$"),
+        (np.array([0.1, 0.2, 0.3]), r"times of shape \(3,\) for a family of shape \(2,\)"),
+    ])
+    def test_a_time_outside_is_a_domain_error(self, theta, match):
+        family = quartic_path_from_qt(np.array([0.5, 1.0]), np.array([1.0, 1.2]))
+        for read in (family.position, family.velocity):
+            with pytest.raises(DomainError, match=match):
+                read(theta)
+
+
 class TestHalfPeriodValues:
     @staticmethod
     def _cases():

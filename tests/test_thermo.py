@@ -70,6 +70,15 @@ from sct.thermo import (
 from sct.cli import thermo_curve
 
 
+def closed_log_integrand(g, D, qt, Theta):
+    """ln f at turning values qt from the closed-form determinants, as the
+    scan of ln_z2_quartic evaluates it."""
+    path = quartic_path_from_qt(qt, Theta)
+    with np.errstate(all="ignore"):
+        return _log_integrand(g, D, path, _det_longitudinal_closed(path),
+                              _det_transverse_closed(path))[0]
+
+
 def harmonic_specific_heat(Theta):
     return (0.5 * Theta / math.sinh(0.5 * Theta)) ** 2
 
@@ -279,7 +288,7 @@ class TestZ2Quartic:
     def test_integrand_small_qt_scaling(self):
         # integrand / q_t^(D-1) tends to a finite positive constant
         qt = np.array([1e-3, 1e-4, 1e-5])
-        _, log_f, _ = _log_integrand(0.5, 3, qt, 1.0, check_routes=False)
+        log_f = closed_log_integrand(0.5, 3, qt, 1.0)
         scaled = log_f - 2.0 * np.log(qt)
         assert scaled[0] == pytest.approx(scaled[1], abs=1e-4)
         assert scaled[1] == pytest.approx(scaled[2], abs=1e-4)
@@ -381,16 +390,25 @@ class TestZ2Quartic:
             z2_quartic(ReducedParams(0.5, 2, 1.0))
         assert perturbed
 
-    @pytest.mark.parametrize("check_routes", [False, True])
-    def test_overflow_is_reported_before_the_routes_are_compared(self, check_routes):
-        # at Theta = 700 the closed-form determinants overflow near q_Theta;
-        # with or without the route check, that is an overflow naming the
-        # node, not a route mismatch
+    def test_overflow_is_reported_before_the_routes_are_compared(self):
+        # at Theta = 700 the closed-form Delta_l overflows near q_Theta:
+        # handed to the integrand, that is an overflow naming the node; the
+        # checked Delta_l refuses the node as an overflow too, and the
+        # checked Delta_t (8.05e307, still finite) passes, never a route
+        # mismatch
         Theta = 700.0
         q_t = 0.99 * q_theta_max(Theta)
         with pytest.raises(QuadratureError,
                            match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
-            _log_integrand(0.5, 1, np.array([q_t]), Theta, check_routes)
+            closed_log_integrand(0.5, 1, np.array([q_t]), Theta)
+        path = quartic_path_from_qt(np.array([q_t]), Theta)
+        with pytest.raises(SctError) as caught:
+            det_longitudinal(path)
+        assert type(caught.value) is DomainError
+        assert str(caught.value) == (
+            f"det_longitudinal: the closed form overflows the float range at "
+            f"q_t={q_t!r}, Theta=700.0")
+        assert det_transverse(path) == _det_transverse_closed(path)
 
     def test_overflow_is_a_quadrature_error(self):
         with pytest.raises(QuadratureError, match=r"D=8, Theta=200"):
@@ -566,6 +584,48 @@ class TestLnZ2Quartic:
         rest = thetas[:which] + thetas[which + 1:]
         assert all(map(math.isfinite, ln_z2_quartic(0.5, 1, rest)))
 
+    def test_quadrature_sums_the_checked_determinants(self, monkeypatch):
+        # a 1e-6 error in the Delta_l that the scan reads (thermo's binding)
+        # only places the peak and the cut; the quadrature sums the checked
+        # Delta_l, so ln Z2 keeps its value (it moved by 5.0e-7 while the
+        # quadrature summed a second, unchecked evaluation)
+        (lnz,) = ln_z2_quartic(0.5, 1, [2.0], 1e-9)
+        closed = sct.fluctuations._det_longitudinal_closed
+        monkeypatch.setattr(sct.thermo, "_det_longitudinal_closed",
+                            lambda path: closed(path) * (1.0 + 1e-6))
+        (perturbed,) = ln_z2_quartic(0.5, 1, [2.0], 1e-9)
+        assert abs(perturbed - lnz) <= 1e-14
+        # the same error in the checked route's closed form is caught
+        monkeypatch.undo()
+        monkeypatch.setattr(sct.fluctuations, "_det_longitudinal_closed",
+                            lambda path: closed(path) * (1.0 + 1e-6))
+        with pytest.raises(RouteMismatchError, match="det_longitudinal"):
+            ln_z2_quartic(0.5, 1, [2.0], 1e-9)
+
+    @pytest.mark.parametrize("g,D,thetas", [
+        (0.5, 1, [2.0]), (0.5, 3, [1.0]), (10.0, 8, stencil_thetas(0.5))])
+    def test_closed_forms_once_per_node_family(self, monkeypatch, g, D, thetas):
+        # the scan's family and each quadrature round's: one array build and
+        # one evaluation of each closed form per family
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                counts[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
+                            counted("families", quartic_path_from_qt))
+        for name in ("_det_longitudinal_closed", "_det_transverse_closed"):
+            function = getattr(sct.fluctuations, name)
+            for module in (sct.thermo, sct.fluctuations):
+                monkeypatch.setattr(module, name, counted(name, function))
+        ln_z2_quartic(g, D, thetas)
+        assert counts["families"] >= 2
+        assert (counts["_det_longitudinal_closed"] == counts["_det_transverse_closed"]
+                == counts["families"])
+
     def test_past_the_float_range_of_z2(self):
         # ln Z2 -> -D Theta/2 + c: the one-loop ground energy is D/2; at
         # D = 8, g = 0.5, Z2 ~ e^-720 from Theta ~ 177 has no float value
@@ -631,10 +691,10 @@ class TestLnZ2Quartic:
         (lnz,) = ln_z2_quartic(g, D, [Theta])
         q_cap = q_theta_max(Theta)
         nodes = np.linspace(1e-6 * q_cap, 0.9995 * q_cap, 4000)
-        logs = _log_integrand(g, D, nodes, Theta, False)[1]
+        logs = closed_log_integrand(g, D, nodes, Theta)
         peak = float(logs.max())
         whole, _ = quad(
-            lambda q: math.exp(_log_integrand(g, D, np.array([q]), Theta, False)[1][0]
+            lambda q: math.exp(closed_log_integrand(g, D, np.array([q]), Theta)[0]
                                - peak),
             1e-12 * q_cap, 0.9995 * q_cap, points=[float(nodes[logs.argmax()])],
             epsabs=0.0, epsrel=1e-11, limit=400)
