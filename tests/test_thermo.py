@@ -390,17 +390,20 @@ class TestZ2Quartic:
             z2_quartic(ReducedParams(0.5, 2, 1.0))
         assert perturbed
 
-    def test_overflow_is_reported_before_the_routes_are_compared(self):
+    @pytest.mark.parametrize("check_routes", [False, True])
+    def test_overflow_is_reported_before_the_routes_are_compared(self, check_routes):
         # at Theta = 700 the closed-form Delta_l overflows near q_Theta:
-        # handed to the integrand, that is an overflow naming the node; the
-        # checked Delta_l refuses the node as an overflow too, and the
-        # checked Delta_t (8.05e307, still finite) passes, never a route
-        # mismatch
+        # unchecked (the scan's determinants) and handed to the integrand,
+        # that is an overflow naming the node; checked (the quadrature's),
+        # Delta_l refuses the node as an overflow too, and Delta_t
+        # (8.05e307, still finite) passes, never a route mismatch
         Theta = 700.0
         q_t = 0.99 * q_theta_max(Theta)
-        with pytest.raises(QuadratureError,
-                           match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
-            closed_log_integrand(0.5, 1, np.array([q_t]), Theta)
+        if not check_routes:
+            with pytest.raises(QuadratureError,
+                               match=f"overflows at q_t={q_t!r} for D=1, Theta=700.0"):
+                closed_log_integrand(0.5, 1, np.array([q_t]), Theta)
+            return
         path = quartic_path_from_qt(np.array([q_t]), Theta)
         with pytest.raises(SctError) as caught:
             det_longitudinal(path)
