@@ -35,7 +35,6 @@ from .paths import (
 from .fluctuations import (
     FlowMatrices,
     GreenTable,
-    OmegaKernel,
     RadialTrajectory,
     det_general,
     det_longitudinal,
@@ -46,7 +45,6 @@ from .fluctuations import (
     green_table_central,
     green_table_general,
     jacobi_commutator,
-    omega_kernel,
     radial_trajectory,
     wick_moment,
 )

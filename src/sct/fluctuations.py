@@ -9,11 +9,13 @@ Two independent constructions are implemented and cross-checked:
   and its Green's function is Omega(0, t_<) Omega(t_>, Theta) /
   Omega(0, Theta), where Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t)
   is the antisymmetric kernel of the pair (its unit Wronskian is a
-  contract of the construction, never a computed divisor).  For the
-  quartic well the determinants also have explicit elliptic closed
-  forms: det_longitudinal and det_transverse return them once both
-  routes agree to 1e-8, and the one-loop quadrature sums those values.
-  Both take one path or, elementwise, a family (array fields).
+  contract of the construction, never a computed divisor).  Every Omega
+  is CanonicalPair.omega read through paths._finite, the one overflow
+  check of path and pair quantities, naming the path or the two times.
+  For the quartic well the determinants also have explicit elliptic
+  closed forms: det_longitudinal and det_transverse return them once
+  both routes agree to 1e-8, and the one-loop quadrature sums those
+  values.  Both take one path or, elementwise, a family (array fields).
 
 * the general-D route: integrate the D x D variational flow A(t), B(t)
   of the equation of motion (columns solve the linearized equation, with
@@ -45,7 +47,8 @@ between nodes and give the same value at every node.
 
 Wick's theorem for moments of the Gaussian fluctuation measure is
 provided as an exact pairing enumeration over tabulated Green's
-functions; the Delta^{-1/2} normalization stays with the caller.
+functions, one entry per pair of legs; the Delta^{-1/2} normalization
+stays with the caller.
 
 Matrix inversions go through pivoted elimination with an explicit
 condition-number gate at 1e12: crossing it raises SingularMatrixError
@@ -106,56 +109,27 @@ def _guarded_inv(mat: np.ndarray, what: str) -> np.ndarray:
 # Central-potential route.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaKernel:
-    """Antisymmetric two-time kernel of a canonical pair,
-    Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t).  A canonical pair has
-    unit Wronskian by construction (the pair builders in paths), so no
-    Wronskian is computed or divided by: near the nc pole at q_Theta the
-    computed f_a f_b' - f_a' f_b cancels to noise, while Omega does not."""
-
-    pair: CanonicalPair
-
-    def eval(self, theta: float, theta_p: float):
-        """Omega(theta, theta_p); elementwise for a pair of a path family.
-        Raises DomainError where it is not finite: a product of canonical
-        solutions overflows (for the harmonic pair cosh(t) sinh(t') is inf
-        - inf once t + t' passes ~710) or a solution itself does."""
-        try:
-            value = self.pair.omega(theta, theta_p)
-        except OverflowError as exc:  # math.cosh / math.sinh past ~710
-            raise DomainError(
-                f"Omega({theta!r}, {theta_p!r}): a canonical solution "
-                f"overflows the float range ({exc})") from exc
-        finite = np.isfinite(value)
-        if not finite.all():
-            i = np.flatnonzero(~finite)[0]
-            at = (float(np.ravel(np.broadcast_to(t, np.shape(value)))[i])
-                  for t in (theta, theta_p))
-            raise DomainError(
-                "Omega({!r}, {!r}) = {!r}: a product of canonical solutions "
-                "overflows the float range".format(*at, float(np.ravel(value)[i])))
-        return value
+def _omega(pair: CanonicalPair, theta, theta_p):
+    """pair.omega(theta, theta_p), or DomainError naming the two times
+    (elementwise: the first element's) where it is not finite: a product
+    of canonical solutions overflows (for the harmonic pair cosh(t) sinh(t')
+    is inf - inf once t + t' passes ~710) or a solution itself does."""
+    def times(i):
+        return "theta={!r}, theta'={!r}".format(
+            *(float(np.ravel(t)[i] if np.ndim(t) else t) for t in (theta, theta_p)))
+    return _finite(times, "Omega", lambda: pair.omega(theta, theta_p))
 
 
-def omega_kernel(pair: CanonicalPair) -> OmegaKernel:
-    return OmegaKernel(pair)
-
-
-def _harmonic_det(Theta: float) -> float:
+def _harmonic_det(path: QuarticPath) -> float:
     # the q_t = 0 path rests at the origin, where both channels are
-    # harmonic; the k = 1 elliptic forms do not reach that limit.  The
-    # product is inf from Theta ~ 708.6, and math.sinh raises from ~710.5
-    det = _TWO_PI * math.sinh(Theta) if Theta <= 710.0 else math.inf
-    if det == math.inf:
-        raise DomainError(f"q_t=0.0, Theta={Theta!r}: the harmonic determinant "
-                          "2 pi sinh(Theta) overflows the float range")
-    return det
+    # harmonic; the k = 1 elliptic forms do not reach that limit
+    return _finite(path, "the harmonic determinant 2 pi sinh(Theta)",
+                   lambda: _TWO_PI * math.sinh(path.Theta))
 
 
 def _det_longitudinal_closed(path: QuarticPath) -> float:
     if path.at_rest:
-        return _harmonic_det(path.Theta)
+        return _harmonic_det(path)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1
@@ -167,7 +141,7 @@ def _det_longitudinal_closed(path: QuarticPath) -> float:
 
 def _det_transverse_closed(path: QuarticPath) -> float:
     if path.at_rest:
-        return _harmonic_det(path.Theta)
+        return _harmonic_det(path)
     u = path.u_T
     k2 = path.k * path.k
     m1 = path.m1
@@ -220,14 +194,13 @@ def green_central(pair: CanonicalPair, Theta: float,
     vanishing at both ends with slope discontinuity -1 at coincidence."""
     if not (0.0 <= theta <= Theta and 0.0 <= theta_p <= Theta):
         raise DomainError(f"times ({theta}, {theta_p}) outside [0, {Theta}]")
-    kernel = omega_kernel(pair)
-    denom = _green_denominator(kernel, Theta)
+    denom = _green_denominator(pair, Theta)
     t_lo, t_hi = min(theta, theta_p), max(theta, theta_p)
-    return kernel.eval(0.0, t_lo) * kernel.eval(t_hi, Theta) / denom
+    return _omega(pair, 0.0, t_lo) * _omega(pair, t_hi, Theta) / denom
 
 
-def _green_denominator(kernel: OmegaKernel, Theta: float) -> float:
-    denom = kernel.eval(0.0, Theta)
+def _green_denominator(pair: CanonicalPair, Theta: float) -> float:
+    denom = _omega(pair, 0.0, Theta)
     if abs(denom) < 1e-14:
         raise DegenerateError(f"Omega(0, Theta)={denom!r}: zero mode")
     return denom
@@ -461,17 +434,16 @@ def _table_grid(Theta: float, n: int) -> np.ndarray:
 
 
 def green_table_central(pair: CanonicalPair, Theta: float, n: int = 64) -> GreenTable:
-    """green_central on an n-node grid, from the 2n + 1 kernel values
+    """green_central on an n-node grid, from the 2n + 1 values
     Omega(0, t_i), Omega(t_i, Theta) and Omega(0, Theta)."""
     grid = _table_grid(Theta, n)
     evaluator = lambda t, tp: green_central(pair, Theta, t, tp)
     if n == 0:
         return GreenTable(Theta, grid, np.empty((0, 0)), evaluator)
-    kernel = omega_kernel(pair)
-    denom = _green_denominator(kernel, Theta)
+    denom = _green_denominator(pair, Theta)
     nodes = grid.tolist()
-    upper = np.outer([kernel.eval(0.0, t) for t in nodes],
-                     [kernel.eval(t, Theta) for t in nodes]) / denom
+    upper = np.outer([_omega(pair, 0.0, t) for t in nodes],
+                     [_omega(pair, t, Theta) for t in nodes]) / denom
     idx = np.arange(n)
     values = np.where(idx[:, None] <= idx[None, :], upper, upper.T)
     return GreenTable(Theta, grid, values, evaluator)
@@ -513,41 +485,38 @@ def green_table_general(flow: FlowMatrices, n: int = 64) -> GreenTable:
 def wick_moment(green: GreenTable, legs) -> float:
     """Gaussian moment of fluctuation fields by Wick pairing:
     sum over the (k-1)!! pairings of the product of Green's functions,
-    zero for odd k.  ``legs`` is a sequence of (channel index, time)
-    pairs; the Delta^{-1/2} prefactor is NOT included here (in reduced
-    units the hbar^{k/2} factor is one).  On a matrix table the channel
-    is an integer in [0, D)."""
+    zero for odd k and one for k = 0.  ``legs`` is a sequence of
+    (channel index, time) pairs; the Delta^{-1/2} prefactor is NOT
+    included here (in reduced units the hbar^{k/2} factor is one).  Every
+    leg is validated, whatever k: its time must lie in [0, Theta] and, on
+    a matrix table, its channel be an integer in [0, D).  Each pair of
+    legs reads its table entry once."""
     legs = list(legs)
-    k = len(legs)
-    if k % 2 == 1:
-        return 0.0
-    if k == 0:
-        return 1.0
-    for _, t in legs:
+    D = np.shape(green.values)[-1] if np.ndim(green.values) == 4 else None
+    for c, t in legs:
         if not (0.0 <= t <= green.Theta):
             raise DomainError(f"leg time {t!r} outside [0, {green.Theta}]")
+        if D is not None and (isinstance(c, bool) or not isinstance(c, numbers.Integral)
+                              or not 0 <= c < D):
+            raise DomainError(f"leg channel {c!r} outside [0, {D})")
 
-    def entry(leg_a, leg_b) -> float:
-        (i, t), (j, tp) = leg_a, leg_b
+    def entry(a: int, b: int) -> float:
+        (i, t), (j, tp) = legs[a], legs[b]
         val = green.eval(t, tp)
-        if np.ndim(val) == 0:
+        if D is None:
             return float(val) if i == j else 0.0
-        D = val.shape[-1]
-        for c in (i, j):
-            if (isinstance(c, bool) or not isinstance(c, numbers.Integral)
-                    or not 0 <= c < D):
-                raise DomainError(f"leg channel {c!r} outside [0, {D})")
         return float(val[i, j])
+
+    k = len(legs)
+    table = {(a, b): entry(a, b) for a in range(k) for b in range(a + 1, k)}
 
     def pairings(items) -> float:
         if not items:
             return 1.0
         head, rest = items[0], items[1:]
         total = 0.0
-        for pos in range(len(rest)):
-            partner = rest[pos]
-            remaining = rest[:pos] + rest[pos + 1:]
-            total += entry(head, partner) * pairings(remaining)
+        for pos, partner in enumerate(rest):
+            total += table[head, partner] * pairings(rest[:pos] + rest[pos + 1:])
         return total
 
-    return pairings(legs)
+    return pairings(tuple(range(k)))

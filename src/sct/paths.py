@@ -116,28 +116,29 @@ class ReducedParams:
 
 
 def _check_time(theta: float, Theta: float) -> float:
-    """theta itself inside [0, Theta]; within a roundoff-level overshoot
-    of an adaptive stepper, 1e-9 max(1, Theta), the nearer end: 0.0 below,
-    the Theta object itself above (so `QuarticPath.at` knows it by
-    identity).  Plain comparisons, not max / min: the variational flow
-    checks a time per step."""
-    if 0.0 <= theta <= Theta:
+    """theta itself inside [0, Theta); the Theta object itself at Theta's
+    value or within a roundoff-level overshoot of an adaptive stepper,
+    1e-9 max(1, Theta), above it, so `QuarticPath.at` knows it by identity
+    and reads the path's own values (the bits of a climb there); 0.0 within
+    that overshoot below 0.  Plain comparisons, not max / min: the
+    variational flow checks a time per step."""
+    if 0.0 <= theta < Theta:
         return theta
     slack = 1e-9 * Theta if Theta > 1.0 else 1e-9
     if -slack <= theta < 0.0:
         return 0.0
-    if Theta < theta <= Theta + slack:
+    if Theta <= theta <= Theta + slack:
         return Theta
     raise DomainError(f"theta={theta!r} outside [0, {Theta}]")
 
 
 def _check_times(path: QuarticPath, theta):
-    """_check_time for a family of paths, elementwise: theta is one time or
-    an array of the family's shape, each held against its path's Theta.
-    One time at one Theta is _check_time's; otherwise theta itself where
-    every time lies inside, else the times within the slack moved to the
-    nearer end, or DomainError naming the first path whose time is outside."""
-    Theta, shape = path.Theta, path.q_t.shape
+    """_check_time for paths, elementwise: theta is one time or an array of
+    the family's shape (() for one path), each held against its path's
+    Theta.  One time at one Theta is _check_time's; otherwise theta itself
+    where every time lies inside, else the times within the slack moved to
+    the nearer end, or DomainError naming the first path whose time is outside."""
+    Theta, shape = path.Theta, np.shape(path.q_t)
     if not (np.ndim(theta) or np.ndim(Theta)):
         return _check_time(theta, Theta)
     if np.shape(theta) not in ((), shape):
@@ -238,9 +239,10 @@ class QuarticPath:
     def position(self, theta: float):
         """q_c(theta) = q_t nc(u, k), with cn from `at`: one kernel climb,
         none at theta = 0 and Theta (the variational flow calls it per step).
-        A family takes one time or one per path (see _check_times)."""
+        A family takes one time or one per path, one path one time (see
+        _check_times)."""
         q_t = self.q_t
-        if isinstance(q_t, np.ndarray):
+        if isinstance(q_t, np.ndarray) or not isinstance(theta, float):
             return q_t / self.at(_check_times(self, theta))[2]
         theta = _check_time(theta, self.Theta)
         if q_t == 0.0:  # at_rest, inlined
@@ -248,8 +250,7 @@ class QuarticPath:
         return q_t / self.at(theta)[2]
 
     def velocity(self, theta: float):
-        theta = (_check_times(self, theta) if isinstance(self.q_t, np.ndarray)
-                 else _check_time(theta, self.Theta))
+        theta = _check_times(self, theta)
         if self.at_rest:
             return 0.0
         _, sn, cn, dn, _ = self.at(theta)
@@ -415,9 +416,11 @@ def _path_at(path: QuarticPath, i: int) -> str:
     return f"q_t={float(np.ravel(path.q_t)[i])!r}, Theta={float(theta)!r}"
 
 
-def _finite(path: QuarticPath, what: str, value_of: Callable[[], float]):
-    """value_of() with numpy's warnings off, or DomainError naming the path
-    (a family's first such element) where it is not finite."""
+def _finite(where, what: str, value_of: Callable[[], float]):
+    """value_of() with numpy's warnings off, or DomainError saying where it
+    is not finite (a family's first such element i): `where` is a path,
+    named by _path_at, or a function of i that names the element.  The one
+    overflow check of the path and canonical-pair quantities."""
     try:
         with np.errstate(all="ignore"):
             value = value_of()
@@ -425,7 +428,8 @@ def _finite(path: QuarticPath, what: str, value_of: Callable[[], float]):
         value = math.inf
     if not np.isfinite(value).all():
         i = np.flatnonzero(~np.isfinite(value))[0]
-        raise DomainError(f"{what} overflows the float range at {_path_at(path, i)}")
+        at = _path_at(where, i) if isinstance(where, QuarticPath) else where(i)
+        raise DomainError(f"{what} overflows the float range at {at}")
     return value
 
 
@@ -465,7 +469,10 @@ class CanonicalPair:
     fb_dot: Callable[[float], float]
 
     def omega(self, theta: float, theta_p: float):
-        """Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t), unchecked."""
+        """Omega(t, t') = f_a(t) f_b(t') - f_a(t') f_b(t), unchecked.  The
+        pair's unit Wronskian is its contract, so no Wronskian is computed
+        or divided by: near the nc pole at q_Theta the computed
+        f_a f_b' - f_a' f_b cancels to noise, while Omega does not."""
         return self.fa(theta) * self.fb(theta_p) - self.fa(theta_p) * self.fb(theta)
 
     def wronskian(self, theta: float) -> float:

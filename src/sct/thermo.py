@@ -76,9 +76,9 @@ from .errors import (
 from .fluctuations import (
     _det_longitudinal_closed,
     _det_transverse_closed,
+    _omega,
     det_longitudinal,
     det_transverse,
-    omega_kernel,
 )
 from .paths import (
     QuarticPath,
@@ -131,7 +131,7 @@ def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
     range from Theta ~ 708.6, Omega itself from ~710.5 (DomainError)."""
     _check_theta(Theta)
     ln_det_l = math.log(_TWO_PI) + math.log(
-        omega_kernel(harmonic_canonical_pair()).eval(0.0, Theta))
+        _omega(harmonic_canonical_pair(), 0.0, Theta))
 
     def integrand(r):
         return r ** (D - 1) * math.exp(-harmonic_action(r, Theta))

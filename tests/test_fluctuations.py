@@ -13,12 +13,12 @@ import sct.paths
 from sct.errors import DegenerateError, DomainError, RouteMismatchError, SingularMatrixError
 from sct.fluctuations import (
     FlowMatrices,
-    OmegaKernel,
     RadialTrajectory,
     _det_longitudinal_closed,
     _det_transverse_closed,
     _dual_route_det,
     _guarded_inv,
+    _omega,
     det_general,
     det_longitudinal,
     det_transverse,
@@ -28,7 +28,6 @@ from sct.fluctuations import (
     green_table_central,
     green_table_general,
     jacobi_commutator,
-    omega_kernel,
     radial_trajectory,
     wick_moment,
 )
@@ -54,33 +53,32 @@ ADMISSIBLE = [(0.5, 0.5), (0.5, 1.0), (0.5, 2.0),
 
 class TestOmegaKernel:
     def test_diagonal_vanishes(self):
-        kern = omega_kernel(harmonic_canonical_pair())
+        pair = harmonic_canonical_pair()
         for t in (0.0, 0.7, 2.2):
-            assert kern.eval(t, t) == 0.0
+            assert _omega(pair, t, t) == 0.0
 
     def test_harmonic_closed_form(self):
-        kern = omega_kernel(harmonic_canonical_pair())
+        pair = harmonic_canonical_pair()
         for t, tp in ((0.0, 1.0), (0.3, 2.0), (1.5, 0.2)):
-            assert kern.eval(t, tp) == pytest.approx(math.sinh(tp - t), rel=1e-13)
+            assert _omega(pair, t, tp) == pytest.approx(math.sinh(tp - t), rel=1e-13)
 
     def test_antisymmetry(self):
         path = quartic_path_from_qt(1.0, 1.0)
-        kern = omega_kernel(canonical_longitudinal(path))
+        pair = canonical_longitudinal(path)
         for t, tp in ((0.1, 0.8), (0.4, 0.9)):
-            assert kern.eval(t, tp) == pytest.approx(-kern.eval(tp, t), rel=1e-10)
+            assert _omega(pair, t, tp) == pytest.approx(-_omega(pair, tp, t), rel=1e-10)
 
     def test_canonical_simplification(self):
         path = quartic_path_from_qt(1.0, 1.0)
         pair = canonical_longitudinal(path)
-        kern = omega_kernel(pair)
-        assert kern.eval(0.0, 1.0) == pytest.approx(pair.fa(0.0) * pair.fb(1.0), rel=1e-11)
+        assert _omega(pair, 0.0, 1.0) == pytest.approx(pair.fa(0.0) * pair.fb(1.0), rel=1e-11)
 
     def test_degenerate_pair(self):
         # a dependent "pair" gives Omega = 0 everywhere, so the Green's
         # function meets a zero mode; the kernel itself divides by nothing
         bad = CanonicalPair(math.cosh, lambda t: 2.0 * math.cosh(t),
                             math.sinh, lambda t: 2.0 * math.sinh(t))
-        assert omega_kernel(bad).eval(0.3, 0.9) == 0.0
+        assert _omega(bad, 0.3, 0.9) == 0.0
         with pytest.raises(DegenerateError, match="zero mode"):
             green_central(bad, 1.0, 0.3, 0.9)
 
@@ -89,15 +87,15 @@ class TestOmegaKernel:
         # inf - inf = NaN, as were the Green's function and 60 of the 64
         # table entries at Theta = 600, with no error
         pair = harmonic_canonical_pair()
-        with pytest.raises(DomainError, match=r"Omega\(598.0, 599.0\) = nan: .*"
-                                              "overflows the float range"):
-            omega_kernel(pair).eval(598.0, 599.0)
+        with pytest.raises(DomainError, match=r"^Omega overflows the float range "
+                                              r"at theta=598\.0, theta'=599\.0$"):
+            _omega(pair, 598.0, 599.0)
         with pytest.raises(DomainError, match="overflows the float range"):
             green_central(pair, 600.0, 598.0, 599.0)
         with pytest.raises(DomainError, match="overflows the float range"):
             green_table_central(pair, 600.0, 8)
         # below, Omega(t, t') = sinh(t' - t) stays finite
-        assert omega_kernel(pair).eval(0.0, 600.0) == math.sinh(600.0)
+        assert _omega(pair, 0.0, 600.0) == math.sinh(600.0)
         assert green_central(pair, 600.0, 1.0, 2.0) == pytest.approx(
             math.sinh(1.0) * math.exp(-2.0), rel=1e-12)
 
@@ -106,8 +104,9 @@ class TestOmegaKernel:
         pair = CanonicalPair(lambda t: 1.0,
                              lambda t: np.array([1.0, math.inf, 10.0]) if np.ndim(t) else 0.0,
                              None, None)
-        with pytest.raises(DomainError, match=r"Omega\(0.0, 3.0\) = inf"):
-            omega_kernel(pair).eval(0.0, np.array([1.0, 3.0, 5.0]))
+        with pytest.raises(DomainError, match=r"^Omega overflows the float range "
+                                              r"at theta=0\.0, theta'=3\.0$"):
+            _omega(pair, 0.0, np.array([1.0, 3.0, 5.0]))
 
     def test_reads_only_the_pair_values(self):
         # unit Wronskian is the pair's contract: Omega computes no Wronskian
@@ -118,7 +117,7 @@ class TestOmegaKernel:
         path = quartic_path_from_qt(1.0, 1.0)
         for pair in (canonical_longitudinal(path), canonical_transverse(path)):
             bare = CanonicalPair(pair.fa, pair.fb, refuse, refuse)
-            assert omega_kernel(bare).eval(0.0, 1.0) == (
+            assert _omega(bare, 0.0, 1.0) == (
                 pair.fa(0.0) * pair.fb(1.0) - pair.fa(1.0) * pair.fb(0.0))
 
 
@@ -162,7 +161,7 @@ class TestChannelDeterminants:
             path = quartic_path_from_qt(frac * q_cap, Theta)
             for closed, builder in ((_det_longitudinal_closed, canonical_longitudinal),
                                     (_det_transverse_closed, canonical_transverse)):
-                via_pair = TWO_PI * omega_kernel(builder(path)).eval(0.0, Theta)
+                via_pair = TWO_PI * _omega(builder(path), 0.0, Theta)
                 assert via_pair == pytest.approx(closed(path), rel=1e-12)
 
     @pytest.mark.parametrize("qt,Theta", ADMISSIBLE)
@@ -350,16 +349,19 @@ class TestFlowMatrices:
     @pytest.mark.parametrize("D", [1, 3])
     def test_quartic_flow_climbs_once_per_evaluation(self, D, monkeypatch):
         # position costs one scalar kernel climb per right-hand-side
-        # evaluation, except the first, at t = 0.0, which reads the path's
-        # own values by parity
+        # evaluation, except those at t = 0.0 and at Theta's value (the
+        # first, and those of the last step), which read the path's own values
         Theta = 1.3
         path = quartic_path_from_qt(1.0, Theta)
-        climbs = []
+        climbs, times = [], []
         kernel = sct.paths._scalar_sn_cn_dn_eps_k
         monkeypatch.setattr(sct.paths, "_scalar_sn_cn_dn_eps_k",
                             lambda u, m1: climbs.append(u) or kernel(u, m1))
-        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, D), Theta)
-        assert len(climbs) == flow._sol.nfev - 1
+        traj = radial_trajectory(lambda t: times.append(t) or path.position(t), D)
+        flow = flow_matrices(quartic_well(), traj, Theta)
+        assert len(times) == flow._sol.nfev
+        assert times[0] == 0.0 and Theta in times
+        assert len(climbs) == sum(t != 0.0 and t != Theta for t in times)
 
     @pytest.mark.parametrize("D, Theta", [(3, 720.0), (1, 1000.0)])
     def test_harmonic_flow_past_the_float_range(self, D, Theta):
@@ -602,6 +604,27 @@ class TestWickMoments:
         assert wick_moment(table, [(0, 0.5)]) == 0.0
         assert wick_moment(table, [(0, 0.5), (0, 0.7), (0, 1.1)]) == 0.0
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_odd_moments_validate_their_legs(self, table, k):
+        # an odd number of legs returned 0.0 before any leg was checked
+        with pytest.raises(DomainError, match="leg time 99.0"):
+            wick_moment(table, [(0, 0.5)] * (k - 1) + [(0, 99.0)])
+        path = quartic_path_from_qt(1.0, 1.0)
+        flow = flow_matrices(quartic_well(), radial_trajectory(path.position, 2), 1.0)
+        matrix = green_table_general(flow, n=4)
+        t = float(matrix.grid[1])
+        with pytest.raises(DomainError, match="leg channel 5"):
+            wick_moment(matrix, [(5, t)] * k)
+
+    def test_each_pair_of_legs_reads_one_entry(self, table, monkeypatch):
+        # 15 pairs of 6 legs, once each (the recursion read 35)
+        calls = []
+        read = type(table).eval
+        monkeypatch.setattr(type(table), "eval",
+                            lambda self, t, tp: calls.append((t, tp)) or read(self, t, tp))
+        wick_moment(table, [(0, 0.8)] * 6)
+        assert len(calls) == 15
+
     def test_two_point(self, table):
         got = wick_moment(table, [(0, 0.4), (0, 1.3)])
         ref = green_central(harmonic_canonical_pair(), 2.0, 0.4, 1.3)
@@ -677,6 +700,7 @@ class GreenTableToy:
         self.Theta = float(grid[-1])
         self.grid = grid
         self.cov = cov
+        self.values = cov  # G at the two nodes: a scalar table
 
     def eval(self, t, tp):
         i = int(round(t))
@@ -856,13 +880,13 @@ class TestGreenTables:
         path = quartic_path_from_qt(1.0, 1.0)
         pair = canonical_longitudinal(path)
         calls = []
-        kernel_eval = OmegaKernel.eval
+        omega = CanonicalPair.omega
 
         def counted(self, theta, theta_p):
             calls.append((theta, theta_p))
-            return kernel_eval(self, theta, theta_p)
+            return omega(self, theta, theta_p)
 
-        monkeypatch.setattr(OmegaKernel, "eval", counted)
+        monkeypatch.setattr(CanonicalPair, "omega", counted)
         for n in (1, 2, 9, 64):
             calls.clear()
             green_table_central(pair, 1.0, n=n)

@@ -198,17 +198,19 @@ class TestQuarticPath:
 class TestCheckTime:
     @pytest.mark.parametrize("Theta", [0.5, 1.0, 1.3, 2000.0])
     def test_each_branch_returns_its_object(self, Theta):
-        # inside: theta itself (-0.0, an int 0 and an np.float64 included);
-        # below: the float 0.0; above: the Theta object, which
-        # QuarticPath.at recognises by identity
+        # inside [0, Theta): theta itself (-0.0, an int 0 and an np.float64
+        # included); below: the float 0.0; at Theta's value (another float
+        # object) and above: the Theta object, which QuarticPath.at
+        # recognises by identity
         slack = 1e-9 * max(1.0, Theta)
         for theta in (0.3 * Theta, -0.0, 0, np.float64(0.7 * Theta),
-                      float(repr(Theta))):
+                      math.nextafter(Theta, 0.0)):
             assert _check_time(theta, Theta) is theta
         for theta in (-0.5 * slack, -slack, -1e-300):
             got = _check_time(theta, Theta)
             assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == 1.0
-        for theta in (math.nextafter(Theta, math.inf), Theta + 0.5 * slack, Theta + slack):
+        for theta in (float(repr(Theta)), np.float64(Theta), math.nextafter(Theta, math.inf),
+                      Theta + 0.5 * slack, Theta + slack):
             assert _check_time(theta, Theta) is Theta
 
     @pytest.mark.parametrize("Theta, slack", [(0.5, 1e-9), (1.0, 1e-9),
@@ -267,6 +269,20 @@ class TestFamilyTimes:
         for read in (family.position, family.velocity):
             with pytest.raises(DomainError, match=match):
                 read(theta)
+
+    @pytest.mark.parametrize("theta", [np.array([0.3, 0.4]), np.array([0.3]), [0.3, 0.4]])
+    def test_a_path_refuses_an_array_of_times(self, theta):
+        # one path took these to a bare ValueError (two times, from the
+        # time check) or TypeError (one time, from the scalar kernel; a
+        # list, from the time check)
+        path = quartic_path_from_qt(0.5, 1.0)
+        for read in (path.position, path.velocity):
+            with pytest.raises(DomainError, match=rf"times of shape \({np.size(theta)},\) "
+                                                  r"for a family of shape \(\)"):
+                read(theta)
+        # a 0-d array and an int are one time
+        for read in (path.position, path.velocity):
+            assert read(np.array(0.3)) == read(0.3) and read(0) == read(0.0)
 
 
 class TestHalfPeriodValues:

@@ -1,0 +1,52 @@
+"""Rerun the bit-identity kit: six `sct` CLI commands whose stdout must
+hash to the values recorded in ROADMAP.md's Guardrails.
+
+    python tools/bit_identity.py
+
+Prints, per command, the first 8 hex digits of the sha256 of its stdout
+beside the recorded ones, and exits 1 if any differ (or a command fails).
+It runs the `src` tree beside this script and writes no file; all six take
+5-9 s on a 2-core machine.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the commands as ROADMAP.md lists them, each with its recorded hash
+KIT = [
+    ("run --mode=quartic-semiclassical --g=0.5 --dim=1 --tmin=0.1 --tmax=5",
+     "ebe9f90d"),
+    ("run --mode=quartic-semiclassical --g=0.5 --dim=3 --tmin=0.1 --tmax=5",
+     "52825825"),
+    ("run --mode=quartic-semiclassical --g=0.001 --dim=3 --tmin=0.1 --tmax=5",
+     "4e11d206"),
+    ("run --mode=quartic-semiclassical --g=10 --dim=8 --tmin=0.05 --tmax=20 --steps=15",
+     "d0320d71"),
+    ("compare --modes=harmonic,quartic-classical,quartic-semiclassical,quartic-wkb "
+     "--g=0.2 --dim=1 --tmin=0.1 --tmax=5", "f92cbda1"),
+    ("compare --modes=harmonic,quartic-classical,quartic-wkb --g=0.2 --dim=1 "
+     "--tmin=0.1 --tmax=30 --steps=200", "d9b0753d"),
+]
+
+
+def main() -> int:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    mismatches = 0
+    for command, recorded in KIT:
+        proc = subprocess.run([sys.executable, "-m", "sct.cli", *command.split()],
+                              capture_output=True, env=env)
+        got = hashlib.sha256(proc.stdout).hexdigest()[:8]
+        ok = proc.returncode == 0 and got == recorded
+        mismatches += not ok
+        print(f"{got} {recorded} {'ok' if ok else 'MISMATCH'}  {command}")
+        if proc.returncode:
+            print(proc.stderr.decode(errors="replace"), file=sys.stderr)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
