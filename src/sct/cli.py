@@ -23,15 +23,15 @@ failing row's T and Theta on stderr).  Failures never emit NaN rows.
 from __future__ import annotations
 
 import argparse
-import functools
+import io
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SctError
+from .paths import _check_integer, _check_nonnegative, _check_positive
 from .thermo import (
     ThermoCurve,
     ln_z2_quartic,
@@ -64,29 +64,24 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
-        for flag, value in (("dim", self.D), ("steps", self.T_steps)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{flag}={value!r} must be an integer")
-        if not 0.0 < self.T_min < math.inf:
-            raise ConfigError(f"tmin={self.T_min} must be positive and finite")
+        try:
+            _check_integer("dim", self.D, 1)
+            _check_integer("steps", self.T_steps, 2)
+            _check_positive("tmin", self.T_min)
+            _check_positive("tol", self.tol)
+            _check_nonnegative("g", self.g)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.T_min < self.T_max < math.inf:
             raise ConfigError(f"tmax={self.T_max} must be finite and exceed "
                               f"tmin={self.T_min}")
-        if self.T_steps < 2:
-            raise ConfigError(f"steps={self.T_steps} must be at least 2")
         if np.any(np.diff(self.temperature_grid()) <= 0.0):
             raise ConfigError(f"tmin={self.T_min} and tmax={self.T_max} are too "
                               f"close for steps={self.T_steps} distinct temperatures")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigError(f"tol={self.tol} must be positive and finite")
-        if self.D < 1:
-            raise ConfigError(f"dim={self.D} must be a positive integer")
         if self.mode == "quartic-wkb" and self.D != 1:
             raise ConfigError("wkb requires D=1")
         if self.mode == "quartic-semiclassical" and self.g <= 0.0:
             raise ConfigError("quartic-semiclassical requires g > 0")
-        if not 0.0 <= self.g < math.inf:
-            raise ConfigError(f"g={self.g} must be nonnegative and finite")
 
     def temperature_grid(self) -> np.ndarray:
         return np.linspace(self.T_min, self.T_max, self.T_steps)
@@ -157,8 +152,7 @@ def thermo_curve(lnz, T_grid) -> ThermoCurve:
     not finite."""
     rows = []
     for temperature in T_grid:
-        if not temperature > 0.0:
-            raise DomainError(f"temperature {temperature!r} must be positive")
+        _check_positive("temperature", temperature)
         theta = 1.0 / temperature
         try:
             value = lnz(theta)
@@ -291,21 +285,21 @@ def main(argv=None) -> int:
 
     try:
         configs = _configs(args)
-        # validated before --out is opened, so a bad config never truncates it
-        for config in configs:
-            config.validate()
-        write = (functools.partial(run, configs[0]) if args.command == "run"
-                 else functools.partial(compare, configs))
+        # the whole CSV first, so a failed run never truncates --out
+        csv = io.StringIO()
+        if args.command == "run":
+            run(configs[0], csv)
+        else:
+            compare(configs, csv)
         if configs[0].out:
             try:
-                fh = open(configs[0].out, "w")
+                with open(configs[0].out, "w") as fh:
+                    fh.write(csv.getvalue())
             except OSError as exc:
                 raise ConfigError(
                     f"cannot open output file {configs[0].out}: {exc}") from exc
-            with fh:
-                write(fh)
         else:
-            write(sys.stdout)
+            sys.stdout.write(csv.getvalue())
     except ConfigError as exc:
         print(f"sct: {exc}", file=sys.stderr)
         return 2

@@ -61,7 +61,6 @@ table has entries below the diagonal, J(0, Theta).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -80,7 +79,7 @@ from .paths import (
     CanonicalPair,
     QuarticPath,
     RadialPotential,
-    _check_dimension,
+    _check_integer,
     _check_theta,
     _finite,
     _path_at,
@@ -258,7 +257,7 @@ class RadialTrajectory:
     D: int
 
     def __post_init__(self):
-        _check_dimension(self.D)
+        _check_integer("dimension D", self.D, 1)
 
     def __call__(self, theta: float) -> np.ndarray:
         x = np.zeros(self.D)
@@ -426,10 +425,7 @@ class GreenTable:
 
 def _table_grid(Theta: float, n: int) -> np.ndarray:
     _check_theta(Theta)
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"table size n={n!r} must be an integer")
-    if n < 0:
-        raise DomainError(f"table size n={n!r} must be >= 0")
+    _check_integer("table size n", n, 0)
     return np.linspace(0.0, Theta, n)
 
 
@@ -496,9 +492,8 @@ def wick_moment(green: GreenTable, legs) -> float:
     for c, t in legs:
         if not (0.0 <= t <= green.Theta):
             raise DomainError(f"leg time {t!r} outside [0, {green.Theta}]")
-        if D is not None and (isinstance(c, bool) or not isinstance(c, numbers.Integral)
-                              or not 0 <= c < D):
-            raise DomainError(f"leg channel {c!r} outside [0, {D})")
+        if D is not None:
+            _check_integer("leg channel", c, 0, D)
 
     def entry(a: int, b: int) -> float:
         (i, t), (j, tp) = legs[a], legs[b]

@@ -74,26 +74,28 @@ _ROOT_RTOL = 1e-13
 _LN_FLAT_LIMIT = 0.5 * math.log(32.0 * np.finfo(float).eps)
 
 
-def _check_theta(Theta: float) -> None:
-    if not 0.0 < Theta < math.inf:
-        raise DomainError(f"Theta={Theta!r} must be positive and finite")
+def _check_positive(name: str, value: float) -> None:
+    """DomainError naming `name` unless value is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name}={value!r} must be positive and finite")
 
 
-def _check_dimension(D: int) -> None:
-    # the exact type first: the ABC check alone costs ~3 us a call
-    if not (type(D) is int or isinstance(D, numbers.Integral)
-            and not isinstance(D, bool)) or D < 1:
-        raise DomainError(f"dimension D={D!r} must be an integer >= 1")
+_check_theta = functools.partial(_check_positive, "Theta")
 
 
-def _check_coupling(g: float) -> None:
-    if not 0.0 <= g < math.inf:
-        raise DomainError(f"coupling g={g!r} must be finite and >= 0")
+def _check_nonnegative(name: str, value: float) -> None:
+    """DomainError naming `name` unless value is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name}={value!r} must be finite and >= 0")
 
 
-def _check_r0(r0: float) -> None:
-    if not 0.0 <= r0 < math.inf:
-        raise DomainError(f"r0={r0!r} must be finite and >= 0")
+def _check_integer(name: str, value: int, low: int, high: float = math.inf) -> None:
+    """DomainError naming `name` unless value is an integer in [low, high),
+    not a bool (the exact type first: the ABC check alone costs ~3 us)."""
+    if not ((type(value) is int or isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) and low <= value < high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise DomainError(f"{name}={value!r} must be an integer {bounds}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ class ReducedParams:
     Theta: float
 
     def __post_init__(self):
-        _check_coupling(self.g)
-        _check_dimension(self.D)
+        _check_nonnegative("coupling g", self.g)
+        _check_integer("dimension D", self.D, 1)
         _check_theta(self.Theta)
 
     @property
@@ -158,7 +160,7 @@ def _check_times(path: QuarticPath, theta):
 def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
     """r0 cosh(theta - Theta/2)/cosh(Theta/2), the closed harmonic path."""
     _check_theta(Theta)
-    _check_r0(r0)
+    _check_nonnegative("r0", r0)
     theta = _check_time(theta, Theta)
     # exp form keeps the ratio finite for large Theta
     x = abs(theta - 0.5 * Theta)
@@ -169,7 +171,7 @@ def harmonic_trajectory(r0: float, Theta: float, theta: float) -> float:
 def harmonic_action(r0: float, Theta: float) -> float:
     """Euclidean action of the closed harmonic path, r0^2 tanh(Theta/2)."""
     _check_theta(Theta)
-    _check_r0(r0)
+    _check_nonnegative("r0", r0)
     return r0 * r0 * math.tanh(0.5 * Theta)
 
 
@@ -260,7 +262,7 @@ class QuarticPath:
 def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
     """Build the quartic path with turning value q_t and period Theta, or,
     for an array of q_t > 0, the family of those paths in one kernel call,
-    at one Theta or at a Theta per node (an array of q_t's shape).
+    at one Theta or at a Theta per node (any sequence of q_t's shape).
 
     Raises PoleError when sqrt(1+q_t^2) Theta/2 >= K(k), i.e. when the
     endpoint q0 would sit at or beyond the pole of nc (for a family,
@@ -275,8 +277,7 @@ def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
     if isinstance(q_t, np.ndarray):  # 0-d: one path, with float fields
         q_t = float(q_t)
     _check_theta(Theta)
-    if q_t < 0.0 or not math.isfinite(q_t):
-        raise DomainError(f"q_t={q_t!r} must be finite and >= 0")
+    _check_nonnegative("q_t", q_t)
     m1, k, s = _modulus_and_scale(q_t)
     u_T = 0.5 * s * Theta
     sn, cn, dn, eps, big_k = _scalar_sn_cn_dn_eps_k(u_T, m1)
@@ -290,11 +291,16 @@ def quartic_path_from_qt(q_t, Theta) -> QuarticPath:
 
 
 def _quartic_paths(q_t: np.ndarray, Theta) -> QuarticPath:
+    """The family of paths at the turning values q_t > 0, at one Theta or at
+    a Theta per path (any sequence of q_t's shape); DomainError otherwise."""
     if not np.all((q_t > 0.0) & (q_t < math.inf)):
         raise DomainError("an array of turning values must be finite and > 0 "
                           "(build the q_t = 0 path on its own)")
     if np.ndim(Theta) == 0:
         _check_theta(Theta)
+    elif (Theta := np.asarray(Theta, dtype=float)).shape != q_t.shape:
+        raise DomainError(f"Theta of shape {Theta.shape} for a family of shape "
+                          f"{q_t.shape}: give one Theta or one per q_t")
     elif not (Theta.min() > 0.0 and Theta.max() < math.inf):
         raise DomainError("every Theta of a family must be positive and finite")
     m1, k, s = _modulus_and_scale(q_t, np.sqrt)
@@ -387,8 +393,7 @@ def invert_endpoint(q0: float, Theta: float) -> float:
     when the endpoint gap at the value found exceeds 1e-12 (1 + q0), which
     happens for large q0, where q0 varies faster in q_t than one ulp
     resolves, or q0 lies beyond the bracket's top."""
-    if q0 < 0.0 or not math.isfinite(q0):
-        raise DomainError(f"q0={q0!r} must be finite and >= 0")
+    _check_nonnegative("q0", q0)
     if q0 == 0.0:
         return 0.0
     hi = q_theta_max(Theta) * (1.0 - 1e-15)
@@ -634,7 +639,7 @@ def shoot_radial_path(potential: RadialPotential, r0: float,
     initial slope.  Verification oracle only; the closed forms above are
     the production path."""
     _check_theta(Theta)
-    _check_r0(r0)
+    _check_nonnegative("r0", r0)
     grid = np.linspace(0.0, Theta, _SHOOT_SAMPLES)
     if r0 == 0.0:
         sol = solve_ivp(lambda t, y: [y[1], 0.0], (0.0, Theta), [0.0, 0.0],

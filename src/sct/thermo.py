@@ -61,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +82,9 @@ from .fluctuations import (
 from .paths import (
     QuarticPath,
     ReducedParams,
-    _check_coupling,
-    _check_dimension,
+    _check_integer,
+    _check_nonnegative,
+    _check_positive,
     _check_theta,
     _finite,
     _quartic_action,
@@ -99,6 +99,7 @@ _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 _LN_TINY = math.log(np.finfo(float).tiny)
 _LN_HUGE = math.log(np.finfo(float).max)
+_HARMONIC_TOL = 1e-10  # the relative tolerance of z2_harmonic_integral
 
 
 def _ln_sphere_surface(D: int) -> float:
@@ -112,7 +113,7 @@ def ln_z_harmonic(D: int, Theta: float) -> float:
     space so large Theta cannot overflow; ln(1 - e^-Theta) is ln(-expm1(-Theta))
     up to Theta = ln 2, where log1p(-e^-Theta) loses digits (Maechler 2012)."""
     _check_theta(Theta)
-    _check_dimension(D)
+    _check_integer("dimension D", D, 1)
     log1mexp = (math.log1p(-math.exp(-Theta)) if Theta > _LN2
                 else math.log(-math.expm1(-Theta)))
     return -D * (0.5 * Theta + log1mexp)
@@ -123,21 +124,22 @@ def z_harmonic(D: int, Theta: float) -> float:
     return math.exp(ln_z_harmonic(D, Theta))
 
 
-def z2_harmonic_integral(D: int, Theta: float, tol: float = 1e-10) -> float:
+def z2_harmonic_integral(D: int, Theta: float) -> float:
     """End-to-end pipeline check: the radial one-loop integral with the
     harmonic action and determinant must reproduce z_harmonic exactly
     (the quadratic approximation is exact for a quadratic well).  The
     determinant 2 pi Omega(0, Theta) is taken in logs: it leaves the float
     range from Theta ~ 708.6, Omega itself from ~710.5 (DomainError)."""
     _check_theta(Theta)
+    _check_integer("dimension D", D, 1)
     ln_det_l = math.log(_TWO_PI) + math.log(
         _omega(harmonic_canonical_pair(), 0.0, Theta))
 
     def integrand(r):
         return r ** (D - 1) * math.exp(-harmonic_action(r, Theta))
 
-    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
-    if err > 10.0 * tol * abs(val):
+    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_HARMONIC_TOL, limit=200)
+    if err > 10.0 * _HARMONIC_TOL * abs(val):
         raise QuadratureError(
             f"harmonic radial integral: error estimate {err:.3e} above tolerance")
     return math.exp(_ln_sphere_surface(D) + math.log(val) - 0.5 * D * ln_det_l)
@@ -297,12 +299,6 @@ def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
     return front + top + math.log(sum(math.exp(t - top) for t in ln_terms))
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN or infinite tol would pass every `err > tol * val` check
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol={tol!r} must be finite and positive")
-
-
 def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas:
     per Theta, in the order given, its checks and q_Theta; one
@@ -315,8 +311,8 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     to leave: a Theta where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
     if not 0.0 < g < math.inf:
         raise DomainError(f"g={g!r} must be positive and finite (use z_harmonic at g=0)")
-    _check_dimension(D)
-    _check_tol(tol)
+    _check_integer("dimension D", D, 1)
+    _check_positive("tol", tol)
     thetas = np.array(Thetas, dtype=float).ravel()
     if not thetas.size:
         return []
@@ -527,9 +523,9 @@ def ln_z_classical_batch(g: float, D: int, Thetas, tol: float = 1e-10) -> list:
     rule (see _scaled_radial_integral); each value is bit for bit its
     one-Theta call's, and a failure raises for the first failing Theta in
     the order given."""
-    _check_coupling(g)
-    _check_dimension(D)
-    _check_tol(tol)
+    _check_nonnegative("coupling g", g)
+    _check_integer("dimension D", D, 1)
+    _check_positive("tol", tol)
     thetas = np.array(Thetas, dtype=float).ravel().tolist()
     if not thetas:
         return []
@@ -673,9 +669,8 @@ def wkb_levels(g: float, n_max: int) -> WkbSpectrum:
     E(I) = I + (3g/8) I^2 - (17g^2/64) I^3 + ... at action I = n + 1/2,
     so at small g the ground state is E_0 ~ 1/2 + 3g/32, not the quantum
     first-order 1/2 + 3g/16 (that shift needs higher-order WKB terms)."""
-    _check_coupling(g)
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise DomainError(f"n_max={n_max!r} must be an integer >= 0")
+    _check_nonnegative("coupling g", g)
+    _check_integer("n_max", n_max, 0)
     return WkbSpectrum(tuple(_bohr_sommerfeld_levels(g, 0, n_max).tolist()), g)
 
 
@@ -721,7 +716,7 @@ def wkb_spectrum(g: float, Theta_min: float) -> WkbSpectrum:
     at Theta_min, nor at any larger Theta: n_max doubles from 32 (to at
     most 8192, else TruncationError), and each doubling passes the levels
     it adds to one Newton solve, so the result is wkb_levels(g, n_max)."""
-    _check_coupling(g)
+    _check_nonnegative("coupling g", g)
     _check_theta(Theta_min)
     energies = np.empty(0)
     n_max = 32

@@ -202,6 +202,10 @@ class TestCompare:
         with pytest.raises(ConfigError, match="grid"):
             compare([a, b], io.StringIO())
 
+    def test_no_configuration(self):
+        with pytest.raises(ConfigError, match="needs at least one mode"):
+            compare([], io.StringIO())
+
     def test_harmonic_exceeds_quartic_at_high_temperature(self):
         # harmonic plateau D vs quartic classical ceiling 3D/4
         shared = dict(g=0.2, D=1, T_min=4.0, T_max=8.0, T_steps=3)
@@ -252,6 +256,13 @@ class TestMain:
         code, _, err = run_main(["run"], capsys)
         assert code == 2
         assert "needs --mode" in err
+
+    @pytest.mark.parametrize("argv", [["run", "--dim=abc"], ["fit"], ["--help"]])
+    def test_argparse_exit_status_is_returned(self, argv, capsys):
+        # argparse exits 2 on a bad flag or command and 0 after --help;
+        # main returns that status instead of raising SystemExit
+        code, _, _ = run_main(argv, capsys)
+        assert code == (0 if argv == ["--help"] else 2)
 
     def test_harmonic_run_stdout(self, capsys):
         code, out, err = run_main(
@@ -349,6 +360,35 @@ class TestMain:
         code, out, err = run_main(["run", f"--config={cfg_file}", "--steps=2"], capsys)
         assert code == 2
         assert f"{cfg_file}:2: unknown key 'tmni'" in err
+        assert out == ""
+
+    def test_config_file_line_without_a_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bare.cfg"
+        cfg_file.write_text("mode=harmonic\n\n# steps\nsteps\n")
+        code, out, err = run_main(["run", f"--config={cfg_file}"], capsys)
+        assert code == 2
+        assert f"{cfg_file}:4: expected key=value, got 'steps'" in err
+        assert out == ""
+
+    def test_config_file_that_cannot_be_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run_main(["run", "--mode=harmonic", f"--config={missing}"], capsys)
+        assert code == 2
+        assert err.startswith(f"sct: cannot read config file {missing}: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,status", [
+        ("--mode=quartic-wkb --g=0.2 --tmin=1e5 --tmax=2e5", 3),
+        ("--mode=quartic-wkb --dim=2", 2)])
+    def test_a_failed_run_leaves_the_out_file_alone(self, argv, status, tmp_path, capsys):
+        # --out was opened before the first row, so a run that failed with
+        # exit 3 left it empty
+        target = tmp_path / "curve.csv"
+        target.write_text("T,lnZ,C,C_err\n1,2,3,4\n")
+        code, out, _ = run_main(["run", *argv.split(), "--steps=2", f"--out={target}"],
+                                capsys)
+        assert code == status
+        assert target.read_text() == "T,lnZ,C,C_err\n1,2,3,4\n"
         assert out == ""
 
     @pytest.mark.parametrize("flag", ["--g=inf", "--tol=nan", "--tol=inf",

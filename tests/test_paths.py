@@ -1,6 +1,7 @@
 """Tests for classical trajectories, actions and canonical solutions."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,13 @@ class TestQuarticPath:
         path = quartic_path_from_qt(1.0, 1.0)
         with pytest.raises(DomainError):
             path.position(1.4)
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_turning_value_and_endpoint_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(DomainError, match=f"q_t={value!r} must be finite and >= 0"):
+            quartic_path_from_qt(value, 1.0)
+        with pytest.raises(DomainError, match=f"q0={value!r} must be finite and >= 0"):
+            invert_endpoint(value, 1.0)
 
 
 class TestCheckTime:
@@ -426,6 +434,8 @@ class TestHalfPeriodValues:
             path.at(3.0)
         with pytest.raises(DomainError, match="outside the half period"):
             canonical_longitudinal(path).fb(3.0)
+        with pytest.raises(DomainError, match="argument u=inf is not finite"):
+            quartic_path_from_qt(0.5, 1.0).at(math.inf)
 
 
 class TestPathFamily:
@@ -457,6 +467,23 @@ class TestPathFamily:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(DomainError):
                 quartic_path_from_qt(np.array([0.5, bad]), 1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="every Theta of a family"):
+                quartic_path_from_qt(np.array([0.5, 0.6]), np.array([1.0, bad]))
+
+    def test_a_theta_per_path_from_any_sequence(self):
+        # a list raised a bare AttributeError
+        family = quartic_path_from_qt(np.array([0.1, 0.2]), [1.0, 2.0])
+        same = quartic_path_from_qt(np.array([0.1, 0.2]), np.array([1.0, 2.0]))
+        for name in ("Theta", "q0", "u_T", "sn_T", "cn_T", "dn_T", "eps_T"):
+            assert np.array_equal(getattr(family, name), getattr(same, name)), name
+
+    @pytest.mark.parametrize("Theta", [[1.0, 2.0, 3.0], np.ones((2, 1)), [[1.0, 2.0]]])
+    def test_a_theta_of_another_shape_is_a_domain_error(self, Theta):
+        # (3,) raised a bare numpy ValueError, and (2, 1) built a 2 x 2 family
+        with pytest.raises(DomainError, match=rf"Theta of shape {re.escape(str(np.shape(Theta)))} "
+                                              r"for a family of shape \(2,\)"):
+            quartic_path_from_qt(np.array([0.1, 0.2]), Theta)
 
 
 class TestQThetaMax:

@@ -228,11 +228,13 @@ class TestHarmonicPartition:
             want = float(-3 * mpmath.log(2 * mpmath.sinh(mpmath.mpf(Theta) / 2)))
         assert ln_z_harmonic(3, Theta) == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("D", [0.5, math.nan, math.inf, 0, -1, True])
+    @pytest.mark.parametrize("D", [0.5, 1.5, math.nan, math.inf, 0, -1, True])
     def test_dimension_is_an_integer_at_least_one(self, D):
-        # D = True returned the D = 1 value
-        with pytest.raises(DomainError, match="dimension"):
-            ln_z_harmonic(D, 1.0)
+        # D = True returned the D = 1 value; z2_harmonic_integral returned
+        # values at D = 0.5, 1.5 and True and failed its quadrature at D <= 0
+        for call in (ln_z_harmonic, z2_harmonic_integral):
+            with pytest.raises(DomainError, match=f"dimension D={D!r} must be an integer"):
+                call(D, 1.0)
 
     def test_pipeline_past_the_determinant_overflow(self):
         # 2 pi sinh(Theta) is inf from Theta ~ 708.6, and Z2 came out 0.0
@@ -996,6 +998,8 @@ class TestWkb:
             WkbSpectrum((0.5, 0.4), 0.1)
         with pytest.raises(DomainError):
             WkbSpectrum((), 0.1)
+        with pytest.raises(DomainError, match="ground state must be positive"):
+            WkbSpectrum((-0.5, 1.5), 0.2)
         # a non-finite level once made ln_z_wkb of (1, inf) at Theta = 1 -1.0
         for levels in ((math.nan,), (1.0, math.inf), (0.5, math.nan, 2.5)):
             with pytest.raises(DomainError, match="finite"):
