@@ -1,13 +1,16 @@
 """Jacobi elliptic functions and the Jacobi epsilon function on the real line.
 
 Two kernels, one per argument shape, each returning sn, cn, dn, epsilon
-and K(k) from one climb of the AGM ladder.  The scalar kernel serves
-single paths and the variational flow's right-hand side, where a numpy
-call per step would cost more than the work; it memoizes its ladder
-record on m1 = 1 - k^2, since the flow evaluates one modulus at every
-step of its path.  jacobi_sn_cn_dn and jacobi_epsilon are its checked
-wrappers.  The array kernel, behind sn_cn_dn_eps_array, takes the same
-branches per element; the one-loop quadrature builds its paths with it.
+and K(k) from one climb of the AGM ladder, whose forward loop _ladder
+runs for both.  The scalar kernel serves single paths and the variational
+flow's right-hand side, where a numpy call per step would cost more than
+the work; it memoizes its ladder record on m1 = 1 - k^2, since the flow
+evaluates one modulus at every step of its path.  jacobi_sn_cn_dn and
+jacobi_epsilon are its checked wrappers.  The array kernel, behind
+sn_cn_dn_eps_array, takes the same branches per element for the one-loop
+quadrature's paths.  Each keeps its own backward recursion (a shared one
+costs a call per scalar climb, ~15 % of a path's `position`) and k -> 1
+expansion (numpy's tanh, cosh, sinh and exp round apart from math's).
 
 * ``sn, cn, dn``: descending Landen / AGM ladder (DLMF 22.20(ii)), for
   any real u.  For 1 - k^2 < 1e-12 the ladder stalls and the hyperbolic
@@ -66,29 +69,35 @@ def _m1_error(m1: float) -> DomainError:
     return DomainError(f"m1={m1!r} must be finite and nonnegative")
 
 
-def _agm_ladder(m1: float) -> tuple:
-    """The descending ladder from (a, b) = (1, sqrt(m1)), m1 > 0, stopped
-    once c_n = (a_(n-1) - b_(n-1))/2 is at the rounding level of a_n, as
-    the backward recursion reads it: ((z_j, c_j / a_j) for j = n..1, E/K,
-    the phase scale 2^n a_n, K = pi / (2 a_n)).  z_j and E/K are formed as
-    in the array kernel (see _sn_cn_dn_eps_k), with E/K's tail summed from
-    j = n down."""
-    a, b = 1.0, math.sqrt(m1)
-    a1 = 0.5 * (a + b)
-    c2 = 1.0 - m1  # c_(j-1)^2
-    levels = []
-    for _ in range(_LADDER_MAX):
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        levels.append((c2 / (4.0 * a), c / a))
-        c2 = c ** 2
-        if abs(c) <= _AGM_TOL * a:
+def _ladder(b, m1, sqrt, settled):
+    """The forward loop of both kernels, from (a, b) = (1, sqrt(m1)) for a
+    float (sqrt, settled = math.sqrt, bool) or an array (np.sqrt,
+    np.ndarray.all; np.all costs ~2 us a step more), until
+    settled(|c_n| <= _AGM_TOL a_n): ([(z_j, c_j / a_j), j = 1..n], E/K, a_n).
+    Z's coefficients z_j = c_j are formed as c_(j-1)^2 / (4 a_j) from
+    c_0^2 = k^2 = 1 - m1 (A&S 17.6.2), since (a - b)/2 carries an absolute
+    error ~1e-16 that Z would keep at small u; the recursion's ratios
+    c_j / a_j keep (a - b)/2.  E/K = 1 - (1/2) sum_(j>=0) 2^j c_j^2 is
+    summed as a_1^2 - sum_(j>=2) 2^(j-1) c_j^2, which cancels half as
+    much as E/K -> 0 with m1 (1 - c_0^2/2 - c_1^2 = a_1^2)."""
+    a, steps, c2 = 1.0, [], 1.0 - m1  # c2 = c_(j-1)^2
+    for j in range(1, _LADDER_MAX + 1):
+        a, b, c = 0.5 * (a + b), sqrt(a * b), 0.5 * (a - b)
+        z = c2 / (4.0 * a)
+        e_over_k = a * a if j == 1 else e_over_k - 2.0 ** (j - 1) * z * z
+        c2 = c * c
+        steps.append((z, c / a))
+        if settled(abs(c) <= _AGM_TOL * a):
             break
-    levels.reverse()
-    e_tail = 0.0
-    for j, (z, _) in zip(range(len(levels), 1, -1), levels):
-        e_tail += 2.0 ** (j - 1) * z * z
-    scale = (2.0 ** len(levels)) * a
-    return tuple(levels), a1 ** 2 - e_tail, scale, math.pi / (2.0 * a)
+    return steps, e_over_k, a
+
+
+def _agm_ladder(m1: float) -> tuple:
+    """The scalar kernel's ladder record for m1 > 0, from _ladder: the steps
+    as the backward recursion reads them, ((z_j, c_j / a_j) for j = n..1),
+    then E/K, the phase scale 2^n a_n and K = pi / (2 a_n)."""
+    steps, e_over_k, a = _ladder(math.sqrt(m1), m1, math.sqrt, bool)
+    return tuple(reversed(steps)), e_over_k, (2.0 ** len(steps)) * a, math.pi / (2.0 * a)
 
 
 # The scalar kernel meets one modulus at many u (the variational flow calls
@@ -101,10 +110,10 @@ _ladder_record = functools.lru_cache(maxsize=256)(_agm_ladder)
 
 def _scalar_sn_cn_dn_eps_k(u: float, m1: float) -> tuple:
     """sn, cn, dn, epsilon and K (inf at m1 = 0) at one real u, from one
-    climb: the scalar twin of _sn_cn_dn_eps_k, unchecked.  Outside
-    |u| < K epsilon (and below m1 = 1e-12 every value) is not the
-    function's; where the ladder's phase 2^n a_n u overflows, the four
-    values are NaN."""
+    climb of the memoized ladder record: _sn_cn_dn_eps_k's scalar shape,
+    unchecked.  Outside |u| < K epsilon (and below m1 = 1e-12 every value)
+    is not the function's; where the ladder's phase 2^n a_n u overflows,
+    the four values are NaN."""
     if m1 < _M1_SWITCH:
         big_k = _ladder_record(m1)[3] if m1 > 0.0 else math.inf
         return _sn_cn_dn_eps_near_one(u, m1) + (big_k,)
@@ -213,14 +222,14 @@ def sn_cn_dn_eps_array(u, k, m1):
     the caller can form it exactly).
 
     Per element it takes the branches of the scalar jacobi_sn_cn_dn and
-    jacobi_epsilon: the hyperbolic k -> 1 expansion below m1 = 1e-12, the
-    descending AGM ladder above, with epsilon = (E/K) u + Z(u) from the
-    same ladder.  It covers the first half period |u| < K(k), every u at
-    m1 = 0, and raises DomainError elsewhere, as jacobi_epsilon does.
-    On the path families it agrees with the scalar routines to 4e-16
-    relative, epsilon included.  Elsewhere the two ladders' phases
-    2^n a_n u round apart, and it agrees to 16 eps (1 + |u|) absolute, far
-    less in relative terms where cn and dn are small."""
+    jacobi_epsilon, on the same _ladder: the k -> 1 expansion below
+    m1 = 1e-12, the ladder above, with epsilon = (E/K) u + Z(u).  It covers
+    |u| < K(k), every u at m1 = 0, and raises DomainError elsewhere, as
+    jacobi_epsilon does.  On the path families it agrees with the scalar
+    routines to 4e-16 relative, epsilon included.  Elsewhere an element can
+    climb more steps than alone (the ladder runs until all have settled), so
+    the phases 2^n a_n u round apart, and it agrees to 16 eps (1 + |u|)
+    absolute, far less in relative terms where cn and dn are small."""
     u, k, m1 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, k, m1)))
     if not np.all(np.isfinite(u)):
         raise DomainError("argument u is not finite everywhere")
@@ -245,28 +254,10 @@ def _sn_cn_dn_eps_k(u, m1):
     u, m1 = u.ravel(), m1.ravel()
     near = m1 < _M1_SWITCH
 
-    # Forward ladder, run until every element has met the scalar ladder's
-    # stop.  An element that met it earlier takes extra steps with c_j at
-    # rounding level, which the backward recursion undoes to rounding.
-    # m1 = 0 has no ladder (K is infinite): b = 1 stops it at once.
-    a = np.ones_like(m1)
+    # An element that settles early takes extra steps at rounding level,
+    # which the recursion undoes; m1 = 0 (K infinite) climbs from b = 1.
     b = np.sqrt(np.where(m1 > 0.0, m1, 1.0))
-    # Z's coefficients z_j = c_j are formed as c_(j-1)^2 / (4 a_j) from
-    # c_0^2 = k^2 = 1 - m1 (A&S 17.6.2), since (a - b)/2 carries an absolute
-    # error ~1e-16 that Z would keep at small u; the recursion's ratios
-    # c_j / a_j keep (a - b)/2.  E/K = 1 - (1/2) sum_(j>=0) 2^j c_j^2 is
-    # summed as a_1^2 - sum_(j>=2) 2^(j-1) c_j^2, which cancels half as
-    # much as E/K -> 0 with m1 (1 - c_0^2/2 - c_1^2 = a_1^2).
-    steps = []  # (z_j, c_j / a_j), j = 1..n
-    c2 = 1.0 - m1  # c_(j-1)^2
-    for j in range(1, _LADDER_MAX + 1):
-        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
-        z = c2 / (4.0 * a)
-        e_over_k = a * a if j == 1 else e_over_k - 2.0 ** (j - 1) * z * z
-        c2 = c * c
-        steps.append((z, c / a))
-        if (np.abs(c) <= _AGM_TOL * a).all():
-            break
+    steps, e_over_k, a = _ladder(b, m1, np.sqrt, np.ndarray.all)
     with np.errstate(divide="ignore"):
         big_k = np.where(m1 > 0.0, math.pi / (2.0 * a), math.inf)
 

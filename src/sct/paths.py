@@ -245,7 +245,8 @@ class QuarticPath:
         _check_times)."""
         q_t = self.q_t
         if isinstance(q_t, np.ndarray) or not isinstance(theta, float):
-            return q_t / self.at(_check_times(self, theta))[2]
+            theta = _check_times(self, theta)
+            return 0.0 if self.at_rest else q_t / self.at(theta)[2]
         theta = _check_time(theta, self.Theta)
         if q_t == 0.0:  # at_rest, inlined
             return 0.0
@@ -301,7 +302,7 @@ def _quartic_paths(q_t: np.ndarray, Theta) -> QuarticPath:
     elif (Theta := np.asarray(Theta, dtype=float)).shape != q_t.shape:
         raise DomainError(f"Theta of shape {Theta.shape} for a family of shape "
                           f"{q_t.shape}: give one Theta or one per q_t")
-    elif not (Theta.min() > 0.0 and Theta.max() < math.inf):
+    elif Theta.size and not (Theta.min() > 0.0 and Theta.max() < math.inf):
         raise DomainError("every Theta of a family must be positive and finite")
     m1, k, s = _modulus_and_scale(q_t, np.sqrt)
     u_T = 0.5 * s * Theta
@@ -425,7 +426,7 @@ def _finite(where, what: str, value_of: Callable[[], float]):
     """value_of() with numpy's warnings off, or DomainError saying where it
     is not finite (a family's first such element i): `where` is a path,
     named by _path_at, or a function of i that names the element.  The one
-    overflow check of the path and canonical-pair quantities."""
+    overflow check of the path, canonical-pair and partition functions."""
     try:
         with np.errstate(all="ignore"):
             value = value_of()

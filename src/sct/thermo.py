@@ -120,8 +120,9 @@ def ln_z_harmonic(D: int, Theta: float) -> float:
 
 
 def z_harmonic(D: int, Theta: float) -> float:
-    """Harmonic partition function [2 sinh(Theta/2)]^-D."""
-    return math.exp(ln_z_harmonic(D, Theta))
+    """Harmonic partition function [2 sinh(Theta/2)]^-D; DomainError if it overflows."""
+    ln_z = ln_z_harmonic(D, Theta)
+    return _finite(lambda i: f"D={D}, Theta={Theta!r}", "Z", lambda: math.exp(ln_z))
 
 
 def z2_harmonic_integral(D: int, Theta: float) -> float:
@@ -138,11 +139,14 @@ def z2_harmonic_integral(D: int, Theta: float) -> float:
     def integrand(r):
         return r ** (D - 1) * math.exp(-harmonic_action(r, Theta))
 
-    val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_HARMONIC_TOL, limit=200)
-    if err > 10.0 * _HARMONIC_TOL * abs(val):
-        raise QuadratureError(
-            f"harmonic radial integral: error estimate {err:.3e} above tolerance")
-    return math.exp(_ln_sphere_surface(D) + math.log(val) - 0.5 * D * ln_det_l)
+    # full_output: quad's warnings off, so that this check decides
+    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_HARMONIC_TOL,
+                        limit=200, full_output=1)
+    if not (0.0 < val < math.inf and err <= 10.0 * _HARMONIC_TOL * val):
+        raise QuadratureError(f"harmonic radial integral {val!r} (error estimate "
+                              f"{err:.3e}) not positive or not within tolerance")
+    ln_z = _ln_sphere_surface(D) + math.log(val) - 0.5 * D * ln_det_l
+    return _finite(lambda i: f"D={D}, Theta={Theta!r}", "Z", lambda: math.exp(ln_z))
 
 
 def jacobian_dq0_dqt(path: QuarticPath):
@@ -555,10 +559,11 @@ def ln_z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
 
 
 def z_classical(params: ReducedParams, tol: float = 1e-10) -> float:
-    """Classical partition function, exp of ln_z_classical: the radius
-    scaled to the potential's own width, a precomputed composite
-    Gauss-Kronrod rule, log-space assembly and an analytic tail bound."""
-    return math.exp(ln_z_classical(params, tol))
+    """Classical partition function, exp of ln_z_classical (the radius scaled
+    to the potential's width, a precomputed Gauss-Kronrod rule, log-space
+    assembly, an analytic tail bound); DomainError where it overflows."""
+    ln_z, D, Theta = ln_z_classical(params, tol), params.D, params.Theta
+    return _finite(lambda i: f"D={D}, Theta={Theta!r}", "Z", lambda: math.exp(ln_z))
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,17 @@ class TestDetGeneral:
         with pytest.raises(DomainError, match=r"Theta=0.3, D=400: the determinant"):
             det_general(synthetic_flow(D, 0.3, seed=1))
 
+    def test_conjugate_point_is_a_singular_matrix_error(self):
+        # the inverted well -r^2/2 along r = 0.3 at D = 1: B(Theta) = sin Theta,
+        # negative at Theta = 4, so det[-J(Theta, 0)] = sin 4 < 0
+        pot = RadialPotential(lambda r: -0.5 * r * r, lambda r: -r, lambda r: -1.0)
+        flow = flow_matrices(pot, radial_trajectory(lambda t: 0.3, 1), 4.0)
+        assert np.linalg.det(flow.at(4.0).B) == pytest.approx(math.sin(4.0), rel=1e-6)
+        with pytest.raises(SingularMatrixError,
+                           match=r"det\[-J\(Theta, 0\)\] = -0\.7568.* is not positive: "
+                                 r"conjugate point"):
+            det_general(flow)
+
 
 class TestGeneralRoutePins:
     """det_general, the 4-leg Wick moment on an 8-node table and the

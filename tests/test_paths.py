@@ -385,6 +385,14 @@ class TestHalfPeriodValues:
         rest = quartic_path_from_qt(np.array(0.0), 1.0)
         assert rest.at_rest and rest.position(0.3) == rest.velocity(0.3) == 0.0
 
+    @pytest.mark.parametrize("theta", [0, np.array(0.0), np.int64(0), 0.0, 800, 1600.0])
+    def test_the_path_at_rest_reads_zero_at_every_time_form(self, theta):
+        # cn_T underflows to 0 from Theta ~ 1490, and a time that is not a
+        # float divided 0 by 0 (ZeroDivisionError)
+        rest = quartic_path_from_qt(0.0, 1600.0)
+        assert rest.cn_T == 0.0
+        assert rest.position(theta) == rest.velocity(theta) == 0.0
+
     @staticmethod
     def _sweep(seed, n=40):
         # (path, times) draws: q_t from 1e-300 to 0.9999 of q_Theta (and 0),
@@ -477,6 +485,14 @@ class TestPathFamily:
         same = quartic_path_from_qt(np.array([0.1, 0.2]), np.array([1.0, 2.0]))
         for name in ("Theta", "q0", "u_T", "sn_T", "cn_T", "dn_T", "eps_T"):
             assert np.array_equal(getattr(family, name), getattr(same, name)), name
+
+    @pytest.mark.parametrize("Theta", [1.0, np.array([])])
+    def test_an_empty_family_builds(self, Theta):
+        # an empty Theta array raised a bare numpy ValueError from Theta.min()
+        family = quartic_path_from_qt(np.array([]), Theta)
+        for name in ("q_t", "k", "s", "q0", "m1", "u_T", "sn_T", "cn_T", "dn_T", "eps_T"):
+            assert getattr(family, name).shape == (0,), name
+        assert family.position(np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("Theta", [[1.0, 2.0, 3.0], np.ones((2, 1)), [[1.0, 2.0]]])
     def test_a_theta_of_another_shape_is_a_domain_error(self, Theta):

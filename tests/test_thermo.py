@@ -236,6 +236,29 @@ class TestHarmonicPartition:
             with pytest.raises(DomainError, match=f"dimension D={D!r} must be an integer"):
                 call(D, 1.0)
 
+    @pytest.mark.parametrize("z, D, Theta", [
+        (lambda: z_harmonic(1, 1e-320), 1, 1e-320),
+        (lambda: z_harmonic(1000, 1e-3), 1000, 1e-3),
+        (lambda: z_classical(ReducedParams(0.5, 400, 1e-3)), 400, 1e-3),
+        (lambda: z2_harmonic_integral(40, 1e-8), 40, 1e-8),
+    ], ids=["harmonic-D1", "harmonic-D1000", "classical-D400", "pipeline-D40"])
+    def test_an_overflowing_z_is_a_domain_error(self, z, D, Theta):
+        # math.exp raised a bare OverflowError
+        with pytest.raises(DomainError, match=rf"Z overflows the float range at "
+                                              rf"D={D}, Theta={Theta!r}"):
+            z()
+
+    def test_an_underflowing_z_is_zero(self):
+        assert z_harmonic(1000, 1e3) == 0.0
+
+    @pytest.mark.parametrize("Theta", [1e-12, 1e-13])
+    def test_pipeline_refuses_a_negative_integral(self, Theta):
+        # quad returned ~ -1.0 with an error estimate inside the tolerance, and
+        # math.log raised a bare ValueError (an IntegrationWarning under this suite)
+        with pytest.raises(QuadratureError, match=r"harmonic radial integral -(1\.0|0\.9)\d* .*"
+                                                  r"not positive"):
+            z2_harmonic_integral(1, Theta)
+
     def test_pipeline_past_the_determinant_overflow(self):
         # 2 pi sinh(Theta) is inf from Theta ~ 708.6, and Z2 came out 0.0
         for Theta in (700.0, 709.0, 710.0):

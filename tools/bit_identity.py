@@ -1,12 +1,13 @@
-"""Rerun the bit-identity kit: six `sct` CLI commands whose stdout must
-hash to the values recorded in ROADMAP.md's Guardrails.
+"""Rerun the bit-identity kit: six `sct` CLI commands and one run of the
+general-D route whose stdout must hash to the values recorded in
+ROADMAP.md's Guardrails.
 
     python tools/bit_identity.py
 
 Prints, per command, the first 8 hex digits of the sha256 of its stdout
 beside the recorded ones, and exits 1 if any differ (or a command fails).
-It runs the `src` tree beside this script and writes no file; all six take
-5-9 s on a 2-core machine.
+It runs the `src` tree beside this script and writes no file; all seven take
+5-10 s on a 2-core machine.
 """
 
 import hashlib
@@ -32,13 +33,32 @@ KIT = [
      "--tmin=0.1 --tmax=30 --steps=200", "d9b0753d"),
 ]
 
+# The general-D route at the benchmark's three green-moments gate cases
+# (q_t, Theta, D): the variational flow, det_general, the bytes of the
+# 8-node Green table and the four-leg Wick moment, from `sct` alone.
+GENERAL_D = """
+from sct.fluctuations import (
+    det_general, flow_matrices, green_table_general, radial_trajectory, wick_moment)
+from sct.paths import quartic_path_from_qt, quartic_well
+for q_t, Theta, D in ((0.5, 1.0, 1), (1.0, 0.5, 2), (2.0, 1.0, 3)):
+    path = quartic_path_from_qt(q_t, Theta)
+    flow = flow_matrices(quartic_well(), radial_trajectory(path.position, D), Theta)
+    table = green_table_general(flow, n=8)
+    legs = [(c, float(table.grid[j])) for c, j in ((0, 2), (D - 1, 3), (0, 4), (D - 1, 5))]
+    print(repr(det_general(flow)), table.values.tobytes().hex(),
+          repr(wick_moment(table, legs)))
+"""
+GENERAL_D_HASH = "4bc0f0da"
+
 
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = [(["-m", "sct.cli", *command.split()], command, recorded)
+            for command, recorded in KIT]
+    runs.append((["-c", GENERAL_D], "-c GENERAL_D (the general-D route)", GENERAL_D_HASH))
     mismatches = 0
-    for command, recorded in KIT:
-        proc = subprocess.run([sys.executable, "-m", "sct.cli", *command.split()],
-                              capture_output=True, env=env)
+    for args, command, recorded in runs:
+        proc = subprocess.run([sys.executable, *args], capture_output=True, env=env)
         got = hashlib.sha256(proc.stdout).hexdigest()[:8]
         ok = proc.returncode == 0 and got == recorded
         mismatches += not ok
