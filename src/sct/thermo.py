@@ -18,19 +18,18 @@ exactly.  The integrand is carried as its logarithm, -I/g + ln J +
 (D-1) ln q0 - (ln Delta_l + (D-1) ln Delta_t)/2, over an array of q_t
 nodes at a time from one family of paths (one array-kernel call).
 ln_z2_quartic takes a set of Theta (the seven of a specific-heat
-stencil, say) in one pass.  Their scans are one (n_Theta, 120) array,
-row i the 40 geometric and 80 linear q_t nodes of Theta i, sorted, and
-one family with a Theta per node; so is each round of a batched adaptive
-Gauss-Kronrod 21 rule over all their integrals, which sums the determinants
-that passed the dual-route check.  Each row gives its peak, factored out
-of its quadrature, and the cut where the integrand has dropped ~40
-e-folds below it (it vanishes at q_Theta); the remainder is controlled
-by an analytic tail bound read from the scan's values at the cut,
-reported and never silently added.  Where that bound exceeds tol of the
-scan's peak times q_cut (its prefactor sums D terms: D ~ 1000), the cut
-steps out node by node.  Only the set-up (q_Theta), the ragged panel
-edges and the ordered checks run per Theta.  ln Z2 is the primary
-quantity; z2_quartic is its exp at one Theta.
+stencil, say) in one pass: each round of a batched adaptive
+Gauss-Kronrod 21 rule over all their integrals is one family with a
+Theta per node, and sums the determinants that passed the dual-route
+check.  The first round's panels come from scales smooth in Theta: the
+weak-coupling width sqrt(g / sinh Theta), for D > 1 the weak-coupling
+radial peak, and fractions of q_Theta, up to 0.9995 q_Theta.  Each
+integral is scaled by the largest integrand on its first round's nodes
+(it vanishes at q_Theta), and the remainder up to q_Theta is controlled
+by an analytic tail bound read at its largest first-round node,
+reported and never silently added.  Only the set-up (q_Theta, the
+panel edges) and the ordered checks run per Theta.  ln Z2 is the
+primary quantity; z2_quartic is its exp at one Theta.
 
 The classical Z is carried as its log too.  The radius is scaled by
 s = min(Theta^(-1/2), (4/(g Theta))^(1/4)), so that the integrand
@@ -64,7 +63,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConvergenceError,
@@ -74,7 +72,6 @@ from .errors import (
 )
 from .fluctuations import (
     _det_longitudinal_closed,
-    _det_transverse_closed,
     _omega,
     det_longitudinal,
     det_transverse,
@@ -99,7 +96,6 @@ _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 _LN_TINY = math.log(np.finfo(float).tiny)
 _LN_HUGE = math.log(np.finfo(float).max)
-_HARMONIC_TOL = 1e-10  # the relative tolerance of z2_harmonic_integral
 
 
 def _ln_sphere_surface(D: int) -> float:
@@ -128,25 +124,21 @@ def z_harmonic(D: int, Theta: float) -> float:
 def z2_harmonic_integral(D: int, Theta: float) -> float:
     """End-to-end pipeline check: the radial one-loop integral with the
     harmonic action and determinant must reproduce z_harmonic exactly
-    (the quadratic approximation is exact for a quadratic well).  The
-    determinant 2 pi Omega(0, Theta) is taken in logs: it leaves the float
-    range from Theta ~ 708.6, Omega itself from ~710.5 (DomainError)."""
+    (the quadratic approximation is exact for a quadratic well).  For the
+    action I(1) r^2, r = x / sqrt(2 I(1)) gives _scaled_radial_integral's
+    x^(D-1) e^(-x^2/2), to 1e-10; all is taken in logs, so the determinant
+    2 pi Omega(0, Theta) may leave the float range (from Theta ~ 708.6;
+    Omega from ~710.5 raises DomainError), and Z raises where z_harmonic's
+    overflows."""
     _check_theta(Theta)
     _check_integer("dimension D", D, 1)
     ln_det_l = math.log(_TWO_PI) + math.log(
         _omega(harmonic_canonical_pair(), 0.0, Theta))
-
-    def integrand(r):
-        return r ** (D - 1) * math.exp(-harmonic_action(r, Theta))
-
-    # full_output: quad's warnings off, so that this check decides
-    val, err, *_ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=_HARMONIC_TOL,
-                        limit=200, full_output=1)
-    if not (0.0 < val < math.inf and err <= 10.0 * _HARMONIC_TOL * val):
-        raise QuadratureError(f"harmonic radial integral {val!r} (error estimate "
-                              f"{err:.3e}) not positive or not within tolerance")
-    ln_z = _ln_sphere_surface(D) + math.log(val) - 0.5 * D * ln_det_l
-    return _finite(lambda i: f"D={D}, Theta={Theta!r}", "Z", lambda: math.exp(ln_z))
+    (ln_i,), _ = _scaled_radial_integral(D, [0.5], [0.0], 1e-10, [Theta])
+    # 0.5 / I(1) is inf, or divides by 0, where Theta is subnormal
+    return _finite(lambda i: f"D={D}, Theta={Theta!r}", "Z", lambda: math.exp(
+        _ln_sphere_surface(D) + ln_i
+        + 0.5 * D * (math.log(0.5 / harmonic_action(1.0, Theta)) - ln_det_l)))
 
 
 def jacobian_dq0_dqt(path: QuarticPath):
@@ -224,11 +216,9 @@ _EPS = np.finfo(float).eps
 _GK_PANEL_LIMIT = 200
 
 
-def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod estimates and QUADPACK error estimates on panels
-    [lo_i, hi_i], from one call of f on all their nodes."""
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f((center[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(lo.size, -1)
+def _gk21_panels(fx: np.ndarray, half: np.ndarray):
+    """Kronrod estimates and QUADPACK error estimates on panels of
+    half-widths half, from the integrand's 21 values on each (a row)."""
     kronrod = fx @ _GK_KRONROD
     err = half * np.abs(kronrod - fx @ _GK_GAUSS)
     res_abs = half * (np.abs(fx) @ _GK_KRONROD)
@@ -241,18 +231,22 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
     return half * kronrod, np.maximum(err, 50.0 * _EPS * res_abs)
 
 
-def _gauss_kronrod(f, edges, rtol: float):
-    """(integrals, error estimates), as arrays, of f over
-    [edges[j][0], edges[j][-1]] for each integral j, split at its inner
-    edges, by globally adaptive Gauss-Kronrod 21.  f(x, j) takes nodes x
-    and, per node, the integral j it belongs to.  Each round evaluates f
-    once, on the nodes of every open panel of every open integral.  Per
-    integral, a round bisects only the panels whose error estimate exceeds
-    their share of rtol |integral| (in proportion to width), and the
-    integral closes when its total error is within rtol |integral|, or
-    would need more than _GK_PANEL_LIMIT panels.  An integral's panels and
-    sums are the ones it has when integrated alone."""
+def _gauss_kronrod(log_f, edges, rtol: float):
+    """(integrals, error estimates, scales), as arrays, of exp(log_f -
+    scale_j) over [edges[j][0], edges[j][-1]] for each integral j, split
+    at its inner edges, by globally adaptive Gauss-Kronrod 21; scale_j is
+    the largest log_f on its first round's nodes.  log_f(x, j) takes
+    nodes x and, per node, the integral j it belongs to.  Each round
+    evaluates log_f once, on the nodes of every open panel of every open
+    integral, integral by integral (the first round every integral's, in
+    increasing order).  Per integral, a round bisects only the panels
+    whose error estimate exceeds their share of rtol |integral| (in
+    proportion to width), and the integral closes when its total error is
+    within rtol |integral|, or would need more than _GK_PANEL_LIMIT
+    panels.  An integral's panels and sums are the ones it has when
+    integrated alone."""
     total, total_err = [0.0] * len(edges), [0.0] * len(edges)
+    scales = None
     # per open integral: its index, its open panels [lo, hi], its span,
     # the value and error of its closed panels, and its panel count
     still_open = [(j, np.asarray(e[:-1], dtype=float), np.asarray(e[1:], dtype=float),
@@ -261,9 +255,16 @@ def _gauss_kronrod(f, edges, rtol: float):
     while still_open:
         runs, still_open = still_open, []
         sizes = [run[1].size for run in runs]
-        which = np.repeat([run[0] for run in runs], _GK_NODES.size * np.array(sizes))
-        val, err = _gk21_panels(lambda x: f(x, which), *(
-            np.concatenate([run[k] for run in runs]) for k in (1, 2)))
+        which = [run[0] for run in runs]
+        all_lo, all_hi = (np.concatenate([run[k] for run in runs]) for k in (1, 2))
+        center, half = 0.5 * (all_lo + all_hi), 0.5 * (all_hi - all_lo)
+        logs = log_f((center[:, None] + half[:, None] * _GK_NODES).ravel(),
+                     np.repeat(which, _GK_NODES.size * np.array(sizes)))
+        logs = logs.reshape(half.size, -1)
+        if scales is None:  # the first round holds every integral, in order
+            scales = np.maximum.reduceat(logs.max(axis=1), np.cumsum([0] + sizes[:-1]))
+        val, err = _gk21_panels(np.exp(logs - np.repeat(scales[which], sizes)[:, None]),
+                                half)
         for (j, lo, hi, span, closed_val, closed_err, n_panels), stop in zip(
                 runs, itertools.accumulate(sizes)):
             v, e = val[stop - lo.size:stop], err[stop - lo.size:stop]
@@ -279,7 +280,7 @@ def _gauss_kronrod(f, edges, rtol: float):
                                np.concatenate([mid, hi[split]]), span,
                                closed_val + v[~split].sum(),
                                closed_err + e[~split].sum(), n_panels))
-    return np.array(total), np.array(total_err)
+    return np.array(total), np.array(total_err), scales
 
 
 def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
@@ -303,16 +304,44 @@ def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
     return front + top + math.log(sum(math.exp(t - top) for t in ln_terms))
 
 
+# the first round's edges (_first_round_edges): multiples of the
+# integrand's width, offsets in widths from the radial peak (D > 1), and
+# fractions of q_Theta
+_WIDTH_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+_PEAK_EDGES = (-6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0)
+_Q_THETA_EDGES = (0.25, 0.5, 0.75, 0.9, 0.97, 0.99)
+_WINDOW_END = 0.9995
+
+
+def _first_round_edges(g: float, D: int, Theta: float, q_cap: float) -> list:
+    """The first round's panel edges on [0, _WINDOW_END q_Theta], from
+    scales smooth in Theta: the integrand's width sigma, sqrt(x) at weak
+    coupling and (4 x)^(1/4) where the quartic term sets it (x > 4), for
+    x = g / sinh Theta; for D > 1 the weak-coupling radial peak
+    sigma sqrt(D - 1) and steps of sigma about it; and fractions of
+    q_Theta.  An edge within 5 % of the next one above it is dropped."""
+    x = g / math.sinh(Theta) if Theta < 700.0 else 2.0 * g * math.exp(-Theta)
+    sigma = min(math.sqrt(x), math.sqrt(2.0 * math.sqrt(x)))
+    inner = [c * sigma for c in _WIDTH_EDGES] + [c * q_cap for c in _Q_THETA_EDGES]
+    if D > 1:
+        inner += [sigma * (math.sqrt(D - 1) + c) for c in _PEAK_EDGES]
+    edges = [_WINDOW_END * q_cap]
+    for q in sorted(inner, reverse=True):
+        if 0.0 < q < edges[-1] / 1.05:
+            edges.append(q)
+    return [0.0] + edges[::-1]
+
+
 def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas:
-    per Theta, in the order given, its checks and q_Theta; one
-    (n_Theta, 120) array of scans, row i the sorted q_t nodes of Theta i,
-    evaluated as one path family, whose row-wise argmaxes give the peaks
-    and cuts; per Theta its (ragged) panel edges; one adaptive
-    Gauss-Kronrod loop over all the integrals, each round one family whose
-    route-checked determinants it sums; then per Theta, in the order
-    given, the accuracy check and the tail bound.  ln Z2 has no float range
-    to leave: a Theta where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
+    per Theta, in the order given, its checks, q_Theta and the first
+    round's panel edges (_first_round_edges); one adaptive Gauss-Kronrod
+    loop over all the integrals on [0, 0.9995 q_Theta), each round one
+    family whose route-checked determinants it sums, each integral scaled
+    by the largest integrand on its first round; then per Theta, in the
+    order given, the accuracy check and the tail bound, read at its
+    largest first-round node.  ln Z2 has no float range to leave: a Theta
+    where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
     if not 0.0 < g < math.inf:
         raise DomainError(f"g={g!r} must be positive and finite (use z_harmonic at g=0)")
     _check_integer("dimension D", D, 1)
@@ -320,69 +349,39 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     thetas = np.array(Thetas, dtype=float).ravel()
     if not thetas.size:
         return []
-    scales = []
-    for Theta in thetas.tolist():
-        _check_theta(Theta)
-        # the scan grid covers both the weak-coupling scale
-        # sqrt(g / sinh Theta) and the full window [0, q_Theta)
-        sigma = (math.sqrt(g / math.sinh(Theta)) if Theta < 700.0
-                 else math.sqrt(2.0 * g) * math.exp(-0.5 * Theta))
-        if 1e-3 * sigma == 0.0:
-            raise QuadratureError(
-                f"scan grid start underflows to 0 at Theta={Theta!r} (weak-coupling "
-                f"scale {sigma!r})")
-        scales.append((sigma, q_theta_max(Theta)))
-    sigma, q_cap = np.array(scales).T
-    # a start node the two grids share is in its row twice, moving no peak or cut
-    scan = np.sort(np.concatenate([
-        np.geomspace(np.minimum(1e-3 * sigma, 1e-4 * q_cap),
-                     np.minimum(20.0 * sigma, 0.999 * q_cap), 40, axis=1),
-        np.linspace(1e-4 * q_cap, 0.9995 * q_cap, 80, axis=1)], axis=1), axis=1)
-    n = scan.shape[1]
-    family = quartic_path_from_qt(scan.ravel(), np.repeat(thetas, n))
-    with np.errstate(all="ignore"):
-        logs, front = _log_integrand(g, D, family, _det_longitudinal_closed(family),
-                                     _det_transverse_closed(family))
-    logs = logs.reshape(scan.shape)
-    i_peak = np.argmax(logs, axis=1)
-    log_peak = logs[np.arange(thetas.size), i_peak]
-    # the cut is the first node past the peak 40 e-folds below it, else the
-    # last node, 0.9995 q_cap
-    above = (np.arange(n) > i_peak[:, None]) & (logs < log_peak[:, None] - 40.0)
-    i_cuts = np.where(above.any(axis=1), np.argmax(above, axis=1), n - 1)
-    edges, tails = [], []
-    for row, (Theta, s, i, log_pk) in enumerate(zip(
-            thetas.tolist(), sigma.tolist(), i_cuts.tolist(), log_peak.tolist())):
-        # the cut steps out while the tail bound (its prefactor sums D terms)
-        # exceeds tol of the scan's upper estimate of the value, peak x q_cut
-        for j in range(row * n + i, (row + 1) * n):
-            q_c = float(family.q_t[j])
-            ln_tail = _ln_tail_bound(g, D, float(family.q0[j]), q_c, float(front[j]))
-            if ln_tail <= math.log(tol) + log_pk + math.log(q_c):
-                break
-        inner = {q for q in (float(scan[row, i_peak[row]]), 0.5 * q_c, 2.0 * s)
-                 if 0.0 < q < q_c}
-        edges.append([0.0] + sorted(inner) + [q_c])
-        tails.append((Theta, log_pk, q_c, ln_tail))
+    # q_theta_max checks each Theta first, in the order given
+    edges = [_first_round_edges(g, D, Theta, q_theta_max(Theta))
+             for Theta in thetas.tolist()]
+    # per Theta, its largest first-round node's q_t, q0 and q0-form front
+    tail_nodes = []
 
-    def integrand(q, j):
-        # the closed forms, each evaluated once, after the pair-route check
+    def log_integrand(q, j):
         nodes = quartic_path_from_qt(q, thetas[j])
-        return np.exp(_log_integrand(g, D, nodes, det_longitudinal(nodes),
-                                     det_transverse(nodes))[0] - log_peak[j])
+        try:
+            det_l, det_t = det_longitudinal(nodes), det_transverse(nodes)
+        except DomainError as exc:  # the closed forms, near q_Theta from Theta ~ 680
+            raise QuadratureError(f"one-loop integrand overflows: {exc}") from exc
+        log_f, front = _log_integrand(g, D, nodes, det_l, det_t)
+        if not tail_nodes:
+            last = np.flatnonzero(np.append(j[1:] != j[:-1], True))
+            tail_nodes.extend(zip(q[last].tolist(), nodes.q0[last].tolist(),
+                                  front[last].tolist()))
+        return log_f
 
-    vals, errs = _gauss_kronrod(integrand, edges, 0.5 * tol)
+    vals, errs, scales = _gauss_kronrod(log_integrand, edges, 0.5 * tol)
     ln_z2 = []
-    for (Theta, log_pk, q_cut, ln_tail), val, err in zip(tails, vals.tolist(), errs.tolist()):
+    for Theta, (q_last, q0, front), val, err, scale in zip(
+            thetas.tolist(), tail_nodes, vals.tolist(), errs.tolist(), scales.tolist()):
         if not val > 0.0 or err > tol * val:
             raise QuadratureError(
                 f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
                 f"(peak scaled to 1), requested relative {tol:.1e} at "
                 f"Theta={Theta!r}")
-        ln_val = math.log(val) + log_pk
+        ln_val = math.log(val) + scale
+        ln_tail = _ln_tail_bound(g, D, q0, q_last, front)
         if ln_tail > math.log(tol) + ln_val:
             raise QuadratureError(
-                f"tail bound e^{ln_tail:.6g} beyond q_t={q_cut:.6g} exceeds "
+                f"tail bound e^{ln_tail:.6g} beyond q_t={q_last:.6g} exceeds "
                 f"tolerance {tol:.1e} on value e^{ln_val:.6g} at Theta={Theta!r}")
         ln_z2.append(_ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val)
     return ln_z2
@@ -495,29 +494,28 @@ def _scaled_radial_integral(D: int, a, b, tol: float, Thetas):
     errs = (200.0 * half * np.abs(kronrod - fx @ _GK_GAUSS).sum(axis=1)
             + 50.0 * _EPS * vals)
 
-    def rel_error(val, err, peak):
+    def rel_error(val, err, scale):
         if not val > 0.0:
             return math.inf
-        return err / val + math.exp(ln_tail - peak - math.log(val))
+        return err / val + math.exp(ln_tail - scale - math.log(val))
 
     ln_i, rels = [], []
-    for Theta, a_i, b_i, (peak, x_peak, width), val, err in zip(
+    for Theta, a_i, b_i, (scale, x_peak, width), val, err in zip(
             Thetas, a, b, peaks, vals.tolist(), errs.tolist()):
-        rel = rel_error(val, err, peak)
+        rel = rel_error(val, err, scale)
         if rel > tol:
             near = [x_peak + k * width for k in _CL_PEAK_EDGES]
-            (val,), (err,) = _gauss_kronrod(
-                lambda x, _: np.exp((D - 1) * np.log(x) - (a_i + b_i * x * x) * x * x
-                                    - peak),
+            (val,), (err,), (scale,) = _gauss_kronrod(
+                lambda x, _: (D - 1) * np.log(x) - (a_i + b_i * x * x) * x * x,
                 [np.union1d(U * _CL_EDGES, [x for x in near if 0.0 < x < U])],
                 0.5 * tol)
-            rel = rel_error(val, err, peak)
+            rel = rel_error(val, err, scale)
             if rel > tol:
                 raise QuadratureError(
                     f"classical radial integral at D={D}, Theta={Theta!r} "
                     f"(a={a_i!r}, b={b_i!r}): relative error estimate "
                     f"{rel:.3e} above tolerance {tol:.1e}")
-        ln_i.append(math.log(val) + peak)
+        ln_i.append(math.log(val) + scale)
         rels.append(rel)
     return ln_i, rels
 

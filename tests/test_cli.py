@@ -126,9 +126,9 @@ class TestRun:
 
     @pytest.mark.parametrize("D", [1, 3])
     def test_one_batch_per_semiclassical_row(self, monkeypatch, D):
-        # a row's seven ln Z2 share each path-family build: the scan and the
-        # quadrature rounds, 2-3 builds a row where one Theta at a time
-        # made 14-21
+        # a row's seven ln Z2 share each path-family build, one per
+        # quadrature round: 1-2 builds a row where one Theta at a time made
+        # 14-21
         builds, batches = [], []
         build, batch = sct.thermo.quartic_path_from_qt, sct.cli.ln_z2_quartic
         monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
@@ -138,7 +138,7 @@ class TestRun:
         cfg = RunConfig(mode="quartic-semiclassical", g=0.5, D=D, T_min=0.1,
                         T_max=5.0, T_steps=4)
         run(cfg, io.StringIO())
-        assert len(builds) <= 3 * cfg.T_steps
+        assert len(builds) <= 2 * cfg.T_steps
         assert [thetas[0] for thetas in batches] == [
             1.0 / float(T) for T in cfg.temperature_grid()]
         assert all(len(thetas) == 7 for thetas in batches)
@@ -528,8 +528,8 @@ class TestMain:
             assert 0.0 < row[2] and row[3] < 1e-6 * row[2]
 
     def test_large_dimension_rows_past_the_tail_cut(self, capsys):
-        # g = 10, D = 1000: the tail bound at the 40-e-fold cut exceeded
-        # tol of the value (exit 3) until the cut could step out
+        # g = 10, D = 1000: the tail bound at a cut 40 e-folds below the
+        # peak exceeded tol of the value (exit 3)
         code, out, err = run_main(
             ["run", "--mode=quartic-semiclassical", "--g=10", "--dim=1000",
              "--tmin=0.5", "--tmax=1", "--steps=2"], capsys)
@@ -577,7 +577,8 @@ class TestMain:
             ["run", "--mode=quartic-semiclassical", "--tmin=0.0006",
              "--tmax=0.00065", "--steps=2"], capsys)
         assert code == 3
-        assert "underflows to 0 at Theta=" in err
+        assert err.startswith("sct: numerical failure: q_Theta at Theta=")
+        assert "lies where 1 - k^2 = q_t^2 / (2 (1 + q_t^2)) underflows" in err
         assert out == ""
 
     def test_console_script_entry_point(self):

@@ -71,8 +71,8 @@ from sct.cli import thermo_curve
 
 
 def closed_log_integrand(g, D, qt, Theta):
-    """ln f at turning values qt from the closed-form determinants, as the
-    scan of ln_z2_quartic evaluates it."""
+    """ln f at turning values qt from the closed-form determinants alone,
+    unchecked."""
     path = quartic_path_from_qt(qt, Theta)
     with np.errstate(all="ignore"):
         return _log_integrand(g, D, path, _det_longitudinal_closed(path),
@@ -251,13 +251,22 @@ class TestHarmonicPartition:
     def test_an_underflowing_z_is_zero(self):
         assert z_harmonic(1000, 1e3) == 0.0
 
-    @pytest.mark.parametrize("Theta", [1e-12, 1e-13])
-    def test_pipeline_refuses_a_negative_integral(self, Theta):
-        # quad returned ~ -1.0 with an error estimate inside the tolerance, and
-        # math.log raised a bare ValueError (an IntegrationWarning under this suite)
-        with pytest.raises(QuadratureError, match=r"harmonic radial integral -(1\.0|0\.9)\d* .*"
-                                                  r"not positive"):
-            z2_harmonic_integral(1, Theta)
+    @pytest.mark.parametrize("D,Theta", [
+        (1, 1e-10), (1, 1e-12), (1, 1e-13), (80, 1e-3),
+        (200, 1e-3), (1000, 1e-3), (50, 1e-7), (30, 1e-11)])
+    def test_pipeline_at_small_theta_and_large_dimension(self, D, Theta):
+        # scipy's quad over r in [0, inf) returned ~ -1.0 at D = 1 (refused
+        # as not positive), missed its tolerance at (30, 1e-11) and
+        # overflowed into a bare OverflowError at the rest; the scaled rule
+        # gives z_harmonic's value, or its DomainError where Z overflows
+        try:
+            want = z_harmonic(D, Theta)
+        except DomainError:
+            with pytest.raises(DomainError, match=rf"Z overflows the float range at "
+                                                  rf"D={D}, Theta={Theta!r}"):
+                z2_harmonic_integral(D, Theta)
+        else:
+            assert z2_harmonic_integral(D, Theta) == pytest.approx(want, rel=1e-10)
 
     def test_pipeline_past_the_determinant_overflow(self):
         # 2 pi sinh(Theta) is inf from Theta ~ 708.6, and Z2 came out 0.0
@@ -333,16 +342,17 @@ class TestZ2Quartic:
 
     # ln Z2 at the ROADMAP reference points and in the weak-coupling limit.
     # At g = 1e-3 quartic_action's cancellation puts ~1e-13 of noise on
-    # ln Z2; those four pins are the values with epsilon from the AGM
-    # ladder, each within 1.5e-14 of ln Z2 with a 40-digit mpmath action
+    # ln Z2; those four pins are the values on the first round's panels
+    # from smooth scales, each within 2e-14 of ln Z2 with a 40-digit mpmath
+    # action on the same nodes
     PINNED_LNZ = {
         (0.5, 1, 10.0): -5.105942172352196,
         (0.5, 3, 1.0): -0.9589925090763425,
         (0.2, 1, 0.1): 1.9413326413915553,
-        (1e-3, 1, 1.0): -0.04217766508521507,
-        (1e-3, 2, 1.0): -0.08492158013129901,
-        (1e-3, 3, 1.0): -0.12823004188863502,
-        (1e-3, 8, 1.0): -0.35318173342143666,
+        (1e-3, 1, 1.0): -0.042177665085230125,
+        (1e-3, 2, 1.0): -0.08492158013131328,
+        (1e-3, 3, 1.0): -0.1282300418886138,
+        (1e-3, 8, 1.0): -0.3531817334214011,
     }
 
     @pytest.mark.parametrize("point", sorted(PINNED_LNZ))
@@ -352,7 +362,6 @@ class TestZ2Quartic:
 
     def test_route_check_runs_inside_the_quadrature(self, monkeypatch):
         closed = sct.fluctuations._det_transverse_closed
-        # the scan reads thermo's binding, the checked route fluctuations'
         monkeypatch.setattr(sct.fluctuations, "_det_transverse_closed",
                             lambda path: closed(path) * (1.0 + 1e-6))
         with pytest.raises(RouteMismatchError, match="det_transverse"):
@@ -360,10 +369,11 @@ class TestZ2Quartic:
 
     @pytest.mark.parametrize("point", [(0.5, 1, 10.0), (0.5, 3, 1.0), (0.2, 1, 0.1)])
     def test_path_builds_and_kernel_calls_per_call(self, monkeypatch, point):
-        # the scan and each quadrature round are one array-kernel call each;
-        # the tail bound reads the scan's family, so no scalar path is built
-        # and the scalar kernel is never climbed
+        # each quadrature round is one family and one array-kernel call; the
+        # tail bound reads the first round's family, so no scalar path is
+        # built and the scalar kernel is never climbed
         counts = Counter()
+        panels = sct.thermo._gk21_panels
         build = sct.thermo.quartic_path_from_qt
         kernel = sct.paths._sn_cn_dn_eps_k
         scalar_kernel = sct.paths.jacobi_sn_cn_dn
@@ -385,14 +395,19 @@ class TestZ2Quartic:
             counts["scalar climb"] += 1
             return scalar_climb(u, m1)
 
+        def counted_panels(*args):
+            counts["rounds"] += 1
+            return panels(*args)
+
         monkeypatch.setattr(sct.thermo, "quartic_path_from_qt", counted_build)
         monkeypatch.setattr(sct.paths, "_sn_cn_dn_eps_k", counted_kernel)
         monkeypatch.setattr(sct.paths, "jacobi_sn_cn_dn", counted_scalar_kernel)
         monkeypatch.setattr(sct.paths, "_scalar_sn_cn_dn_eps_k", counted_scalar_climb)
+        monkeypatch.setattr(sct.thermo, "_gk21_panels", counted_panels)
         z2_quartic(ReducedParams(*point))
         assert counts["scalar"] == 0
         assert counts["scalar kernel"] == counts["scalar climb"] == 0
-        assert 2 <= counts["kernel"] == counts["array"] <= 6
+        assert 1 <= counts["kernel"] == counts["array"] == counts["rounds"]
 
     @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
     def test_route_check_covers_every_node(self, monkeypatch, where):
@@ -418,10 +433,10 @@ class TestZ2Quartic:
     @pytest.mark.parametrize("check_routes", [False, True])
     def test_overflow_is_reported_before_the_routes_are_compared(self, check_routes):
         # at Theta = 700 the closed-form Delta_l overflows near q_Theta:
-        # unchecked (the scan's determinants) and handed to the integrand,
-        # that is an overflow naming the node; checked (the quadrature's),
-        # Delta_l refuses the node as an overflow too, and Delta_t
-        # (8.05e307, still finite) passes, never a route mismatch
+        # unchecked and handed to the integrand, that is an overflow naming
+        # the node; checked (the quadrature's), Delta_l refuses the node as
+        # an overflow too, and Delta_t (8.05e307, still finite) passes,
+        # never a route mismatch
         Theta = 700.0
         q_t = 0.99 * q_theta_max(Theta)
         if not check_routes:
@@ -459,12 +474,16 @@ class TestZ2Quartic:
 
     @pytest.mark.parametrize("Theta,match", [
         (700.0, "integrand overflows"),  # the closed-form determinants
-        (1480.0, "underflows to 0"),  # the scan grid's first node
-        (1500.0, "underflows to 0"),
-        (1600.0, "underflows to 0"),
     ])
     def test_large_theta_quadrature_errors(self, Theta, match):
         with pytest.raises(QuadratureError, match=f"{match}.*Theta={Theta!r}"):
+            z2_quartic(ReducedParams(0.5, 1, Theta))
+
+    @pytest.mark.parametrize("Theta", [1480.0, 1500.0, 1600.0])
+    def test_past_the_q_theta_root_is_a_convergence_error(self, Theta):
+        # from Theta ~ 746, 1 - k^2 underflows at q_Theta's root
+        with pytest.raises(ConvergenceError,
+                           match=rf"q_Theta at Theta={Theta!r}, .* underflows"):
             z2_quartic(ReducedParams(0.5, 1, Theta))
 
     def test_theta_300_follows_the_ground_state(self):
@@ -613,16 +632,16 @@ class TestLnZ2Quartic:
         assert all(map(math.isfinite, ln_z2_quartic(0.5, 1, rest)))
 
     def test_quadrature_sums_the_checked_determinants(self, monkeypatch):
-        # a 1e-6 error in the Delta_l that the scan reads (thermo's binding)
-        # only places the peak and the cut; the quadrature sums the checked
-        # Delta_l, so ln Z2 keeps its value (it moved by 5.0e-7 while the
-        # quadrature summed a second, unchecked evaluation)
+        # a 1e-6 error in thermo's binding of the closed-form Delta_l (the
+        # one jacobian_dq0_dqt reads) leaves ln Z2 as it is: the quadrature
+        # reads it at no node, and sums the checked Delta_l (ln Z2 moved by
+        # 5.0e-7 while the quadrature summed a second, unchecked evaluation)
         (lnz,) = ln_z2_quartic(0.5, 1, [2.0], 1e-9)
         closed = sct.fluctuations._det_longitudinal_closed
         monkeypatch.setattr(sct.thermo, "_det_longitudinal_closed",
                             lambda path: closed(path) * (1.0 + 1e-6))
         (perturbed,) = ln_z2_quartic(0.5, 1, [2.0], 1e-9)
-        assert abs(perturbed - lnz) <= 1e-14
+        assert perturbed == lnz
         # the same error in the checked route's closed form is caught
         monkeypatch.undo()
         monkeypatch.setattr(sct.fluctuations, "_det_longitudinal_closed",
@@ -633,8 +652,8 @@ class TestLnZ2Quartic:
     @pytest.mark.parametrize("g,D,thetas", [
         (0.5, 1, [2.0]), (0.5, 3, [1.0]), (10.0, 8, stencil_thetas(0.5))])
     def test_closed_forms_once_per_node_family(self, monkeypatch, g, D, thetas):
-        # the scan's family and each quadrature round's: one array build and
-        # one evaluation of each closed form per family
+        # each quadrature round: one array build and one evaluation of each
+        # closed form
         counts = Counter()
 
         def counted(name, function):
@@ -645,14 +664,18 @@ class TestLnZ2Quartic:
 
         monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
                             counted("families", quartic_path_from_qt))
+        monkeypatch.setattr(sct.thermo, "_gk21_panels",
+                            counted("rounds", sct.thermo._gk21_panels))
         for name in ("_det_longitudinal_closed", "_det_transverse_closed"):
             function = getattr(sct.fluctuations, name)
-            for module in (sct.thermo, sct.fluctuations):
-                monkeypatch.setattr(module, name, counted(name, function))
+            monkeypatch.setattr(sct.fluctuations, name, counted(name, function))
+        monkeypatch.setattr(sct.thermo, "_det_longitudinal_closed",
+                            counted("thermo's binding", _det_longitudinal_closed))
         ln_z2_quartic(g, D, thetas)
-        assert counts["families"] >= 2
+        assert counts["families"] >= 1
         assert (counts["_det_longitudinal_closed"] == counts["_det_transverse_closed"]
-                == counts["families"])
+                == counts["families"] == counts["rounds"])
+        assert counts["thermo's binding"] == 0
 
     def test_past_the_float_range_of_z2(self):
         # ln Z2 -> -D Theta/2 + c: the one-loop ground energy is D/2; at
@@ -664,28 +687,27 @@ class TestLnZ2Quartic:
             z2_quartic(ReducedParams(0.5, 8, 180.0))
 
     def test_failing_theta_fails_the_batch(self):
-        # Theta = 1480: the scan grid's first node underflows
-        with pytest.raises(QuadratureError, match="underflows to 0 at Theta=1480.0"):
+        # Theta = 1480: 1 - k^2 underflows at q_Theta's root
+        with pytest.raises(ConvergenceError, match="q_Theta at Theta=1480.0, "):
             ln_z2_quartic(0.5, 1, [1.0, 1480.0, 2.0])
 
-    Q_THETA_UNDERFLOWS = ("q_Theta at Theta=750.0, about 4 sqrt(2) e^(-Theta/2), "
+    Q_THETA_UNDERFLOWS = ("q_Theta at Theta={!r}, about 4 sqrt(2) e^(-Theta/2), "
                           "lies where 1 - k^2 = q_t^2 / (2 (1 + q_t^2)) underflows")
-    SCAN_START_UNDERFLOWS = ("scan grid start underflows to 0 at Theta=1480.0 "
-                             "(weak-coupling scale 4.2e-322)")
 
     @pytest.mark.parametrize("thetas,error,message", [
         # the set-up checks run Theta by Theta in the order given
-        ([2.0, 750.0, 1480.0], ConvergenceError, Q_THETA_UNDERFLOWS),
-        ([2.0, 1480.0, 750.0], QuadratureError, SCAN_START_UNDERFLOWS),
-        # and all of them before the scan, where Theta = 690 and 700 overflow
-        ([700.0, 1480.0], QuadratureError, SCAN_START_UNDERFLOWS),
-        # the scan's rows are in the order given
+        ([2.0, 750.0, 1480.0], ConvergenceError, Q_THETA_UNDERFLOWS.format(750.0)),
+        ([2.0, 1480.0, 750.0], ConvergenceError, Q_THETA_UNDERFLOWS.format(1480.0)),
+        # and all of them before the first round, where Theta = 690 and 700
+        # overflow
+        ([700.0, 1480.0], ConvergenceError, Q_THETA_UNDERFLOWS.format(1480.0)),
+        # the first round's nodes are in the order given
         ([2.0, 700.0, 690.0], QuadratureError,
-         "one-loop integrand overflows at q_t=5.187862555805684e-152 for D=1, "
-         "Theta=700.0 (Delta_l inf, Delta_t "),
+         "one-loop integrand overflows: det_longitudinal: the closed form overflows "
+         "the float range at q_t=5.177508301341631e-152, Theta=700.0"),
         ([2.0, 690.0, 700.0], QuadratureError,
-         "one-loop integrand overflows at q_t=8.328067197740732e-150 for D=1, "
-         "Theta=690.0 (Delta_l inf, Delta_t "),
+         "one-loop integrand overflows: det_longitudinal: the closed form overflows "
+         "the float range at q_t=8.303269191347097e-150, Theta=690.0"),
     ])
     def test_two_failing_thetas_raise_the_first_failure(self, thetas, error, message):
         with pytest.raises(error) as caught:
@@ -697,11 +719,8 @@ class TestLnZ2Quartic:
         (10.0, 3, 0.5, -0.9671434183993763),
     ])
     def test_repeated_scan_start_node(self, g, D, Theta, value):
-        # where 1e-4 q_Theta <= 1e-3 sigma both scan grids start at
-        # 1e-4 q_Theta, and the scan holds that node twice; it moves neither
-        # peak nor cut, so ln Z2 is the value of the scan with the node once
-        # (value, from a deduplicated scan), in a batch or alone
-        assert 1e-4 * q_theta_max(Theta) <= 1e-3 * math.sqrt(g / math.sinh(Theta))
+        # two points where a q_t grid once held a node twice: their pinned
+        # ln Z2, in a stencil batch or alone
         thetas = stencil_thetas(Theta)
         for theta, lnz in zip(thetas, ln_z2_quartic(g, D, thetas)):
             assert lnz == pytest.approx(ln_z2_quartic(g, D, [theta])[0],
@@ -711,10 +730,10 @@ class TestLnZ2Quartic:
     @pytest.mark.parametrize("g,Theta", [
         (0.5, 2.0), (10.0, 1.0), (10.0, 2.0), (1.0, 100.0), (10.0, 100.0), (1e3, 1.0)])
     def test_large_dimension_tail_cut(self, g, Theta):
-        # at D = 1000 the tail bound at the 40-e-fold cut, whose prefactor
-        # sums D terms, exceeded tol of the value (no value); the cut steps
-        # out until the bound is below tol of the scan's estimate, peak
-        # times window.  The value is the integral over the whole window.
+        # at D = 1000 the tail bound, whose prefactor sums D terms, exceeded
+        # tol of the value at a cut 40 e-folds below the peak (no value);
+        # read at the largest first-round node it is far below.  The value
+        # is the integral over the whole window.
         D = 1000
         (lnz,) = ln_z2_quartic(g, D, [Theta])
         q_cap = q_theta_max(Theta)
@@ -748,6 +767,55 @@ class TestLnZ2Quartic:
             ln_z2_quartic(0.5, 1, [1.0, math.nan])
 
 
+    @pytest.mark.parametrize("Theta", [1.0, 0.354])
+    def test_large_dimension_at_strong_coupling(self, Theta):
+        # g = 100, D = 1000: the tail bound at a cut 40 e-folds below the
+        # peak exceeded tol of the value (no value); read at the largest
+        # first-round node it is far below
+        (loose,), (tight,) = (ln_z2_quartic(100.0, 1000, [Theta], tol)
+                              for tol in (1e-7, 1e-11))
+        assert math.isfinite(loose)
+        assert tight == pytest.approx(loose, rel=1e-12, abs=0.0)
+
+    def test_large_dimension_at_strong_coupling_falls_with_g(self):
+        lnz_90, lnz_100, lnz_110 = (ln_z2_quartic(g, 1000, [1.0])[0]
+                                    for g in (90.0, 100.0, 110.0))
+        assert lnz_90 > lnz_100 > lnz_110
+
+    @pytest.mark.parametrize("g,D,Theta", [
+        (1e-12, 1, 1e-8), (1e-12, 1000, 1e-6), (1e-3, 1, 1e-20), (1e6, 3, 1e-10),
+        (1e4, 1000, 1e-10), (1e9, 1, 1e-8)])
+    def test_high_temperature_limit_is_classical(self, g, D, Theta):
+        # Z2 -> Z_classical as Theta -> 0.  Where g / sinh Theta > 4 the
+        # quartic term sets the integrand's width, (4 g / sinh Theta)^(1/4);
+        # with panels from sqrt(g / sinh Theta) alone the first round missed
+        # the peak (ln Z2 = inf), and with a q_t grid 1.2 % came off unseen
+        want = ln_z_classical(ReducedParams(g, D, Theta))
+        assert ln_z2_quartic(g, D, [Theta])[0] == pytest.approx(want, rel=1e-9)
+
+    # the one-loop C at tol 1e-9 against values from outside the stencil
+    C_ORACLES = {
+        # a 40-digit mpmath shadow of the same integrand
+        (0.5, 3, 1.0): 2.32009201621,
+        (0.5, 1, 10.0): -0.00417848199,
+        # Theta-moments of the q_t integrand f, with no stencil:
+        # C = Theta^2 <(X - <X>)^2 + Y> under the weight f, for
+        # X, Y = d ln f / dTheta, d^2 ln f / dTheta^2 at fixed q_t
+        (0.5, 1, 1.0): 0.79200894227,
+        (0.5, 3, 2.0): 1.93069317385,
+        (0.2, 1, 0.1): 0.80596220976,
+        (0.2, 1, 10.0): 0.00018527879,
+    }
+
+    @pytest.mark.parametrize("point", sorted(C_ORACLES))
+    def test_specific_heat_against_the_oracles(self, point):
+        g, D, Theta = point
+        thetas = stencil_thetas(Theta)
+        lnz = dict(zip(thetas, ln_z2_quartic(g, D, thetas, 1e-9)))
+        c, c_err = specific_heat(lnz.__getitem__, Theta)
+        assert abs(c - self.C_ORACLES[point]) <= c_err
+
+
 class TestGaussKronrod:
     def test_rule_degrees(self):
         # Kronrod 21 integrates x^j exactly to j = 31, its Gauss 10 part to 19
@@ -766,17 +834,21 @@ class TestGaussKronrod:
         a = 1e-3
         calls = []
 
-        def f(x):
-            calls.append(x.size)
-            return 1.0 / (a * a + x * x)
+        def log_f(x):
+            calls.append(x)
+            return -np.log(a * a + x * x)
 
-        (val,), (err,) = _gauss_kronrod(lambda x, _: f(x), [[0.0, 0.5, 1.0]], 1e-12)
+        (val,), (err,), (scale,) = _gauss_kronrod(lambda x, _: log_f(x),
+                                                  [[0.0, 0.5, 1.0]], 1e-12)
+        # the integral of exp(log_f - scale), scale the first round's largest log_f
+        assert scale == (-np.log(a * a + calls[0] * calls[0])).max()
+        val, err = val * math.exp(scale), err * math.exp(scale)
         exact = math.atan(1.0 / a) / a
         assert val == pytest.approx(exact, rel=1e-12)
         assert abs(val - exact) <= err <= 1e-12 * val
         # one call per round; after the first, each round bisects only the
         # panel that holds the peak, so [0.5, 1] is evaluated once
-        assert len(calls) > 2 and all(n == 2 * 21 for n in calls)
+        assert len(calls) > 2 and all(x.size == 2 * 21 for x in calls)
 
 
 def ln_radial_mpmath(D, alpha, beta):
@@ -1097,9 +1169,9 @@ class TestReferenceBatches:
         # is given and reports its error as the value's for the next one
         rounds = []
 
-        def adaptive(f, edges, rtol):
+        def adaptive(log_f, edges, rtol):
             rounds.append(edges)
-            return np.ones(1), np.array([0.0 if len(rounds) == 1 else 1.0])
+            return np.ones(1), np.array([0.0 if len(rounds) == 1 else 1.0]), np.zeros(1)
 
         monkeypatch.setattr(sct.thermo, "_gauss_kronrod", adaptive)
         with pytest.raises(QuadratureError) as caught:

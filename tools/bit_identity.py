@@ -1,12 +1,12 @@
-"""Rerun the bit-identity kit: six `sct` CLI commands and one run of the
-general-D route whose stdout must hash to the values recorded in
-ROADMAP.md's Guardrails.
+"""Rerun the bit-identity kit: six `sct` CLI commands, one run of the
+general-D route and one of the one-loop domain grid, whose stdout must
+hash to the values recorded in ROADMAP.md's Guardrails.
 
     python tools/bit_identity.py
 
 Prints, per command, the first 8 hex digits of the sha256 of its stdout
 beside the recorded ones, and exits 1 if any differ (or a command fails).
-It runs the `src` tree beside this script and writes no file; all seven take
+It runs the `src` tree beside this script and writes no file; all eight take
 5-10 s on a 2-core machine.
 """
 
@@ -20,15 +20,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the commands as ROADMAP.md lists them, each with its recorded hash
 KIT = [
     ("run --mode=quartic-semiclassical --g=0.5 --dim=1 --tmin=0.1 --tmax=5",
-     "ebe9f90d"),
+     "f33d92d8"),
     ("run --mode=quartic-semiclassical --g=0.5 --dim=3 --tmin=0.1 --tmax=5",
-     "52825825"),
+     "545153f8"),
     ("run --mode=quartic-semiclassical --g=0.001 --dim=3 --tmin=0.1 --tmax=5",
-     "4e11d206"),
+     "820b9cca"),
     ("run --mode=quartic-semiclassical --g=10 --dim=8 --tmin=0.05 --tmax=20 --steps=15",
-     "d0320d71"),
+     "3d652d53"),
     ("compare --modes=harmonic,quartic-classical,quartic-semiclassical,quartic-wkb "
-     "--g=0.2 --dim=1 --tmin=0.1 --tmax=5", "f92cbda1"),
+     "--g=0.2 --dim=1 --tmin=0.1 --tmax=5", "d14e3d53"),
     ("compare --modes=harmonic,quartic-classical,quartic-wkb --g=0.2 --dim=1 "
      "--tmin=0.1 --tmax=30 --steps=200", "d9b0753d"),
 ]
@@ -50,12 +50,34 @@ for q_t, Theta, D in ((0.5, 1.0, 1), (1.0, 0.5, 2), (2.0, 1.0, 3)):
 """
 GENERAL_D_HASH = "4bc0f0da"
 
+# The outcome of ln_z2_quartic at each point of the 216-point domain grid:
+# "value" (finite), "not finite" or the SctError's class name, with no
+# digits, so a declared move in the values keeps the hash and a change of
+# outcome moves it.
+DOMAIN_GRID = """
+import math
+import numpy as np
+from sct.errors import SctError
+from sct.thermo import ln_z2_quartic
+for g in np.geomspace(1e-6, 1e6, 6).tolist():
+    for D in (1, 3, 30, 1000):
+        for Theta in (1e-6, 1e-4, 1e-2, 0.3, 3.0, 30.0, 300.0, 700.0, 1000.0):
+            try:
+                (lnz,) = ln_z2_quartic(g, D, [Theta])
+                outcome = "value" if math.isfinite(lnz) else "not finite"
+            except SctError as exc:
+                outcome = type(exc).__name__
+            print(repr(g), D, repr(Theta), outcome)
+"""
+DOMAIN_GRID_HASH = "30a56b6b"
+
 
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     runs = [(["-m", "sct.cli", *command.split()], command, recorded)
             for command, recorded in KIT]
     runs.append((["-c", GENERAL_D], "-c GENERAL_D (the general-D route)", GENERAL_D_HASH))
+    runs.append((["-c", DOMAIN_GRID], "-c DOMAIN_GRID (one-loop outcomes)", DOMAIN_GRID_HASH))
     mismatches = 0
     for args, command, recorded in runs:
         proc = subprocess.run([sys.executable, *args], capture_output=True, env=env)
