@@ -8,9 +8,8 @@ the work; it memoizes its ladder record on m1 = 1 - k^2, since the flow
 evaluates one modulus at every step of its path.  jacobi_sn_cn_dn and
 jacobi_epsilon are its checked wrappers.  The array kernel, behind
 sn_cn_dn_eps_array, takes the same branches per element for the one-loop
-quadrature's paths.  Each keeps its own backward recursion (a shared one
-costs a call per scalar climb, ~15 % of a path's `position`) and k -> 1
-expansion (numpy's tanh, cosh, sinh and exp round apart from math's).
+quadrature's paths.  Both descend through _descend and take the k -> 1
+expansion from _sn_cn_dn_eps_near_one, so they agree bit for bit there.
 
 * ``sn, cn, dn``: descending Landen / AGM ladder (DLMF 22.20(ii)), for
   any real u.  For 1 - k^2 < 1e-12 the ladder stalls and the hyperbolic
@@ -109,28 +108,36 @@ _ladder_record = functools.lru_cache(maxsize=256)(_agm_ladder)
 
 
 def _scalar_sn_cn_dn_eps_k(u: float, m1: float) -> tuple:
-    """sn, cn, dn, epsilon and K (inf at m1 = 0) at one real u, from one
-    climb of the memoized ladder record: _sn_cn_dn_eps_k's scalar shape,
-    unchecked.  Outside |u| < K epsilon (and below m1 = 1e-12 every value)
-    is not the function's; where the ladder's phase 2^n a_n u overflows,
-    the four values are NaN."""
+    """sn, cn, dn, epsilon and K (inf at m1 = 0) at one real u, as floats,
+    from one climb of the memoized ladder record through _descend, or
+    below m1 = 1e-12 from the array kernel's _sn_cn_dn_eps_near_one:
+    _sn_cn_dn_eps_k's scalar shape, unchecked.  Outside |u| < K epsilon
+    (and below m1 = 1e-12 every value) is not the function's; where the
+    ladder's phase 2^n a_n u overflows, the four values are NaN."""
     if m1 < _M1_SWITCH:
         big_k = _ladder_record(m1)[3] if m1 > 0.0 else math.inf
-        return _sn_cn_dn_eps_near_one(u, m1) + (big_k,)
+        return (*map(float, _sn_cn_dn_eps_near_one(u, m1)), big_k)
     levels, e_over_k, scale, big_k = _ladder_record(m1)
-    # Backward amplitude recursion, summing Z = sum_j z_j sin(phi_j) on
-    # the way; c_j / a_j < 1, so no clamp is needed.
     phi = scale * u
     if not math.isfinite(phi):
         return math.nan, math.nan, math.nan, math.nan, big_k
+    sn, cn, dn, zeta = _descend(phi, levels, math.sin, math.asin, math.cos)
+    return sn, cn, dn, e_over_k * u + zeta, big_k
+
+
+def _descend(phi, levels, sin, asin, cos):
+    """The backward amplitude recursion of both kernels, with math's or
+    numpy's sin, asin and cos: from the phase 2^n a_n u down the levels
+    (z_j, c_j / a_j), j = n..1 (c_j / a_j < 1, so no clamp), summing
+    Jacobi's zeta Z = sum_j z_j sin(phi_j).  Returns (sn, cn, dn, Z)."""
     zeta = 0.0
     for z, r in levels:
         phi_prev = phi
-        sin_phi = math.sin(phi)
+        sin_phi = sin(phi)
         zeta += z * sin_phi
-        phi = 0.5 * (phi + math.asin(r * sin_phi))
-    cn = math.cos(phi)
-    return math.sin(phi), cn, cn / math.cos(phi_prev - phi), e_over_k * u + zeta, big_k
+        phi = 0.5 * (phi + asin(r * sin_phi))
+    cn = cos(phi)
+    return sin(phi), cn, cn / cos(phi_prev - phi), zeta
 
 
 def jacobi_sn_cn_dn(u: float, k: float, m1: float | None = None) -> tuple[float, float, float]:
@@ -163,25 +170,26 @@ def _past_half_period(u: float, m1: float, big_k: float) -> DomainError:
                        f"|u| < K={big_k:.6g}")
 
 
-def _sn_cn_dn_eps_near_one(u: float, m1: float) -> tuple[float, float, float, float]:
+def _sn_cn_dn_eps_near_one(u, m1):
     # sn, cn, dn and epsilon = int dn^2 by A&S 16.15, first order in
-    # m1 = 1 - k^2.  (sinh u cosh u - u) sech^2 u is written as
-    # tanh u - u sech^2 u to stay bounded for large |u|.  It holds on the
-    # half period only: past it the O(m1) terms grow like m1 e^(2|u|) (at
-    # m1 = 1e-13, u = 40 it gave cn = -2942), and the callers raise there.
-    # K(k) < 373 whenever m1 > 0, so the k = 1 values past |u| = 710,
-    # where cosh and sinh overflow, serve m1 = 0 only.
-    t = math.tanh(u)
-    if abs(u) >= 710.0:
-        # k = 1: sech u = 2 e^-|u| where cosh overflows
-        s = 2.0 * math.exp(-abs(u))
-        return t, s, s, t
-    s = 1.0 / math.cosh(u)
-    if m1 == 0.0:
-        return t, s, s, t
+    # m1 = 1 - k^2, elementwise (a float u and m1 give 0-d arrays).
+    # (sinh u cosh u - u) sech^2 u is written as tanh u - u sech^2 u to stay
+    # bounded for large |u|.  It holds on the half period only: past it the
+    # O(m1) terms grow like m1 e^(2|u|) (at m1 = 1e-13, u = 40 it gave
+    # cn = -2942), and the callers raise there.  K(k) < 373 whenever
+    # m1 > 0, so the k = 1 values past |u| = 710, where cosh and sinh
+    # overflow (sech u = 2 e^-|u| there), serve m1 = 0 only.
+    t = np.tanh(u)
+    hot = m1 > 0.0
+    uh = np.where(hot, u, 0.0)
     w = 0.25 * m1
-    return (t + w * (t - u * s * s), s - w * (math.sinh(u) - u * s) * t,
-            s + w * (math.sinh(u) + u * s) * t, t + w * (u * (1.0 + t * t) - t))
+    with np.errstate(over="ignore"):
+        s = np.where(np.abs(u) >= 710.0, 2.0 * np.exp(-np.abs(u)), 1.0 / np.cosh(u))
+        sinh = np.sinh(uh)
+        eps = np.where(hot, t + w * (uh * (1.0 + t * t) - t), t)
+    return (np.where(hot, t + w * (t - u * s * s), t),
+            np.where(hot, s - w * (sinh - u * s) * t, s),
+            np.where(hot, s + w * (sinh + u * s) * t, s), eps)
 
 
 def complete_K(k: float, m1: float | None = None) -> float:
@@ -222,8 +230,8 @@ def sn_cn_dn_eps_array(u, k, m1):
     the caller can form it exactly).
 
     Per element it takes the branches of the scalar jacobi_sn_cn_dn and
-    jacobi_epsilon, on the same _ladder: the k -> 1 expansion below
-    m1 = 1e-12, the ladder above, with epsilon = (E/K) u + Z(u).  It covers
+    jacobi_epsilon: the k -> 1 expansion below m1 = 1e-12, equal to theirs
+    bit for bit, the ladder above, with epsilon = (E/K) u + Z(u).  It covers
     |u| < K(k), every u at m1 = 0, and raises DomainError elsewhere, as
     jacobi_epsilon does.  On the path families it agrees with the scalar
     routines to 4e-16 relative, epsilon included.  Elsewhere an element can
@@ -249,7 +257,8 @@ def sn_cn_dn_eps_array(u, k, m1):
 
 def _sn_cn_dn_eps_k(u, m1):
     """sn, cn, dn, epsilon and K(k) (inf at m1 = 0) for arrays of one shape,
-    unchecked: outside |u| < K the epsilon values are not E(am(u, k), k)."""
+    unchecked (outside |u| < K epsilon is not E(am(u, k), k)): one climb
+    for all elements, then the k -> 1 expansion where m1 < 1e-12."""
     shape = u.shape
     u, m1 = u.ravel(), m1.ravel()
     near = m1 < _M1_SWITCH
@@ -261,32 +270,9 @@ def _sn_cn_dn_eps_k(u, m1):
     with np.errstate(divide="ignore"):
         big_k = np.where(m1 > 0.0, math.pi / (2.0 * a), math.inf)
 
-    # Backward amplitude recursion, summing Z = sum_j z_j sin(phi_j) on the
-    # way, as the scalar kernel does.
-    phi = (2.0 ** len(steps)) * a * u
-    zeta = np.zeros_like(u)
-    for z, r in reversed(steps):
-        phi_prev = phi
-        sin_phi = np.sin(phi)
-        zeta += z * sin_phi
-        phi = 0.5 * (phi + np.arcsin(r * sin_phi))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = cn / np.cos(phi_prev - phi)
+    sn, cn, dn, zeta = _descend((2.0 ** len(steps)) * a * u, reversed(steps),
+                                np.sin, np.arcsin, np.cos)
     eps = e_over_k * u + zeta
-
-    # The k -> 1 expansion, as in _sn_cn_dn_eps_near_one.
     if near.any():
-        un, mn = u[near], m1[near]
-        t = np.tanh(un)
-        hot = mn > 0.0  # |u| < K < 373 there on the kernel's domain
-        uh = np.where(hot, un, 0.0)
-        w = 0.25 * mn
-        with np.errstate(over="ignore"):
-            s = np.where(np.abs(un) >= 710.0, 2.0 * np.exp(-np.abs(un)), 1.0 / np.cosh(un))
-            sinh = np.sinh(uh)
-            eps[near] = np.where(hot, t + w * (uh * (1.0 + t * t) - t), t)
-        sn[near] = np.where(hot, t + w * (t - un * s * s), t)
-        cn[near] = np.where(hot, s - w * (sinh - un * s) * t, s)
-        dn[near] = np.where(hot, s + w * (sinh + un * s) * t, s)
+        sn[near], cn[near], dn[near], eps[near] = _sn_cn_dn_eps_near_one(u[near], m1[near])
     return tuple(x.reshape(shape) for x in (sn, cn, dn, eps, big_k))

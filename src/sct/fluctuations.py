@@ -159,6 +159,16 @@ def _dual_route_det(path: QuarticPath, closed, pair_builder, label: str):
     off = np.logical_not((abs(via_pair - closed) <= 1e-8 * abs(closed))
                          & np.isfinite(closed))
     if np.any(off):
+        # the longitudinal pair's f_b(Theta) ~ q_t^-3 underflows from
+        # q_t ~ 1e103, which ln_z2_quartic reaches below Theta ~ 1e-103
+        tiny = np.finfo(float).tiny
+        lost = np.flatnonzero((abs(via_pair) < tiny) & (abs(closed) >= tiny))
+        if lost.size:
+            i = lost[0]
+            raise DomainError(
+                f"{label}: the canonical-pair route underflows to "
+                f"{float(np.ravel(via_pair)[i])!r} against the closed form "
+                f"{float(np.ravel(closed)[i])!r} at {_path_at(path, i)}")
         i = np.flatnonzero(off)[0]
         raise RouteMismatchError(
             f"{label}: closed form {float(np.ravel(closed)[i])!r} vs "

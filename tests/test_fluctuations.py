@@ -187,6 +187,17 @@ class TestChannelDeterminants:
                            match=rf"closed form {inf!r} vs .* at q_t=0.7, Theta=1.3$"):
             _dual_route_det(path, closed, canonical_transverse, "det_transverse")
 
+    @pytest.mark.parametrize("q_t", [1e140, np.array([1e140])])
+    def test_pair_route_underflow_is_a_domain_error(self, q_t):
+        # the longitudinal f_b(Theta) underflows to -0.0 while f_a(0) ~ 5e269,
+        # so the pair route is 0.0 against a normal closed form: not a mismatch
+        path = quartic_path_from_qt(q_t, 1e-150)
+        with pytest.raises(DomainError, match=r"^det_longitudinal: the canonical-pair "
+                           r"route underflows to 0\.0 against the closed form "
+                           r"6\.28\d*e-150 at q_t=1e\+140, Theta=1e-150$"):
+            det_longitudinal(path)
+        assert det_transverse(path) == pytest.approx(TWO_PI * 1e-150, rel=1e-12)
+
 
 class TestGreenCentral:
     def harmonic_green(self, t, tp, Theta):

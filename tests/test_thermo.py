@@ -607,6 +607,15 @@ class TestLnZ2Quartic:
                 per_theta = math.log(z2_quartic(ReducedParams(g, D, Theta)))
                 assert lnz == pytest.approx(per_theta, rel=1e-15, abs=1e-15)
 
+    @pytest.mark.parametrize("Theta", [1e-140, 1e-150])
+    def test_pair_route_underflow_is_a_quadrature_error(self, Theta):
+        # the longitudinal pair route underflows to 0.0 at the first-round
+        # nodes from q_t ~ 1e103; it was reported as a route mismatch
+        with pytest.raises(QuadratureError, match=(
+                rf"det_longitudinal: the canonical-pair route underflows to 0\.0 "
+                rf".* Theta={Theta!r}$")):
+            ln_z2_quartic(1.0, 1, [Theta])
+
     @pytest.mark.parametrize("which", [1, 3, 6])
     def test_route_check_bites_at_one_stencil_theta(self, monkeypatch, which):
         # a 1e-6 error in the longitudinal f_b(Theta) at the nodes of one

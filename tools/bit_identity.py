@@ -1,12 +1,13 @@
 """Rerun the bit-identity kit: six `sct` CLI commands, one run of the
-general-D route and one of the one-loop domain grid, whose stdout must
-hash to the values recorded in ROADMAP.md's Guardrails.
+general-D route, one of the one-loop domain grid and one of both elliptic
+kernels on their probe grids, whose stdout must hash to the values
+recorded in ROADMAP.md's Guardrails.
 
     python tools/bit_identity.py
 
 Prints, per command, the first 8 hex digits of the sha256 of its stdout
 beside the recorded ones, and exits 1 if any differ (or a command fails).
-It runs the `src` tree beside this script and writes no file; all eight take
+It runs the `src` tree beside this script and writes no file; all nine take
 5-10 s on a 2-core machine.
 """
 
@@ -71,6 +72,27 @@ for g in np.geomspace(1e-6, 1e6, 6).tolist():
 """
 DOMAIN_GRID_HASH = "30a56b6b"
 
+# Both elliptic kernels' (sn, cn, dn, epsilon) bytes on two probe grids:
+# the ladder's, 600 moduli m1 in [1e-12, 0.999] at u = -0.9, 0.1, 0.5 and
+# 0.97 K, and the k -> 1 expansion's, m1 = 0 and 300 moduli in
+# [1e-300, 9.99e-13] at 24 u inside min(K, 800).  The one-loop hashes
+# reach the scalar kernel only at single paths, and GENERAL_D at q_t >= 0.5.
+ELLIPTIC = """
+import math
+import numpy as np
+from sct.elliptic import _agm_ladder, _scalar_sn_cn_dn_eps_k, _sn_cn_dn_eps_k
+ladder = [(f * _agm_ladder(m1)[3], m1) for m1 in np.geomspace(1e-12, 0.999, 600).tolist()
+          for f in (-0.9, 0.1, 0.5, 0.97)]
+near = [(f * min(_agm_ladder(m1)[3] if m1 > 0.0 else math.inf, 800.0), m1)
+        for m1 in [0.0, *np.geomspace(1e-300, 9.99e-13, 300).tolist()]
+        for f in np.linspace(-1.0, 1.0, 26)[1:-1].tolist()]
+for grid in (ladder, near):
+    u, m1 = (np.array(x) for x in zip(*grid))
+    print(np.array([_scalar_sn_cn_dn_eps_k(*p)[:4] for p in grid]).tobytes().hex())
+    print(np.array(_sn_cn_dn_eps_k(u, m1)[:4]).T.tobytes().hex())
+"""
+ELLIPTIC_HASH = "6521deca"
+
 
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -78,6 +100,7 @@ def main() -> int:
             for command, recorded in KIT]
     runs.append((["-c", GENERAL_D], "-c GENERAL_D (the general-D route)", GENERAL_D_HASH))
     runs.append((["-c", DOMAIN_GRID], "-c DOMAIN_GRID (one-loop outcomes)", DOMAIN_GRID_HASH))
+    runs.append((["-c", ELLIPTIC], "-c ELLIPTIC (both elliptic kernels)", ELLIPTIC_HASH))
     mismatches = 0
     for args, command, recorded in runs:
         proc = subprocess.run([sys.executable, *args], capture_output=True, env=env)
