@@ -49,6 +49,7 @@ from .fluctuations import (
     wick_moment,
 )
 from .thermo import (
+    LnZ,
     ThermoCurve,
     WkbSpectrum,
     jacobian_dq0_dqt,

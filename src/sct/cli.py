@@ -14,7 +14,12 @@ flags win over it, and it wins over the ``RunConfig`` defaults.
 This is the curve layer (grids, the one C(T) row loop `thermo_curve`, CSV);
 sct.thermo gives ln Z and C at one Theta.  The loop lives here because the
 benchmark's clock stamps columns and rows by wrapping this module's
-`lnz_function` and `specific_heat` globals, which the loop calls.
+`lnz_function` and `specific_heat` globals, which the loop calls.  A
+one-loop row evaluates ln Z2 at its Theta alone, as a record that carries
+the Theta-derivatives from which `specific_heat` takes C (and the C_err
+column the propagated quadrature error, tail bound and rounding of those
+moments);
+a reference row evaluates ln Z at the seven Theta of C's stencil.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
 failing row's T and Theta on stderr).  Failures never emit NaN rows.
@@ -89,19 +94,25 @@ class RunConfig:
 
 def lnz_function(config: RunConfig):
     """ln Z as a function of Theta for the configured mode.  It holds the
-    ln Z of one row: at a Theta it does not hold it evaluates ln Z at the
-    seven stencil_thetas of that Theta in one call of the mode's batch
-    (see _lnz_of_mode), so the row loop's ln Z and the seven that
-    `specific_heat` asks for next read what it holds.  The WKB spectrum is
+    ln Z of one row: at a Theta it does not hold it evaluates the row's ln
+    Z in one call of the mode's batch (see _lnz_of_mode), so the row
+    loop's ln Z and the ones that `specific_heat` asks for next read what
+    it holds.  In the one-loop mode a row is that Theta alone, and its
+    value an LnZ record carrying d ln Z2/dTheta and d^2 ln Z2/dTheta^2
+    with their errors (ln_z2_quartic's moment route), from which
+    `specific_heat` takes C without a stencil; in the reference modes a
+    row is the seven stencil_thetas of that Theta.  The WKB spectrum is
     built here, once per column."""
     values_at = _lnz_of_mode(config)
+    row_of = ((lambda theta: (theta,)) if config.mode == "quartic-semiclassical"
+              else stencil_thetas)
     row = {}
 
     def lnz(theta: float) -> float:
         try:
             return row[theta]
         except KeyError:
-            thetas = stencil_thetas(theta)
+            thetas = row_of(theta)
             values = values_at(thetas)
             row.clear()
             row.update(zip(thetas, values))
@@ -112,12 +123,13 @@ def lnz_function(config: RunConfig):
 
 def _lnz_of_mode(config: RunConfig):
     """ln Z of the configured mode at a sequence of Theta, as one call:
-    ln_z2_quartic, ln_z_classical_batch or ln_z_wkb_batch, each of which
-    raises for the first failing Theta in the order given; the harmonic
-    closed form per Theta."""
+    ln_z2_quartic (with its Theta-moments, as LnZ records),
+    ln_z_classical_batch or ln_z_wkb_batch, each of which raises for the
+    first failing Theta in the order given; the harmonic closed form per
+    Theta."""
     g, D = config.g, config.D
     if config.mode == "quartic-semiclassical":
-        return lambda thetas: ln_z2_quartic(g, D, thetas, config.tol)
+        return lambda thetas: ln_z2_quartic(g, D, thetas, config.tol, moments=True)
     if config.mode == "harmonic":
         return lambda thetas: [ln_z_harmonic(D, theta) for theta in thetas]
     if config.mode == "quartic-classical":

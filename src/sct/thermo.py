@@ -49,14 +49,19 @@ one (n_Theta, n_levels) array.  Each batch's values are its one-Theta
 calls' bit for bit (ln_z_classical, ln_z_wkb), and it raises for its first
 failing Theta in the order given.
 
-Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2, computed from ln Z with
-a five-point stencil plus one Richardson step (at the seven
-stencil_thetas); the error estimate rides along with the value.  All of
+Specific heat is C = Theta^2 d^2(ln Z)/dTheta^2.  For the one-loop Z2 it
+comes from one Theta: ln_z2_quartic's moment route integrates the
+Theta-derivatives X, Y of ln f at fixed q_t against f on the same panels
+(d^2 ln Z2/dTheta^2 = <(X - <X>)^2 + Y>) and returns an LnZ record, a
+float carrying both derivatives and their errors.  For a plain ln Z it
+comes from a five-point stencil plus one Richardson step (at the seven
+stencil_thetas).  The error estimate rides along with the value.  All of
 this is at one Theta; the C(T) row loop over a temperature grid is sct.cli's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -90,12 +95,15 @@ from .paths import (
     q_theta_max,
     quartic_path_from_qt,
 )
+from .elliptic import _M1_SWITCH
 from .elliptic import jacobi_sn_cn_dn  # noqa: F401  (kept for perfbench's tracer test)
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 _LN_TINY = math.log(np.finfo(float).tiny)
 _LN_HUGE = math.log(np.finfo(float).max)
+_LN4 = math.log(4.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _ln_sphere_surface(D: int) -> float:
@@ -184,6 +192,75 @@ def _log_integrand(g: float, D: int, path: QuarticPath, det_l, det_t):
     return log_f, front
 
 
+def _sharpened(path: QuarticPath) -> QuarticPath:
+    """The family with cn, dn and q0 at u_T re-derived where the ladder's
+    lose digits.  The ladder's cn and dn (m1 >= 1e-12) share a relative
+    error ~eps / cn near the half period, cn = cos(phi) at phi ~ pi/2,
+    which cancels in their ratio: where m1 sn^2 nc^2 = (dn/cn)^2 - 1
+    exceeds cn, nc^2 is taken from it.  ln f moves by that error (~1e-11
+    at Theta = 20), and its Theta-derivatives, whose variance cancels to
+    ~1e-8 of its terms there, need it gone."""
+    sn, cn, dn, m1 = path.sn_T, path.cn_T, path.dn_T, path.m1
+    with np.errstate(all="ignore"):
+        ratio = dn / cn
+        excess = ratio * ratio - 1.0
+        better = (m1 >= _M1_SWITCH) & (excess > cn)
+        cn = np.where(better, np.sqrt(m1) * sn / np.sqrt(excess), cn)
+    return dataclasses.replace(path, cn_T=cn, dn_T=np.where(better, ratio * cn, dn),
+                               q0=path.q_t / cn)
+
+
+def _theta_derivatives(g: float, D: int, path: QuarticPath, det_l, det_t):
+    """((X, Y, noise), (lam, tw, p0)): X = d ln f / dTheta and
+    Y = d^2 ln f / dTheta^2 at fixed q_t over a family of paths, from its
+    half-period values and the determinants handed in; a bound on the
+    rounding error of ln f, 4 eps times the sum of the magnitudes of the
+    action's terms over g (they cancel to O(q_t^2) at small q_t, so
+    I/g carries ~eps/g); and the three terms that bound the moments' tail
+    (_ln_moment_tail_bounds).  At fixed q_t only u = s Theta/2
+    moves, d/dTheta = (s/2) d/du, with sn' = cn dn, cn' = -sn dn,
+    dn' = -k^2 sn cn (DLMF 22.13.1-3) and epsilon' = dn^2.  Up to
+    constants ln f = ln Delta_l / 2 - ln(sn/cn) - ln R / 2 + (D-1) ln q0
+    - (D-1) ln Delta_t / 2 - I/g, R = 1 + q_t^2 (1 + nc^2) / 2, whose
+    u-derivative collects to X_u = e1 - (lam + r + (D-1) tw) / 2 with
+    a = sn dn/cn = (ln q0)', e1 = a - k^2 sn cn/dn = m1 sn/(cn dn),
+    r = q0^2 a / R, and lam = 4 pi / (s Delta_l), tw = 4 pi / (s Delta_t)
+    the log-derivatives of the brackets of the closed forms.  The action is
+    not differentiated: by Hamilton-Jacobi dI/dTheta = U(q_t) + p0^2 and
+    d^2 I/dTheta^2 = U'(q0) p0, p0 = s a q0 the endpoint speed, sums of
+    positive terms."""
+    q_t, s, k2, m1, q0 = path.q_t, path.s, path.k * path.k, path.m1, path.q0
+    sn, cn, dn, u = path.sn_T, path.cn_T, path.dn_T, path.u_T
+    with np.errstate(all="ignore"):
+        nc2 = 1.0 / (cn * cn)
+        u_t = q_t * q_t * (0.5 + 0.25 * q_t * q_t)
+        # the magnitudes of _quartic_action's terms
+        boundary = sn * (1.0 + 0.5 * q_t * q_t * nc2) * np.sqrt(
+            1.0 + 0.5 * q_t * q_t * (1.0 + nc2))
+        noise = (4.0 * _EPS / g) * (path.Theta * u_t + (4.0 / 3.0) * (
+            s * (np.abs(path.eps_T) + 0.5 * q_t * q_t * u) + np.abs(boundary)))
+        a = sn * dn / cn
+        c1 = cn * dn / sn
+        c2 = k2 * sn * cn / dn
+        e1 = m1 * sn / (cn * dn)
+        z = q0 * q0
+        big_r = 1.0 + 0.5 * (q_t * q_t + z)
+        r = z * a / big_r
+        # a' = dn^2 nc^2 - k^2 sn^2, written without cancellation
+        a_prime = cn * cn + m1 * sn * sn * (1.0 + nc2)
+        lam = 2.0 * _TWO_PI / (s * det_l)
+        tw = 2.0 * _TWO_PI / (s * det_t)
+        x_u = e1 - 0.5 * (lam + r + (D - 1) * tw)
+        y_u = (e1 * (c1 + a + c2) + lam * (2.0 * a + c1 - c2) - 0.5 * lam * lam
+               - 0.5 * ((2.0 * a * a + a_prime) * z / big_r - r * r)
+               + (D - 1) * tw * (a + 0.5 * tw))
+        p0 = s * a * q0
+        half_s = 0.5 * s
+        x = half_s * x_u - (u_t + p0 * p0) / g
+        y = half_s * half_s * y_u - q0 * (1.0 + z) * p0 / g
+    return (x, y, noise), (lam, tw, p0)
+
+
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK's qk21; Piessens et
 # al. 1983): nodes x_0 > ... > x_10 = 0 of the Kronrod rule, their
 # weights, and the weights of the embedded 10-point Gauss rule, whose
@@ -231,7 +308,26 @@ def _gk21_panels(fx: np.ndarray, half: np.ndarray):
     return half * kronrod, np.maximum(err, 50.0 * _EPS * res_abs)
 
 
-def _gauss_kronrod(log_f, edges, rtol: float):
+def _gk21_moments(w, dx, y, noise, half):
+    """Per panel of half-width half, from f, X - c, Y and ln f's rounding
+    bound on its 21 nodes (rows), an array of shape (3, 3, panels): the
+    (value, error estimate, absolute size) of M1 = int f (X - c) and of
+    M2 = int f ((X - c)^2 + Y), the sizes being the integrals of
+    f |X - c| and f ((X - c)^2 + |Y|), and the Kronrod sums of f noise
+    times 1, |X - c| and (X - c)^2 + |Y|: the rounding's share of the
+    error of int f, M1 and M2."""
+    w_dx = w * dx
+    w_dx2, w_y = w_dx * dx, w * y
+    sizes = np.stack([np.abs(w_dx), w_dx2 + np.abs(w_y)])
+    halves = np.concatenate([half, half])
+    val, err = _gk21_panels(np.concatenate([w_dx, w_dx2 + w_y]), halves)
+    size = sizes @ _GK_KRONROD * half
+    rounding = np.stack([w, *sizes]) * noise @ _GK_KRONROD * half
+    return np.concatenate([np.stack([val.reshape(2, -1), err.reshape(2, -1), size],
+                                    axis=1), rounding[None]])
+
+
+def _gauss_kronrod(log_f, edges, rtol: float, moments: bool = False):
     """(integrals, error estimates, scales), as arrays, of exp(log_f -
     scale_j) over [edges[j][0], edges[j][-1]] for each integral j, split
     at its inner edges, by globally adaptive Gauss-Kronrod 21; scale_j is
@@ -244,13 +340,28 @@ def _gauss_kronrod(log_f, edges, rtol: float):
     proportion to width), and the integral closes when its total error is
     within rtol |integral|, or would need more than _GK_PANEL_LIMIT
     panels.  An integral's panels and sums are the ones it has when
-    integrated alone."""
+    integrated alone.
+
+    With moments, log_f returns (ln f, X, Y, noise) on the nodes, and each
+    integral j also carries the Theta-moments M1 = int f (X - c_j) and
+    M2 = int f ((X - c_j)^2 + Y) on the same panels, centred at c_j, the
+    mean of X under f on its first round (the Kronrod sums' ratio), so the
+    variance M2 / I - (M1 / I)^2 loses no digits to <X>^2.  Their panels
+    are bisected and their integrals closed by the same rule, with rtol
+    taken of the integrals of f |X - c_j| and f ((X - c_j)^2 + |Y|).
+    Returns then also (centres, sums): sums[j] is _gk21_moments' (3, 3)
+    array summed over the integral's final panels, in the scaled units.
+    X, Y and noise where f underflows to 0 (they may overflow there) count
+    as 0."""
     total, total_err = [0.0] * len(edges), [0.0] * len(edges)
-    scales = None
+    scales = centres = None
+    sums = [None] * len(edges)
+    no_moments = np.zeros((3, 3)) if moments else None
     # per open integral: its index, its open panels [lo, hi], its span,
-    # the value and error of its closed panels, and its panel count
+    # the value and error of its closed panels, its panel count and, with
+    # moments, the (value, error, size) of its closed panels' moments
     still_open = [(j, np.asarray(e[:-1], dtype=float), np.asarray(e[1:], dtype=float),
-                   float(e[-1]) - float(e[0]), 0.0, 0.0, len(e) - 1)
+                   float(e[-1]) - float(e[0]), 0.0, 0.0, len(e) - 1, no_moments)
                   for j, e in enumerate(edges)]
     while still_open:
         runs, still_open = still_open, []
@@ -258,50 +369,115 @@ def _gauss_kronrod(log_f, edges, rtol: float):
         which = [run[0] for run in runs]
         all_lo, all_hi = (np.concatenate([run[k] for run in runs]) for k in (1, 2))
         center, half = 0.5 * (all_lo + all_hi), 0.5 * (all_hi - all_lo)
-        logs = log_f((center[:, None] + half[:, None] * _GK_NODES).ravel(),
-                     np.repeat(which, _GK_NODES.size * np.array(sizes)))
+        out = log_f((center[:, None] + half[:, None] * _GK_NODES).ravel(),
+                    np.repeat(which, _GK_NODES.size * np.array(sizes)))
+        logs, *xy = out if moments else (out,)
         logs = logs.reshape(half.size, -1)
         if scales is None:  # the first round holds every integral, in order
-            scales = np.maximum.reduceat(logs.max(axis=1), np.cumsum([0] + sizes[:-1]))
-        val, err = _gk21_panels(np.exp(logs - np.repeat(scales[which], sizes)[:, None]),
-                                half)
-        for (j, lo, hi, span, closed_val, closed_err, n_panels), stop in zip(
+            starts = np.cumsum([0] + sizes[:-1])
+            scales = np.maximum.reduceat(logs.max(axis=1), starts)
+        w = np.exp(logs - np.repeat(scales[which], sizes)[:, None])
+        val, err = _gk21_panels(w, half)
+        if moments:
+            live = w > 0.0
+            x, y, noise = (np.where(live, v.reshape(half.size, -1), 0.0) for v in xy)
+            with np.errstate(all="ignore"):
+                if centres is None:
+                    centres = (np.add.reduceat((w * x) @ _GK_KRONROD * half, starts)
+                               / np.add.reduceat(val, starts))
+                moment = _gk21_moments(w, x - np.repeat(centres[which], sizes)[:, None],
+                                       y, noise, half)
+        for (j, lo, hi, span, closed_val, closed_err, n_panels, closed_m), stop in zip(
                 runs, itertools.accumulate(sizes)):
             v, e = val[stop - lo.size:stop], err[stop - lo.size:stop]
             total[j] = closed_val + v.sum()
             total_err[j] = closed_err + e.sum()
             split = e > rtol * abs(total[j]) * (hi - lo) / span
+            done = total_err[j] <= rtol * abs(total[j])
+            if moments:
+                m = moment[:, :, stop - lo.size:stop]
+                sums[j] = closed_m + m.sum(axis=2)
+                split |= (m[:2, 1] > rtol * sums[j][:2, 2:] * (hi - lo) / span).any(axis=0)
+                done &= bool((sums[j][:2, 1] <= rtol * sums[j][:2, 2]).all())
             n_panels += int(split.sum())
-            if (total_err[j] <= rtol * abs(total[j]) or not split.any()
-                    or n_panels > _GK_PANEL_LIMIT):
+            if done or not split.any() or n_panels > _GK_PANEL_LIMIT:
                 continue
             mid = 0.5 * (lo[split] + hi[split])
             still_open.append((j, np.concatenate([lo[split], mid]),
                                np.concatenate([mid, hi[split]]), span,
                                closed_val + v[~split].sum(),
-                               closed_err + e[~split].sum(), n_panels))
+                               closed_err + e[~split].sum(), n_panels,
+                               closed_m + m[:, :, ~split].sum(axis=2) if moments
+                               else None))
+    if moments:
+        return np.array(total), np.array(total_err), scales, (centres, sums)
     return np.array(total), np.array(total_err), scales
 
 
 def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
-                   front: float) -> float:
-    """ln of a bound on the neglected [q_cut, q_Theta) piece, written as a
-    q0 integral, from q0 and the q0-form front at the cut.  Along the
-    fixed-Theta family U(q0) - U(q_t) never decreases (dq_t/dq0 < 1 and
-    U' is increasing), so dI/dq0 >= 2 sqrt(2 [U(q0(q_cut)) - U(q_cut)])
-    on the whole tail, and the determinants only grow; the integrand is
-    dominated by a decaying exponential with polynomial prefactor (closed
-    form below)."""
-    gap = 0.5 * (q0 * q0 - q_cut * q_cut) + 0.25 * (q0 ** 4 - q_cut ** 4)
-    if gap <= 0.0:
-        return math.inf
-    ln_decay = math.log(2.0 * math.sqrt(2.0 * gap) / g)
-    # term j is (D-1)!/(D-1-j)! q0^(D-1-j) / decay^(j+1), summed as logs
-    lgamma_d, ln_q0 = math.lgamma(D), math.log(q0)
-    ln_terms = [lgamma_d - math.lgamma(D - j) + (D - 1 - j) * ln_q0
-                - (j + 1) * ln_decay for j in range(D)]
-    top = max(ln_terms)
-    return front + top + math.log(sum(math.exp(t - top) for t in ln_terms))
+                   front: float, powers: int = 1):
+    """ln of a bound on the neglected [q_cut, q_Theta) piece of the
+    integral of f, written as a q0 integral, from q0 and the q0-form front
+    at the cut; with powers > 1, the list of the bounds on the integrals of
+    f q0^n, n = 0..powers-1.  Along the fixed-Theta family U(q0) - U(q_t)
+    never decreases (dq_t/dq0 < 1 and U' is increasing), so
+    dI/dq0 >= decay g = 2 sqrt(2 [U(q0(q_cut)) - U(q_cut)]) on the whole
+    tail, and the determinants only grow; the integrand is dominated by
+    q0^(D-1+n) e^(front - decay (x - q0)), whose integral from q0 is I_N,
+    N = D - 1 + n, with I_0 = 1/decay and I_N = (q0^N + N I_(N-1)) / decay,
+    summed as logs.  The gap U(q0) - U(q_cut) is taken as a log of three
+    factors, so no power of q0 overflows."""
+    if not q0 > q_cut:
+        return math.inf if powers == 1 else [math.inf] * powers
+    # U(q0) - U(q_cut) = (q0 - q_cut)(q0 + q_cut)(2 + q0^2 + q_cut^2) / 4
+    ln_gap = (math.log(q0 - q_cut) + math.log(q0 + q_cut)
+              + 2.0 * math.log(math.hypot(q0, q_cut, _SQRT2)) - _LN4)
+    ln_decay = _LN2 + 0.5 * (_LN2 + ln_gap) - math.log(g)
+    ln_q0 = math.log(q0)
+    ln_i = [-ln_decay]
+    for n in range(1, D + powers - 1):
+        power, carried = n * ln_q0, math.log(n) + ln_i[-1]
+        top = max(power, carried)
+        ln_i.append(top + math.log1p(math.exp(min(power, carried) - top)) - ln_decay)
+    bounds = [front + ln for ln in ln_i[D - 1:]]
+    return bounds[0] if powers == 1 else bounds
+
+
+def _ln_moment_tail_bounds(g: float, D: int, q0: float, q_cut: float,
+                           front: float, q_cap: float, centre: float,
+                           lam: float, tw: float, p0: float):
+    """ln of bounds on the neglected [q_cut, q_Theta) pieces of the
+    integrals of f |X - centre| and f ((X - centre)^2 + |Y|) (see
+    _theta_derivatives), from the cut's q0, front, lam, tw and p0.  On the
+    tail s <= sqrt(1 + q_Theta^2) = 2 S; lam = 4 pi / (s Delta_l) and
+    tw = 4 pi / (s Delta_t) only fall and p0 only grows (the premises of
+    _ln_tail_bound), so rho = q_t s / p0 <= q_Theta 2 S / p0; and with
+    sqrt(m1) <= q_t / sqrt(2), dn^2 >= m1 and nc = q0 / q_t the elementary
+    terms obey e1 <= q0 / sqrt(2), a, r/2 <= 1 + q0 / sqrt(2),
+    a' <= 3/2 + q0^2 / 2 and lam c1 <= rho^2.  So |X - centre| and
+    (X - centre)^2 + |Y| are at most polynomials in q0 with the
+    coefficients below, and each power of q0 is bounded by _ln_tail_bound."""
+    big_s = 0.5 * math.sqrt(1.0 + q_cap * q_cap)
+    rho2 = (2.0 * big_s * q_cap / p0) ** 2
+    # |X - centre| <= |centre| + S |X_u| + 2 U(q0) / g
+    p1 = np.array([abs(centre) + big_s * (1.0 + 0.5 * (lam + (D - 1) * tw)),
+                   big_s * _SQRT2, 1.0 / g, 0.0, 0.5 / g])
+    # |Y| <= S^2 |Y_u| + U'(q0) sqrt(2 U(q0)) / g, with
+    # U'(q0) sqrt(2 U(q0)) <= (q0^2 + q0^4)(1 + q0 / sqrt(2))
+    y_u = [11.0 + 3.0 * lam + rho2 + 0.5 * lam * lam + (D - 1) * tw * (1.0 + 0.5 * tw),
+           _SQRT2 * lam + (D - 1) * tw / _SQRT2, 5.0]
+    p2 = np.convolve(p1, p1)
+    p2[:3] += big_s * big_s * np.array(y_u)
+    p2[2:6] += np.array([1.0, 1.0 / _SQRT2, 1.0, 1.0 / _SQRT2]) / g
+    ln_powers = _ln_tail_bound(g, D, q0, q_cut, front, p2.size)
+    bounds = []
+    for poly in (p1, p2):
+        with np.errstate(divide="ignore"):
+            ln_terms = np.log(poly) + ln_powers[:poly.size]
+        top = float(ln_terms.max())
+        bounds.append(top + math.log(float(np.exp(ln_terms - top).sum()))
+                      if math.isfinite(top) else top)
+    return bounds
 
 
 # the first round's edges (_first_round_edges): multiples of the
@@ -309,21 +485,28 @@ def _ln_tail_bound(g: float, D: int, q0: float, q_cut: float,
 # fractions of q_Theta (none above 0.9995 / 1.05 = 0.952, which the 5 % rule
 # drops on every call)
 _WIDTH_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+# with moments one more, 3 sigma: f (X - c)^2 and f Y reach further past the
+# peak than f, and without it a third of the one-loop curve's rows (g = 0.5,
+# T in [0.1, 5]) took a second round for them
+_MOMENT_WIDTH_EDGES = _WIDTH_EDGES + (3.0,)
 _PEAK_EDGES = (-6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0)
 _Q_THETA_EDGES = (0.25, 0.5, 0.75, 0.9)
 _WINDOW_END = 0.9995
 
 
-def _first_round_edges(g: float, D: int, Theta: float, q_cap: float) -> list:
+def _first_round_edges(g: float, D: int, Theta: float, q_cap: float,
+                       moments: bool = False) -> list:
     """The first round's panel edges on [0, _WINDOW_END q_Theta], from
     scales smooth in Theta: the integrand's width sigma, sqrt(x) at weak
     coupling and (4 x)^(1/4) where the quartic term sets it (x > 4), for
-    x = g / sinh Theta; for D > 1 the weak-coupling radial peak
-    sigma sqrt(D - 1) and steps of sigma about it; and fractions of
-    q_Theta.  An edge within 5 % of the next one above it is dropped."""
+    x = g / sinh Theta (with moments, one more multiple of it); for D > 1
+    the weak-coupling radial peak sigma sqrt(D - 1) and steps of sigma
+    about it; and fractions of q_Theta.  An edge within 5 % of the next
+    one above it is dropped."""
     x = g / math.sinh(Theta) if Theta < 700.0 else 2.0 * g * math.exp(-Theta)
     sigma = min(math.sqrt(x), math.sqrt(2.0 * math.sqrt(x)))
-    inner = [c * sigma for c in _WIDTH_EDGES] + [c * q_cap for c in _Q_THETA_EDGES]
+    widths = _MOMENT_WIDTH_EDGES if moments else _WIDTH_EDGES
+    inner = [c * sigma for c in widths] + [c * q_cap for c in _Q_THETA_EDGES]
     if D > 1:
         inner += [sigma * (math.sqrt(D - 1) + c) for c in _PEAK_EDGES]
     edges = [_WINDOW_END * q_cap]
@@ -333,7 +516,25 @@ def _first_round_edges(g: float, D: int, Theta: float, q_cap: float) -> list:
     return [0.0] + edges[::-1]
 
 
-def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
+class LnZ(float):
+    """ln Z at one Theta, a float that also carries its error bound err,
+    d1 = d ln Z/dTheta and d2 = d^2 ln Z/dTheta^2 with their error bounds
+    d1_err and d2_err.  Arithmetic on it gives plain floats; specific_heat
+    takes C = Theta^2 d2 from it.  The derivatives travel in the value, so
+    a wrapper that only returns what ln Z returns keeps them."""
+
+    __slots__ = ("err", "d1", "d1_err", "d2", "d2_err")
+
+    def __new__(cls, value: float, err: float, d1: float, d1_err: float,
+                d2: float, d2_err: float):
+        record = super().__new__(cls, value)
+        record.err, record.d1, record.d1_err = err, d1, d1_err
+        record.d2, record.d2_err = d2, d2_err
+        return record
+
+
+def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7,
+                  moments: bool = False) -> list:
     """ln Z2 of the quartic well (see z2_quartic) at each Theta of Thetas:
     per Theta, in the order given, its checks, q_Theta and the first
     round's panel edges (_first_round_edges); one adaptive Gauss-Kronrod
@@ -342,7 +543,19 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     by the largest integrand on its first round; then per Theta, in the
     order given, the accuracy check and the tail bound, read at its
     largest first-round node.  ln Z2 has no float range to leave: a Theta
-    where Z2 would (D = 8, g = 0.5, Theta > 177) has one."""
+    where Z2 would (D = 8, g = 0.5, Theta > 177) has one.
+
+    With moments, each value is an LnZ record (_moment_record) with the
+    Theta-derivatives as moments of X = d ln f/dTheta and
+    Y = d^2 ln f/dTheta^2 at fixed q_t (_theta_derivatives) under the
+    weight f, on the same panels:  d ln Z2/dTheta = <X> and
+    d^2 ln Z2/dTheta^2 = <(X - <X>)^2 + Y> (f vanishes at q_Theta, so
+    d/dTheta passes under the integral).  Each family is _sharpened first,
+    the first round has one more panel edge (_first_round_edges), the loop
+    also closes on the moments' error estimates (_gauss_kronrod), and
+    their tail is bounded at the same node (_ln_moment_tail_bounds); ln Z2
+    itself may then differ from the plain route's within the record's err.
+    Without moments no derivative is evaluated and nothing is sharpened."""
     if not 0.0 < g < math.inf:
         raise DomainError(f"g={g!r} must be positive and finite (use z_harmonic at g=0)")
     _check_integer("dimension D", D, 1)
@@ -351,13 +564,17 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
     if not thetas.size:
         return []
     # q_theta_max checks each Theta first, in the order given
-    edges = [_first_round_edges(g, D, Theta, q_theta_max(Theta))
-             for Theta in thetas.tolist()]
+    q_caps = [q_theta_max(Theta) for Theta in thetas.tolist()]
+    edges = [_first_round_edges(g, D, Theta, q_cap, moments)
+             for Theta, q_cap in zip(thetas.tolist(), q_caps)]
     # per Theta, its largest first-round node's q_t, q0 and q0-form front
+    # (with moments, and its lam, tw and p0)
     tail_nodes = []
 
     def log_integrand(q, j):
         nodes = quartic_path_from_qt(q, thetas[j])
+        if moments:
+            nodes = _sharpened(nodes)
         try:
             det_l, det_t = det_longitudinal(nodes), det_transverse(nodes)
         except DomainError as exc:
@@ -365,16 +582,20 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
             # longitudinal pair route underflows below Theta ~ 1e-103
             raise QuadratureError(f"one-loop integrand overflows: {exc}") from exc
         log_f, front = _log_integrand(g, D, nodes, det_l, det_t)
+        at_cut = [q, nodes.q0, front]
+        if moments:
+            (x, y, noise), bounds = _theta_derivatives(g, D, nodes, det_l, det_t)
+            at_cut += bounds
         if not tail_nodes:
             last = np.flatnonzero(np.append(j[1:] != j[:-1], True))
-            tail_nodes.extend(zip(q[last].tolist(), nodes.q0[last].tolist(),
-                                  front[last].tolist()))
-        return log_f
+            tail_nodes.extend(zip(*(v[last].tolist() for v in at_cut)))
+        return (log_f, x, y, noise) if moments else log_f
 
-    vals, errs, scales = _gauss_kronrod(log_integrand, edges, 0.5 * tol)
+    vals, errs, scales, *moment_sums = _gauss_kronrod(
+        log_integrand, edges, 0.5 * tol, moments)
     ln_z2 = []
-    for Theta, (q_last, q0, front), val, err, scale in zip(
-            thetas.tolist(), tail_nodes, vals.tolist(), errs.tolist(), scales.tolist()):
+    for i, (Theta, (q_last, q0, front, *bounds), val, err, scale) in enumerate(zip(
+            thetas.tolist(), tail_nodes, vals.tolist(), errs.tolist(), scales.tolist())):
         if not val > 0.0 or err > tol * val:
             raise QuadratureError(
                 f"quartic q_t quadrature achieved {err:.3e} on value {val:.6e} "
@@ -386,8 +607,42 @@ def ln_z2_quartic(g: float, D: int, Thetas, tol: float = 1e-7) -> list:
             raise QuadratureError(
                 f"tail bound e^{ln_tail:.6g} beyond q_t={q_last:.6g} exceeds "
                 f"tolerance {tol:.1e} on value e^{ln_val:.6g} at Theta={Theta!r}")
-        ln_z2.append(_ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val)
+        value = _ln_sphere_surface(D) - 0.5 * D * math.log(g) + ln_val
+        if moments:
+            (centres, sums), = moment_sums
+            centre = float(centres[i])
+            ln_tails = _ln_moment_tail_bounds(g, D, q0, q_last, front, q_caps[i],
+                                              centre, *bounds)
+            value = _moment_record(value, val, err, centre, sums[i],
+                                   [t - scale for t in [ln_tail, *ln_tails]], Theta)
+        ln_z2.append(value)
     return ln_z2
+
+
+def _moment_record(value: float, val: float, err: float, centre: float, sums,
+                   ln_tails, Theta: float) -> LnZ:
+    """The LnZ record of ln Z2 = value from the scaled integral val of f
+    and its error estimate err, the centre c, the moments' sums (see
+    _gk21_moments), and the logs of the three tail bounds in the same
+    scaled units (f, f |X - c|, f ((X - c)^2 + |Y|)).  Each tail and the
+    rounding of ln f are added to their integral's error, and the errors
+    are propagated to first order through ln Z2 = value,
+    d1 = c + M1/I and d2 = M2/I - (M1/I)^2.  QuadratureError where a
+    derivative or its error is not finite (a moment overflows)."""
+    (m1, m1_err, _), (m2, m2_err, _), roundings = sums.tolist()
+    e0, e1, e2 = (e + rounding + (math.exp(t) if t < _LN_HUGE else math.inf)
+                  for e, rounding, t in zip((err, m1_err, m2_err), roundings, ln_tails))
+    mean, second = m1 / val, m2 / val
+    d1_err = (e1 + abs(mean) * e0) / val
+    d2_err = (e2 + abs(second) * e0) / val + 2.0 * abs(mean) * d1_err
+    derivatives = (centre + mean, d1_err, second - mean * mean, d2_err)
+    if not all(map(math.isfinite, derivatives)):
+        raise QuadratureError(
+            f"Theta-moments of the one-loop integrand are not finite at "
+            f"Theta={Theta!r}: d ln Z2/dTheta {derivatives[0]!r} +- "
+            f"{derivatives[1]!r}, d^2 ln Z2/dTheta^2 {derivatives[2]!r} +- "
+            f"{derivatives[3]!r}")
+    return LnZ(value, e0 / val, *derivatives)
 
 
 def z2_quartic(params: ReducedParams, tol: float = 1e-7) -> float:
@@ -418,7 +673,6 @@ _CL_PANELS = 32
 _CL_EDGES = np.linspace(0.0, 1.0, _CL_PANELS + 1)
 _CL_T = (0.5 * (_CL_EDGES[:-1] + _CL_EDGES[1:])[:, None]
          + (0.5 / _CL_PANELS) * _GK_NODES).ravel()
-_LN4 = math.log(4.0)
 # the tail beyond U is bounded e^-40 below the least scaled integral
 _CL_TAIL_EFOLDS = 40.0
 # extra edges for the adaptive rule, in widths of the peak from its centre
@@ -763,17 +1017,29 @@ def stencil_thetas(Theta: float) -> tuple:
 
 
 def specific_heat(lnz, Theta: float):
-    """C = Theta^2 d^2(ln Z)/dTheta^2 by five-point stencils at steps h
-    and h/2, h = max(1e-3 Theta, 1e-4), Richardson-extrapolated once.
-    The two stencils share Theta and Theta +- h, so ln Z is evaluated at
-    the seven distinct stencil_thetas(Theta), each once, Theta itself
-    first.
+    """C = Theta^2 d^2(ln Z)/dTheta^2, with ln Z at Theta asked for first.
+    Where that value is an LnZ record (the one-loop mode's, from
+    ln_z2_quartic's Theta-moments), C and its error are Theta^2 times its
+    d2 and d2_err, and lnz is called once.  Otherwise C comes from
+    five-point stencils at steps h and h/2, h = max(1e-3 Theta, 1e-4),
+    Richardson-extrapolated once; the two stencils share Theta and
+    Theta +- h, so ln Z is evaluated at the seven distinct
+    stencil_thetas(Theta), each once, Theta itself first.
     Returns (C, error_estimate); raises ConvergenceError if C or its
     error is not finite, as where (h/2)^2 or Theta^2 leaves the normal
     float range (Theta below ~1e-154 or above ~1e154)."""
+    _check_theta(Theta)
+    f0 = lnz(Theta)
+    if isinstance(f0, LnZ):
+        value, err = Theta * Theta * f0.d2, Theta * Theta * f0.d2_err
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise ConvergenceError(
+                f"specific heat at Theta={Theta!r} is not finite: Theta^2 "
+                f"times d^2 ln Z/dTheta^2 = {f0.d2!r} +- {f0.d2_err!r}")
+        return value, err
     h, thetas = _stencil(Theta)
-    # ln Z at Theta, then below and above it at offsets h/2, h and 2h
-    f0, b1, b2, b4, a1, a2, a4 = [lnz(theta) for theta in thetas]
+    # ln Z below and above Theta at offsets h/2, h and 2h
+    b1, b2, b4, a1, a2, a4 = [lnz(theta) for theta in thetas[1:]]
 
     def stencil(hh: float, below_1, below_2, above_1, above_2) -> float:
         return (-below_2 + 16.0 * below_1 - 30.0 * f0

@@ -126,22 +126,26 @@ class TestRun:
 
     @pytest.mark.parametrize("D", [1, 3])
     def test_one_batch_per_semiclassical_row(self, monkeypatch, D):
-        # a row's seven ln Z2 share each path-family build, one per
-        # quadrature round: 1-2 builds a row where one Theta at a time made
-        # 14-21
-        builds, batches = [], []
+        # a row is one ln Z2 at its own Theta with its Theta-moments: one
+        # path-family build per quadrature round (1-2 a row) and one
+        # q_theta_max
+        builds, batches, caps = [], [], []
         build, batch = sct.thermo.quartic_path_from_qt, sct.cli.ln_z2_quartic
+        cap = sct.thermo.q_theta_max
         monkeypatch.setattr(sct.thermo, "quartic_path_from_qt",
                             lambda q_t, Theta: builds.append(q_t) or build(q_t, Theta))
+        monkeypatch.setattr(sct.thermo, "q_theta_max",
+                            lambda Theta: caps.append(Theta) or cap(Theta))
         monkeypatch.setattr(sct.cli, "ln_z2_quartic",
-                            lambda *args: batches.append(args[2]) or batch(*args))
+                            lambda *args, **kwargs: batches.append((args[2], kwargs))
+                            or batch(*args, **kwargs))
         cfg = RunConfig(mode="quartic-semiclassical", g=0.5, D=D, T_min=0.1,
                         T_max=5.0, T_steps=4)
         run(cfg, io.StringIO())
         assert len(builds) <= 2 * cfg.T_steps
-        assert [thetas[0] for thetas in batches] == [
-            1.0 / float(T) for T in cfg.temperature_grid()]
-        assert all(len(thetas) == 7 for thetas in batches)
+        thetas = [1.0 / float(T) for T in cfg.temperature_grid()]
+        assert batches == [((theta,), {"moments": True}) for theta in thetas]
+        assert caps == thetas
 
     @pytest.mark.parametrize("cfg", [
         RunConfig(mode="harmonic", D=2, T_min=0.1, T_max=3.0, T_steps=5),
@@ -542,12 +546,31 @@ class TestMain:
 
     def test_failing_stencil_point_fails_its_row(self, monkeypatch, capsys):
         # the second row's Theta + 2h fails; the row is reported by its T
-        cfg = RunConfig(mode="quartic-semiclassical", T_min=0.5, T_max=1.0, T_steps=2)
+        # (the reference modes keep the stencil)
+        cfg = RunConfig(mode="quartic-classical", T_min=0.5, T_max=1.0, T_steps=2)
         bad = stencil_thetas(1.0 / float(cfg.temperature_grid()[1]))[6]
+        batch = sct.cli.ln_z_classical_batch
+
+        def failing(g, D, thetas, tol):
+            if bad in thetas:
+                raise ConvergenceError(f"injected at Theta={bad!r}")
+            return batch(g, D, thetas, tol)
+
+        monkeypatch.setattr(sct.cli, "ln_z_classical_batch", failing)
+        code, out, err = run_main(
+            ["run", "--mode=quartic-classical", "--tmin=0.5", "--tmax=1",
+             "--steps=2"], capsys)
+        assert code == 3
+        assert f"injected at Theta={bad!r} [while evaluating T=1, Theta=1]" in err
+        assert out == ""
+
+    def test_failing_one_loop_theta_fails_its_row(self, monkeypatch, capsys):
+        # a one-loop row evaluates its own Theta alone; the second row's
+        # failure is reported by its T
         q_theta_max = sct.thermo.q_theta_max
 
         def failing(Theta):
-            if Theta == bad:
+            if Theta == 1.0:
                 raise ConvergenceError(f"injected at Theta={Theta!r}")
             return q_theta_max(Theta)
 
@@ -556,7 +579,7 @@ class TestMain:
             ["run", "--mode=quartic-semiclassical", "--tmin=0.5", "--tmax=1",
              "--steps=2"], capsys)
         assert code == 3
-        assert f"injected at Theta={bad!r} [while evaluating T=1, Theta=1]" in err
+        assert "injected at Theta=1.0 [while evaluating T=1, Theta=1]" in err
         assert out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -43,10 +43,13 @@ from sct.paths import (
     shoot_radial_path,
 )
 from sct.thermo import (
+    LnZ,
     _gauss_kronrod,
     _ln_sphere_surface,
     _ln_tail_bound,
     _log_integrand,
+    _sharpened,
+    _theta_derivatives,
     _phase_integral,
     jacobian_dq0_dqt,
     ln_z2_quartic,
@@ -575,14 +578,27 @@ class TestZ2Quartic:
         gap = 0.5 * (9.0 - 4.0) + 0.25 * (81.0 - 16.0)
         assert _ln_tail_bound(0.5, 1, 3.0, 2.0, -50.0) == (
             pytest.approx(-50.0 - math.log(4.0 * math.sqrt(2.0 * gap)), rel=1e-15))
+        # q0 ** 4 raised OverflowError from q0 ~ 1e77 (ln_z2_quartic at
+        # Theta ~ 1e-77 to 1e-74); the gap is now a product of three factors
+        assert math.isfinite(_ln_tail_bound(1.0, 1, 4e78, 3.9e78, -50.0))
+        # the bounds on f q0^n, n = 0, 1, 2: the integrals of
+        # x^n e^(-decay (x - 3)) from 3, (1, 3 + 1/decay, 9 + 6/decay + 2/decay^2) / decay
+        decay = 4.0 * math.sqrt(2.0 * gap)
+        want = [1.0, 3.0 + 1.0 / decay, 9.0 + 6.0 / decay + 2.0 / decay ** 2]
+        for got, w in zip(_ln_tail_bound(0.5, 1, 3.0, 2.0, -50.0, 3), want):
+            assert got == pytest.approx(-50.0 + math.log(w / decay), rel=1e-15)
+
+    # the domain sweep's Theta: q0 ** 4 in the tail bound raised a bare
+    # OverflowError at Theta ~ 1e-77 to 1e-74
+    SWEEP_THETAS = (1e-77, 1e-75, 1e-74, 1e-4, 1e-2, 1.0, 1e2, 1e4)
 
     def test_domain_sweep_is_finite_or_an_sct_error(self, deadline):
-        # 400 points; the linear-space tail bound and math.gamma(D/2) raised
+        # 640 points; the linear-space tail bound and math.gamma(D/2) raised
         # bare OverflowErrors at the large dimensions
         outcomes = Counter()
         for g in np.geomspace(1e-6, 1e3, 10):
             for D in (1, 2, 3, 8, 30, 163, 345, 1000):
-                for Theta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+                for Theta in self.SWEEP_THETAS:
                     try:
                         z = z2_quartic(ReducedParams(float(g), D, Theta))
                     except SctError:
@@ -590,8 +606,28 @@ class TestZ2Quartic:
                     else:
                         assert 0.0 < z < math.inf
                         outcomes["value"] += 1
-        assert sum(outcomes.values()) == 400
+        assert sum(outcomes.values()) == 640
         assert outcomes["value"] >= 200
+
+    def test_moment_route_domain_sweep(self, deadline):
+        # the same 640 points on the moment route: a record whose six
+        # numbers are finite, or an SctError, with the plain route's
+        # outcome counts
+        outcomes = Counter()
+        for g in np.geomspace(1e-6, 1e3, 10):
+            for D in (1, 2, 3, 8, 30, 163, 345, 1000):
+                for Theta in self.SWEEP_THETAS:
+                    try:
+                        (record,) = ln_z2_quartic(float(g), D, [Theta], moments=True)
+                    except SctError as exc:
+                        outcomes[type(exc).__name__] += 1
+                    else:
+                        assert all(map(math.isfinite, (
+                            record, record.err, record.d1, record.d1_err,
+                            record.d2, record.d2_err)))
+                        outcomes["record"] += 1
+        assert outcomes == {"record": 480, "QuadratureError": 80,
+                            "ConvergenceError": 80}
 
 
 class TestLnZ2Quartic:
@@ -804,8 +840,11 @@ class TestLnZ2Quartic:
 
     # the one-loop C at tol 1e-9 against values from outside the stencil
     C_ORACLES = {
-        # a 40-digit mpmath shadow of the same integrand
-        (0.5, 3, 1.0): 2.32009201621,
+        # a 40-digit mpmath shadow of the same integrand, C from a
+        # five-point stencil (h = 1e-4); the three-point one (h = 1e-5)
+        # gave 2.32009201621 at (0.5, 3, 1), off by its own truncation
+        # Theta^2 h^2 / 12 d^4 ln Z/dTheta^4 = 1.1e-10
+        (0.5, 3, 1.0): 2.32009201610,
         (0.5, 1, 10.0): -0.00417848199,
         # Theta-moments of the q_t integrand f, with no stencil:
         # C = Theta^2 <(X - <X>)^2 + Y> under the weight f, for
@@ -818,11 +857,199 @@ class TestLnZ2Quartic:
 
     @pytest.mark.parametrize("point", sorted(C_ORACLES))
     def test_specific_heat_against_the_oracles(self, point):
+        # the stencil over plain ln Z2 within its C_err; the moment route's
+        # record within the larger of its C_err (3e-12 to 2e-10 here) and
+        # half a unit in the oracles' last digit (11 decimals recorded)
         g, D, Theta = point
         thetas = stencil_thetas(Theta)
         lnz = dict(zip(thetas, ln_z2_quartic(g, D, thetas, 1e-9)))
         c, c_err = specific_heat(lnz.__getitem__, Theta)
         assert abs(c - self.C_ORACLES[point]) <= c_err
+        (record,) = ln_z2_quartic(g, D, [Theta], 1e-9, moments=True)
+        c, c_err = specific_heat(lambda theta: record, Theta)
+        assert abs(c - self.C_ORACLES[point]) <= max(c_err, 5e-12)
+
+    # open defect 1: the stencil missed these 40-digit shadow values by 3.7
+    # and 11.2 of its C_err; (g, D, Theta) -> (C, half a unit in its last
+    # recorded digit).  The first is the third row of `run --g=0.001
+    # --dim=3 --tmin=0.1 --tmax=5`, T = 1.18889 (Theta = 0.841121...).  Its
+    # shadow is taken with a five-point stencil, 2.82075323825709 at
+    # h = 1e-5 and 1e-4 alike: the three-point value recorded before,
+    # 2.8207532385, carries that stencil's truncation
+    # Theta^2 h^2 / 12 d^4 ln Z/dTheta^4 = 2.1e-10.
+    DEFECT_1_ORACLES = {
+        (1e-3, 3, 1.0 / float(np.linspace(0.1, 5.0, 10)[2])): (2.82075323826, 5e-12),
+        (0.5, 1, 20.0): (-2.90577e-6, 5e-12),
+    }
+
+    @pytest.mark.parametrize("point", sorted(DEFECT_1_ORACLES))
+    def test_moment_route_at_the_defect_1_points(self, point):
+        # the bound is the larger of C_err and the oracle's last half unit
+        g, D, Theta = point
+        want, half_unit = self.DEFECT_1_ORACLES[point]
+        (record,) = ln_z2_quartic(g, D, [Theta], 1e-9, moments=True)
+        c, c_err = specific_heat(lambda theta: record, Theta)
+        assert abs(c - want) <= max(c_err, half_unit)
+
+
+class TestThetaMoments:
+    """ln_z2_quartic's moment route: d ln Z2/dTheta and d^2 ln Z2/dTheta^2
+    as moments of X, Y = d ln f/dTheta, d^2 ln f/dTheta^2 at fixed q_t."""
+
+    @pytest.mark.parametrize("g,D,Theta", [
+        (0.5, 1, 1.0), (0.5, 3, 2.0), (0.2, 1, 0.1), (10.0, 8, 5.0)])
+    def test_derivatives_against_finite_differences(self, g, D, Theta):
+        # a five-point stencil of ln f in Theta at the same q_t, whose
+        # truncation is ~1e-8 relative at 0.8 q_Theta (where ln f itself is
+        # noisier, at Theta = 20 or g = 1e-3, the stencil's h^-2 amplifies
+        # the noise past the bound)
+        q = np.linspace(0.01, 0.8, 9) * q_theta_max(Theta)
+        path = quartic_path_from_qt(q, Theta)
+        (x, y, _), _ = _theta_derivatives(
+            g, D, path, _det_longitudinal_closed(path), _det_transverse_closed(path))
+        h = 1e-3 * min(Theta, 1.0)
+        f = {j: closed_log_integrand(g, D, q, Theta + j * h) for j in (-2, -1, 0, 1, 2)}
+        x_fd = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h)
+        y_fd = (-f[-2] + 16.0 * f[-1] - 30.0 * f[0] + 16.0 * f[1] - f[2]) / (12.0 * h * h)
+        assert np.all(np.abs(x - x_fd) <= 1e-7 * (1.0 + np.abs(x)))
+        assert np.all(np.abs(y - y_fd) <= 1e-7 * (1.0 + np.abs(y)))
+
+    def test_sharpened_half_period_values(self):
+        # at Theta = 20 the ladder's cn and dn are ~1e-11 off (cn = cos(phi)
+        # at phi ~ pi/2); taken from dn/cn they are within 5e-13 of mpmath
+        Theta = 20.0
+        q = np.array([0.01, 0.05, 0.2, 0.5, 0.9]) * q_theta_max(Theta)
+        path = quartic_path_from_qt(q, Theta)
+        sharp = _sharpened(path)
+        ladder_worst = 0.0
+        for i, q_t in enumerate(q.tolist()):
+            with mpmath.workdps(40):
+                q2 = mpmath.mpf(q_t) ** 2
+                m, u = 1 - q2 / (2 * (1 + q2)), mpmath.sqrt(1 + q2) * Theta / 2
+                cn, dn = (float(mpmath.ellipfun(f, u, m=m)) for f in ("cn", "dn"))
+            assert sharp.cn_T[i] == pytest.approx(cn, rel=5e-13, abs=0.0)
+            assert sharp.dn_T[i] == pytest.approx(dn, rel=5e-13, abs=0.0)
+            assert sharp.q0[i] == pytest.approx(q_t / cn, rel=5e-13, abs=0.0)
+            ladder_worst = max(ladder_worst, abs(path.cn_T[i] / cn - 1.0))
+        assert ladder_worst > 1e-12
+        assert (sharp.sn_T == path.sn_T).all() and (sharp.eps_T == path.eps_T).all()
+
+    @pytest.mark.parametrize("D", [1, 3])
+    @pytest.mark.parametrize("Theta", [0.5, 2.0, 10.0])
+    def test_harmonic_limit(self, D, Theta):
+        # as g -> 0, C tends to D (Theta/2)^2 / sinh^2(Theta/2); at g = 1e-4
+        # (C - that) / (g D (D + 2)) reads -0.993, -0.203 and -0.009 at
+        # Theta = 0.5, 2 and 10 for D = 1 and 3 alike, so the O(g) term is
+        # bounded by g D (D + 2)
+        g = 1e-4
+        (record,) = ln_z2_quartic(g, D, [Theta], 1e-9, moments=True)
+        c, c_err = specific_heat(lambda theta: record, Theta)
+        assert abs(c - D * harmonic_specific_heat(Theta)) <= g * D * (D + 2)
+        assert c_err < 1e-7
+
+    @pytest.mark.parametrize("D", [1, 3])
+    @pytest.mark.parametrize("Theta", [0.5, 2.0, 10.0])
+    def test_first_derivative_against_a_central_difference(self, D, Theta):
+        # d ln Z2/dTheta against a five-point central difference of ln Z2 at
+        # tol 1e-12, within d1_err and the difference's share of the ln Z2
+        # errors (the action's rounding, ~eps/g, dominates them at g = 1e-4;
+        # the truncation, h^4/30 d^5 ln Z2/dTheta^5, is below 1e-13)
+        g, h = 1e-4, 1e-3 * Theta
+        at, below_2, below_1, above_1, above_2 = ln_z2_quartic(
+            g, D, [Theta, Theta - 2 * h, Theta - h, Theta + h, Theta + 2 * h],
+            1e-12, moments=True)
+        central = (8.0 * (above_1 - below_1) - (above_2 - below_2)) / (12.0 * h)
+        lnz_errs = (8.0 * (above_1.err + below_1.err) + above_2.err + below_2.err) / (12.0 * h)
+        assert abs(at.d1 - central) <= at.d1_err + lnz_errs
+
+    def test_zero_temperature_limit(self):
+        # up to Theta = 670, where the closed forms still hold: ln Z2 + Theta/2
+        # tends to c(g, D), d ln Z2/dTheta to -D/2 and C to 0
+        want = TestZ2Quartic.ZERO_T_LIMIT[0.5, 1]
+        thetas = (40.0, 100.0, 200.0, 400.0, 600.0, 670.0)
+        for Theta, record in zip(thetas, ln_z2_quartic(0.5, 1, thetas, moments=True)):
+            assert abs(record + 0.5 * Theta - want) <= 1e-12
+            assert abs(record.d1 + 0.5) <= record.d1_err
+            assert abs(Theta * Theta * record.d2) <= Theta * Theta * record.d2_err
+
+    @pytest.mark.parametrize("g,D,Theta", [(1e3, 1, 1.0), (100.0, 8, 2.0), (0.5, 3, 1.0)])
+    def test_moment_tail_bounds_hold(self, monkeypatch, g, D, Theta):
+        # the bounds on the tail of f, f |X - c| and f ((X - c)^2 + |Y|)
+        # beyond the cut, against a trapezoid sum of each on 4000 nodes
+        # packed towards q_Theta (in logs; each tail is ~e^-1e7 or less)
+        seen = {}
+        bounds = sct.thermo._ln_moment_tail_bounds
+
+        def spy(g, D, q0, q_cut, front, q_cap, centre, *rest):
+            seen.update(q_cut=q_cut, q_cap=q_cap, centre=centre,
+                        f=_ln_tail_bound(g, D, q0, q_cut, front))
+            seen["moments"] = bounds(g, D, q0, q_cut, front, q_cap, centre, *rest)
+            return seen["moments"]
+
+        monkeypatch.setattr(sct.thermo, "_ln_moment_tail_bounds", spy)
+        ln_z2_quartic(g, D, [Theta], moments=True)
+        q_cut, q_cap = seen["q_cut"], seen["q_cap"]
+        q = np.sort(q_cap - np.geomspace(q_cap - q_cut, 1e-13 * q_cap, 4000))
+        q = q[q > q_cut]
+        path = _sharpened(quartic_path_from_qt(q, Theta))
+        det_l, det_t = _det_longitudinal_closed(path), _det_transverse_closed(path)
+        ln_f = _log_integrand(g, D, path, det_l, det_t)[0]
+        (x, y, _), _ = _theta_derivatives(g, D, path, det_l, det_t)
+        dx = x - seen["centre"]
+        for ln_h, bound in zip((0.0, np.log(np.abs(dx)), np.log(dx * dx + np.abs(y))),
+                               (seen["f"], *seen["moments"])):
+            ln_v = ln_f + ln_h
+            top = ln_v.max()
+            assert top + math.log(np.trapezoid(np.exp(ln_v - top), q)) <= bound
+
+    def test_a_record_is_a_float(self):
+        # the derivatives travel in the value, through any wrapper that
+        # returns what ln Z returns; arithmetic gives plain floats
+        (record,) = ln_z2_quartic(0.5, 1, [2.0], moments=True)
+        assert isinstance(record, float) and type(record + 0.0) is float
+        assert f"{record:.15g}" == f"{float(record):.15g}"
+        calls = []
+
+        def wrapped(theta):
+            calls.append(theta)
+            return record
+
+        assert specific_heat(lambda theta: wrapped(theta), 2.0) == (
+            4.0 * record.d2, 4.0 * record.d2_err)
+        assert calls == [2.0]
+
+    def test_a_record_whose_c_overflows(self):
+        record = LnZ(0.0, 0.0, 0.0, 0.0, 1e300, 0.0)
+        with pytest.raises(ConvergenceError, match="is not finite: Theta"):
+            specific_heat(lambda theta: record, 1e10)
+
+    def test_non_finite_moments_are_a_quadrature_error(self, monkeypatch):
+        # a Y that overflows at a node where f has weight
+        derivatives = sct.thermo._theta_derivatives
+
+        def overflowing(*args):
+            (x, y, noise), bounds = derivatives(*args)
+            return (x, np.full_like(y, math.inf), noise), bounds
+
+        monkeypatch.setattr(sct.thermo, "_theta_derivatives", overflowing)
+        with pytest.raises(QuadratureError,
+                           match=r"Theta-moments of the one-loop integrand are not "
+                                 r"finite at Theta=2\.0: .* d\^2 ln Z2/dTheta\^2 inf"):
+            ln_z2_quartic(0.5, 1, [2.0], moments=True)
+        # the plain route evaluates no derivative
+        assert math.isfinite(ln_z2_quartic(0.5, 1, [2.0])[0])
+
+    def test_moments_leave_the_plain_route_alone(self, monkeypatch):
+        # the plain route builds no derivative and sums the same panels as
+        # before; with moments its ln Z2 is within the record's error
+        def refused(*args):
+            raise AssertionError("a derivative on the plain route")
+
+        (record,) = ln_z2_quartic(0.5, 3, [1.0], 1e-9, moments=True)
+        monkeypatch.setattr(sct.thermo, "_theta_derivatives", refused)
+        monkeypatch.setattr(sct.thermo, "_sharpened", refused)
+        (plain,) = ln_z2_quartic(0.5, 3, [1.0], 1e-9)
+        assert abs(record - plain) <= record.err
 
 
 class TestGaussKronrod:

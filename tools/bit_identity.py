@@ -21,15 +21,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the commands as ROADMAP.md lists them, each with its recorded hash
 KIT = [
     ("run --mode=quartic-semiclassical --g=0.5 --dim=1 --tmin=0.1 --tmax=5",
-     "f33d92d8"),
+     "c8267ee6"),
     ("run --mode=quartic-semiclassical --g=0.5 --dim=3 --tmin=0.1 --tmax=5",
-     "545153f8"),
+     "8a4fdb0f"),
     ("run --mode=quartic-semiclassical --g=0.001 --dim=3 --tmin=0.1 --tmax=5",
-     "820b9cca"),
+     "9f0a77a1"),
     ("run --mode=quartic-semiclassical --g=10 --dim=8 --tmin=0.05 --tmax=20 --steps=15",
-     "3d652d53"),
+     "d1d2f060"),
     ("compare --modes=harmonic,quartic-classical,quartic-semiclassical,quartic-wkb "
-     "--g=0.2 --dim=1 --tmin=0.1 --tmax=5", "d14e3d53"),
+     "--g=0.2 --dim=1 --tmin=0.1 --tmax=5", "deaaa0ae"),
     ("compare --modes=harmonic,quartic-classical,quartic-wkb --g=0.2 --dim=1 "
      "--tmin=0.1 --tmax=30 --steps=200", "d9b0753d"),
 ]
